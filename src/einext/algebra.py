@@ -12,6 +12,7 @@ its twisting) are what the curvature and verification layers build on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -74,6 +75,8 @@ class StructureTensor:
                 if not 1 <= idx <= dim:
                     raise StructureError(f"index {idx} outside 1..{dim}")
             key, v = _norm_key(i, j, k, float(value))
+            if not math.isfinite(v):
+                raise StructureError(f"mu[{i},{j}|{k}] = {v} is not finite")
             if v != 0.0:
                 store[key] = store.get(key, 0.0) + v
         self._entries = {k: v for k, v in store.items() if v != 0.0}
@@ -171,6 +174,8 @@ class ExtensionSpec:
             )
         if any(f.slope != 0 for f in forms) and self.param is None:
             raise StructureError("parametric eigenvalues need a param value")
+        if self.param is not None and not math.isfinite(float(self.param)):
+            raise StructureError(f"param {self.param} is not finite")
 
     @property
     def dim(self) -> int:
@@ -275,13 +280,8 @@ def mean_curvature(mu: StructureTensor) -> np.ndarray:
 
 def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
     """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0."""
-    T = spec.algebra.dense()
     p = spec.eigenvalues()
-    n = spec.dim
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = sum(T[i, j, j] * (p[i] - p[j]) for j in range(n))
-    return out
+    return np.einsum("ijj,ij->i", spec.algebra.dense(), p[:, None] - p[None, :])
 
 
 @dataclass(frozen=True)
@@ -488,6 +488,7 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
     Expected shape: {"dim": n, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}, ...],
     optional "spectral": [...], optional "decomposition": {"h": [...], "m": [...]},
     optional "constant_structure": bool}.  Values may be numbers or "num/den".
+    A "param" value is accepted only when some eigenvalue depends on t.
     """
     try:
         dim = int(data["dim"])
@@ -503,8 +504,10 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
         entries[key] = entries.get(key, 0.0) + value
     mu = StructureTensor(dim, entries)
     spec = None
+    forms = [AffineRational.of(v) for v in data.get("spectral", ())]
+    if data.get("param") is not None and all(f.slope == 0 for f in forms):
+        raise StructureError("'param' given but no eigenvalue depends on t")
     if "spectral" in data:
-        forms = [AffineRational.of(v) for v in data["spectral"]]
         spec = ExtensionSpec(
             mu,
             tuple(forms),

@@ -58,9 +58,10 @@ def _default_tol() -> float:
 
 def _emit(payload, pretty: bool) -> None:
     if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
     else:
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _read_json_input(raw: str) -> dict:

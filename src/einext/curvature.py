@@ -1,15 +1,18 @@
 """Curvature of the one-parameter metric deformation and its extension.
 
-For constant structure data the deformed Ricci operator is a finite sum of
-matrix coefficients times exponentials exp(-2 u q), where each exponent q
-is an exact half-integer combination of the eigenvalues.  The grouped
-representation keeps those exponents exact (affine forms in the optional
-free parameter), so the Einstein criterion "every nonzero-exponent class
-vanishes and the constant class hits its target" is a finite set of exact
-equations on floating-point coefficients.
+The deformed metric at time u is the left-invariant metric of the rescaled
+constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k], so every
+curvature quantity here is one formula, the polarised Ricci form
+``_ricci_form``, applied to rescaled constants.  Splitting mu by the exact
+exponent e = p_k - p_i - p_j turns the deformed Ricci operator into a finite
+sum of matrix coefficients times exponentials exp(-2 u q), one class per
+exact half-integer combination q of the eigenvalues (affine forms in the
+optional free parameter), so the Einstein criterion "every nonzero-exponent
+class vanishes and the constant class hits its target" is a finite set of
+exact equations on floating-point coefficients.
 
-``ricci_deformation_at`` evaluates the same formula directly at a numeric
-deformation time through a separate code path; tests compare the two.
+``ricci_deformation_at`` evaluates the rescaled constants at a numeric
+deformation time without the exponent bookkeeping; tests compare the two.
 """
 
 from __future__ import annotations
@@ -88,8 +91,32 @@ class GroupedRicci:
         }
 
 
+def _ricci_form(S: np.ndarray, T: np.ndarray, positive: bool = False) -> np.ndarray:
+    """Polarised Ricci operator: ``_ricci_form(T, T)`` is the Ricci operator
+    of the left-invariant metric with structure constants T.
+
+    Bilinear in (S, T), so for T = sum_e T_e the ordered pairs of pieces add
+    up to the whole operator.  Leading axes broadcast, which evaluates every
+    pair of a stack of pieces in one call.  ``positive`` replaces each
+    coefficient by its absolute value, so on nonnegative inputs no term can
+    cancel.
+    """
+    a, b, c, d = (0.5, 1.0, 0.25, 0.5) if positive else (-0.5, -1.0, 0.25, -0.5)
+    G = (
+        a * np.einsum("...jkl,...ilk->...ij", S, T)
+        + b * np.einsum("...l,...lji->...ij", np.einsum("...lkk->...l", S), T)
+        + c * np.einsum("...kli,...klj->...ij", S, T)
+        + d * np.einsum("...ikl,...jkl->...ij", S, T)
+    )
+    return 0.5 * (G + G.swapaxes(-1, -2))
+
+
 def _grouped_terms(spec: ExtensionSpec, magnitudes: bool = False) -> dict[AffineRational, np.ndarray]:
     """Accumulate the grouped Ricci coefficients.
+
+    The tensor is split into pieces T_e, one per exact exponent
+    e = p_k - p_i - p_j of its nonzero entries; the pair (T_e, T_f)
+    contributes to the class q = -(e + f)/2.
 
     With ``magnitudes`` the absolute values are accumulated instead, which
     overestimates support: a class key appears whenever any structurally
@@ -97,45 +124,27 @@ def _grouped_terms(spec: ExtensionSpec, magnitudes: bool = False) -> dict[Affine
     to fix the class list of a sparsity pattern independently of the values.
     """
     n = spec.dim
-    T = spec.algebra.dense()
+    p = spec.spectral
+    piece_of: dict[AffineRational, int] = {}
+    entries = [
+        (piece_of.setdefault(p[k - 1] - p[i - 1] - p[j - 1], len(piece_of)), i - 1, j - 1, k - 1, v)
+        for (i, j, k), v in spec.algebra.items()
+    ]
+    if not entries:
+        return {}
+    P = np.zeros((len(piece_of), n, n, n))
+    for e, i, j, k, v in entries:
+        P[e, i, j, k] = v
+        P[e, j, i, k] = -v
     if magnitudes:
-        # Absolute values throughout so no term can cancel out of the support.
-        T = np.abs(T)
-    B = np.einsum("jkl,ilk->ij", T, T)
-    B = (B + B.T) / 2.0
-    trad = np.einsum("ikk->i", T)
-    p = list(spec.spectral)
+        P = np.abs(P)
+    exps = list(piece_of)
+    pairs = _ricci_form(P[:, None], P[None, :], positive=magnitudes)
     classes: dict[AffineRational, np.ndarray] = {}
-
-    def add(q: AffineRational, i: int, j: int, value: float) -> None:
-        if value == 0.0:
-            return
-        if magnitudes:
-            value = abs(value)
-        C = classes.get(q)
-        if C is None:
-            C = classes.setdefault(q, np.zeros((n, n)))
-        C[i, j] += value
-        if i != j:
-            C[j, i] += value
-
-    for i in range(n):
-        for j in range(i, n):
-            half_ij = (p[i] + p[j]) * HALF
-            add(half_ij, i, j, -0.5 * B[i, j])
-            for l in range(n):
-                if trad[l] == 0.0:
-                    continue
-                add(p[l] + (p[j] - p[i]) * HALF, i, j, -0.5 * T[l, j, i] * trad[l])
-                add(p[l] + (p[i] - p[j]) * HALF, i, j, -0.5 * T[l, i, j] * trad[l])
-            for k in range(n):
-                for l in range(n):
-                    c3 = T[k, l, i] * T[k, l, j]
-                    if c3 != 0.0:
-                        add(p[k] + p[l] - half_ij, i, j, 0.25 * c3)
-                    c4 = T[i, k, l] * T[j, k, l]
-                    if c4 != 0.0:
-                        add(p[k] - p[l] + half_ij, i, j, -0.5 * c4)
+    for a, e in enumerate(exps):
+        for b, f in enumerate(exps):
+            q = (e + f) * -HALF
+            classes[q] = classes.get(q, 0.0) + pairs[a, b]
     return {q: C for q, C in classes.items() if C.any()}
 
 
@@ -145,81 +154,43 @@ def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
     return GroupedRicci(spec.dim, _grouped_terms(spec), spec.param)
 
 
+def _rescaled(spec: ExtensionSpec, u: float) -> np.ndarray:
+    """Structure constants of the deformed frame at time u:
+    mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k]."""
+    T = spec.algebra.dense()
+    p = spec.eigenvalues()
+    nz = T != 0.0
+    exponent = p[None, None, :] - p[:, None, None] - p[None, :, None]
+    T[nz] *= np.exp(u * exponent[nz])
+    return T
+
+
 def ricci_deformation_at(spec: ExtensionSpec, u: float) -> np.ndarray:
     """Direct evaluation of the deformed Ricci operator at a single u.
 
-    Sums the formula term by term per entry, independently of the grouped
-    accumulation; used as its cross-check.  Exponents are formed as single
-    linear combinations of the eigenvalues, which are exact floats for the
-    rational eigenvalues the formula is used with.
+    The deformed metric at time u is the undeformed one of the rescaled
+    constants, so this is the Ricci operator of ``_rescaled(spec, u)``,
+    independent of the exponent bookkeeping it cross-checks.
     """
     _require_constant(spec)
-    n = spec.dim
-    T = spec.algebra.dense()
-    B = killing_form(spec.algebra)
-    trad = mean_curvature(spec.algebra)
-    pv = spec.eigenvalues()
-
-    def ex(q: float) -> float:
-        return math.exp(-2.0 * u * q)
-
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            terms = []
-            if B[i, j] != 0.0:
-                terms.append(ex(0.5 * (pv[i] + pv[j])) * (-0.5 * B[i, j]))
-            for l in range(n):
-                if trad[l] == 0.0:
-                    continue
-                v1 = T[l, j, i]
-                if v1 != 0.0:
-                    terms.append(ex(pv[l] + 0.5 * (pv[j] - pv[i])) * (-0.5 * v1 * trad[l]))
-                v2 = T[l, i, j]
-                if v2 != 0.0:
-                    terms.append(ex(pv[l] + 0.5 * (pv[i] - pv[j])) * (-0.5 * v2 * trad[l]))
-            for k in range(n):
-                for l in range(n):
-                    c3 = T[k, l, i] * T[k, l, j]
-                    if c3 != 0.0:
-                        terms.append(ex(pv[k] + pv[l] - 0.5 * (pv[i] + pv[j])) * (0.25 * c3))
-                    c4 = T[i, k, l] * T[j, k, l]
-                    if c4 != 0.0:
-                        terms.append(ex(pv[k] - pv[l] + 0.5 * (pv[i] + pv[j])) * (-0.5 * c4))
-            out[i, j] = math.fsum(terms)
-    return out
+    Tu = _rescaled(spec, u)
+    return _ricci_form(Tu, Tu)
 
 
 def ricci_at_identity(mu: StructureTensor) -> np.ndarray:
     """Ricci operator of the undeformed left-invariant metric (u = 0)."""
     T = mu.dense()
-    B = killing_form(mu)
-    trad = mean_curvature(mu)
-    X = np.einsum("l,lji->ij", trad, T)
-    return (
-        -0.5 * B
-        - 0.5 * (X + X.T)
-        + 0.25 * np.einsum("kli,klj->ij", T, T)
-        - 0.5 * np.einsum("ikl,jkl->ij", T, T)
-    )
+    return _ricci_form(T, T)
 
 
 def connection_coeffs(spec: ExtensionSpec, u: float) -> np.ndarray:
-    """Connection coefficients G[i,j,k] = <nabla_{e_k} e_j, e_i> at time u."""
+    """Connection coefficients G[i,j,k] = <nabla_{e_k} e_j, e_i> at time u.
+
+    The Koszul combination of the rescaled constants mu_u.
+    """
     _require_constant(spec)
-    n = spec.dim
-    T = spec.algebra.dense()
-    pv = spec.eigenvalues()
-    out = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j, k] = (
-                    0.5 * math.exp(u * (pv[k] - pv[i] - pv[j])) * T[i, j, k]
-                    - 0.5 * math.exp(u * (pv[i] - pv[j] - pv[k])) * T[j, k, i]
-                    - 0.5 * math.exp(u * (pv[j] - pv[k] - pv[i])) * T[k, i, j]
-                )
-    return out
+    Tu = _rescaled(spec, u)
+    return 0.5 * (Tu - np.einsum("jki->ijk", Tu) - np.einsum("kij->ijk", Tu))
 
 
 def scalar_deformation(spec: ExtensionSpec) -> dict[AffineRational, float]:

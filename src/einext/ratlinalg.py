@@ -1,57 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines used by the eigenvalue-type enumeration: reduced row
-echelon form, rank, square solves, and an incremental span tracker.  The
-tracker stores its basis fraction-free, as primitive integer rows of the
-(unique) reduced echelon form, so membership tests cost only integer
-arithmetic and :meth:`SpanTracker.signature` is a canonical hashable
-label of the subspace.  No floating point enters here.
+Small dense routines used by the eigenvalue-type enumeration: square
+solves and an incremental span tracker.  The tracker stores its basis
+fraction-free, as primitive integer rows of the (unique) reduced echelon
+form, so membership tests cost only integer arithmetic and
+:meth:`SpanTracker.signature` is a canonical hashable label of the
+subspace.  No floating point enters here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 Row = list[Fraction]
-
-
-def _as_rows(matrix: Iterable[Sequence[Fraction]]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def rref(matrix: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    rows = _as_rows(matrix)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows if any(x != 0 for x in row)], pivots
-
-
-def rank(matrix: Iterable[Sequence[Fraction]]) -> int:
-    reduced, _ = rref(matrix)
-    return len(reduced)
 
 
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row:

@@ -9,6 +9,7 @@ for a single formal parameter ``t``; purely rational quantities have
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -21,7 +22,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Coerce a number or a "num/den" string to an exact Fraction.
 
     Floats convert exactly (every float is a dyadic rational); strings may
-    be integers, decimals, or "num/den".
+    be integers, decimals, or "num/den".  Non-finite values are refused.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -30,6 +31,8 @@ def parse_rational(value: RationalLike) -> Fraction:
             return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(text)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a finite rational number")
         return Fraction(value)
     if isinstance(value, Rational):
         return Fraction(value)
@@ -61,23 +64,30 @@ class AffineRational:
     def of(value: Union["AffineRational", RationalLike]) -> "AffineRational":
         if isinstance(value, AffineRational):
             return value
-        if isinstance(value, str) and value.rstrip().endswith("*t"):
+        if isinstance(value, str) and value.rstrip().endswith("t"):
             return AffineRational._parse_parametric(value)
         return AffineRational(parse_rational(value))
 
     @staticmethod
     def _parse_parametric(text: str) -> "AffineRational":
-        """Parse "const+slope*t" / "const-slope*t" with rational parts."""
-        body = text.strip()
-        body = body[: body.rfind("*")]
-        split = max(body.rfind("+", 1), body.rfind("-", 1))
-        if split <= 0:
+        """Parse "[const]+slope*t", "[const]-slope*t" or "[const]+t" / "[const]-t"
+        with rational parts; a missing constant is zero."""
+        body = text.strip()[:-1].rstrip()
+        starred = body.endswith("*")
+        if starred:
+            body = body[:-1].rstrip()
+        split = max(body.rfind("+", 1), body.rfind("-", 1), 0)
+        const = parse_rational(body[:split]) if split else Fraction(0)
+        coeff = body[split:]
+        sign = -1 if coeff.startswith("-") else 1
+        coeff = coeff[1:].strip() if coeff[:1] in ("+", "-") else coeff.strip()
+        if starred:
+            slope = parse_rational(coeff)
+        elif not coeff:
+            slope = Fraction(1)
+        else:
             raise ValueError(f"cannot parse parametric value {text!r}")
-        const = parse_rational(body[:split])
-        slope = parse_rational(body[split + 1 :])
-        if body[split] == "-":
-            slope = -slope
-        return AffineRational(const, slope)
+        return AffineRational(const, sign * slope)
 
     @staticmethod
     def zero() -> "AffineRational":

@@ -3,9 +3,11 @@
 The residual stacks, in a fixed deterministic order, the grouped Ricci
 deviations (every nonzero-exponent class entrywise, and the constant class
 against its Einstein target), the divergence components, and the weighted
-Jacobi components.  A multistart damped least-squares loop with a central
-finite-difference Jacobian minimizes half the squared norm; identical
-problem and seed reproduce the trajectory bit for bit.
+Jacobi components.  Every row is a polynomial of degree at most two in the
+pattern variables, so the residual is rebuilt once as an exact quadratic
+model whose Jacobian is exact as well.  A multistart damped least-squares
+loop on that model minimizes half the squared norm; identical problem and
+seed reproduce the trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ExtensionSpec, StructureTensor, jacobi_components, make_spec
+from .algebra import (
+    ExtensionSpec,
+    StructureTensor,
+    divergence_residual,
+    jacobi_components,
+    make_spec,
+)
 from .curvature import _grouped_terms
 from .scalars import AffineRational
 from .spectral import SpectralVector
@@ -107,10 +115,6 @@ class SearchResult:
         }
 
 
-def _forms(spectral: Sequence[Fraction]) -> tuple[AffineRational, ...]:
-    return tuple(AffineRational(Fraction(x)) for x in spectral)
-
-
 def _class_keys(
     dim: int, spectral: Sequence[Fraction], pattern: Sequence[Triple]
 ) -> list[AffineRational]:
@@ -120,7 +124,7 @@ def _class_keys(
     cancels); this fixes the residual layout independently of the values.
     """
     indicator = StructureTensor(dim, {t: 1.0 for t in pattern})
-    spec = make_spec(indicator, _forms(spectral))
+    spec = make_spec(indicator, spectral)
     support = _grouped_terms(spec, magnitudes=True)
     keys = set(support) | {AffineRational.zero()}
     return sorted(keys, key=lambda q: q.sort_key())
@@ -142,11 +146,7 @@ def _stack_residual(
         if q.is_zero:
             C = C - target
         rows.append(C[iu])
-    T = spec.algebra.dense()
-    div = np.array(
-        [sum(T[i, j, j] * (pv[i] - pv[j]) for j in range(n)) for i in range(n)]
-    )
-    rows.append(div)
+    rows.append(divergence_residual(spec))
     rows.append(jacobi_weight * jacobi_components(spec.algebra))
     return np.concatenate(rows)
 
@@ -179,8 +179,8 @@ class _QuadraticResidual:
     Every residual row is a polynomial of degree at most two in the pattern
     variables (Ricci and Jacobi rows are quadratic, divergence is linear,
     the target shift is constant), so a handful of probe evaluations
-    reconstructs the map exactly and evaluation reduces to three
-    matrix-vector products.
+    reconstructs the map exactly, evaluation reduces to three matrix-vector
+    products, and :meth:`jacobian` differentiates the model exactly.
     """
 
     def __init__(self, fun, nvars: int):
@@ -212,6 +212,16 @@ class _QuadraticResidual:
                 - self.linear[:, b]
                 - self.square[:, b]
             )
+        # Per variable: the cross columns it appears in and the partner
+        # variable of each, so the Jacobian needs no m x pairs temporary.
+        self.pairs_of = []
+        self.partner_of = []
+        for a in range(nvars):
+            idx = np.flatnonzero((self.pair_a == a) | (self.pair_b == a))
+            self.pairs_of.append(idx)
+            self.partner_of.append(
+                np.where(self.pair_a[idx] == a, self.pair_b[idx], self.pair_a[idx])
+            )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.const + self.linear @ x + self.square @ (x * x)
@@ -219,17 +229,13 @@ class _QuadraticResidual:
             out = out + self.cross @ (x[self.pair_a] * x[self.pair_b])
         return out
 
-
-def _central_jacobian(fun, x: np.ndarray, m: int) -> np.ndarray:
-    jac = np.zeros((m, x.size))
-    for v in range(x.size):
-        step = 1e-6 * max(1.0, abs(x[v]))
-        forward = x.copy()
-        forward[v] += step
-        backward = x.copy()
-        backward[v] -= step
-        jac[:, v] = (fun(forward) - fun(backward)) / (2.0 * step)
-    return jac
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact derivative of the model at x."""
+        jac = self.linear + 2.0 * self.square * x
+        for a, (idx, partner) in enumerate(zip(self.pairs_of, self.partner_of)):
+            if idx.size:
+                jac[:, a] += self.cross[:, idx] @ x[partner]
+        return jac
 
 
 def _levenberg_marquardt(
@@ -246,7 +252,7 @@ def _levenberg_marquardt(
     trace = [objective]
     damping = 1e-3
     for _ in range(max_iterations):
-        jac = _central_jacobian(fun, x, r.size)
+        jac = fun.jacobian(x)
         grad = jac.T @ r
         if float(np.abs(grad).max(initial=0.0)) <= gtol:
             break
@@ -284,10 +290,10 @@ def search(problem: SearchProblem) -> SearchResult:
     """Multistart least-squares search; reproducible for a fixed seed."""
     dim = problem.dim
     keys = _class_keys(dim, problem.spectral, problem.pattern)
-    forms = _forms(problem.spectral)
+    base = make_spec(StructureTensor(dim), problem.spectral)
 
     def direct(values: np.ndarray) -> np.ndarray:
-        spec = ExtensionSpec(problem.build_tensor(values), forms)
+        spec = base.with_algebra(problem.build_tensor(values))
         return _stack_residual(spec, keys, problem.jacobi_weight)
 
     nvars = len(problem.pattern)

@@ -66,6 +66,11 @@ def _maxabs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
+def _violated(values: dict[str, float], tol: float) -> list[str]:
+    """Names of the values not within tol; NaN is never within it."""
+    return [name for name, value in values.items() if not value <= tol]
+
+
 def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Decide whether the extension of the given data is Einstein.
 
@@ -90,7 +95,7 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
         _maxabs(ricci_deformation_at(spec, u) - target) for u in U_GRID
     )
 
-    violated = [name for name, value in residuals.items() if value > tol]
+    violated = _violated(residuals, tol)
     einstein = not violated
     return VerificationReport(
         einstein=einstein,
@@ -230,7 +235,7 @@ def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
         "distinguished_decoupled": max(touching, default=0.0),
         "block_einstein_minus_one": _maxabs(block_ric + np.eye(n - 1)),
     }
-    violated = [name for name, value in checks.items() if value > tol]
+    violated = _violated(checks, tol)
     return ClassifierReport(
         type_name="0001",
         passed=not violated,
@@ -269,7 +274,7 @@ def classify_type_1110(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
         "trace_square": abs(float((q_values**2).sum()) - (n - 1)),
         "block_ricci_flat": _maxabs(ricci_at_identity(block)),
     }
-    violated = [name for name, value in checks.items() if value > tol]
+    violated = _violated(checks, tol)
     return ClassifierReport(
         type_name="1110",
         passed=not violated,
@@ -309,7 +314,7 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
         "contact_coupling": coupling,
         "ricci_at_identity": _maxabs(ric0 - expected),
     }
-    violated = [name for name, value in checks.items() if value > tol]
+    violated = _violated(checks, tol)
     passed = not violated
     return ClassifierReport(
         type_name="1112",

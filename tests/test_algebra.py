@@ -46,6 +46,14 @@ def row4_algebra(p):
 # ---------------------------------------------------------------------------
 
 
+def test_non_finite_values_rejected():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(StructureError):
+            StructureTensor(3, {(1, 2, 3): value})
+    with pytest.raises(StructureError):
+        ExtensionSpec(StructureTensor(1), (AffineRational.parameter(),), param=float("inf"))
+
+
 def test_antisymmetric_storage():
     mu = StructureTensor(3, {(2, 1, 3): 5.0})
     assert mu.get(1, 2, 3) == -5.0

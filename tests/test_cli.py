@@ -75,6 +75,56 @@ def test_missing_spectral_is_input_error(capsys):
     assert "spectral" in err
 
 
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+HEISENBERG_JSON = '{"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": %s}], "spectral": [1, 1, %s]}'
+
+
+def test_nan_structure_constant_is_input_error(capsys, monkeypatch):
+    import io
+
+    for command in (["verify"], ["classify", "--type", "1112"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(HEISENBERG_JSON % ("NaN", "2")))
+        code, out, err = run_cli(capsys, *command, "--input", "-")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
+def test_infinite_eigenvalue_is_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(HEISENBERG_JSON % ("2.0", "Infinity")))
+    code, out, err = run_cli(capsys, "verify", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_unused_param_is_input_error(capsys):
+    data = json.loads(HEISENBERG_JSON % ("2.0", "2"))
+    data["param"] = 5
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert "param" in err
+    # a parametric eigenvalue does use it
+    row4 = {
+        "dim": 3,
+        "mu": [{"i": 3, "j": 1, "k": 1, "v": 2.0}, {"i": 3, "j": 2, "k": 2, "v": -1.0}],
+        "spectral": [1, "t", 0],
+        "param": 2,
+    }
+    code, out, _ = run_cli(capsys, "verify", "--input", json.dumps(row4))
+    assert code == 0
+    assert strict_json(out)["einstein"] is True
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["verify", "--catalog", "table1:3", "--bogus"])
     capsys.readouterr()

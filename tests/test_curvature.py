@@ -222,11 +222,25 @@ def test_ricci_at_identity_matches_koszul_on_lie_tensors():
 
 
 def test_grouped_at_zero_matches_koszul_on_lie_tensors():
+    # away from u = 0 the deformed metric is the undeformed metric of the
+    # rescaled bracket, again a Lie bracket, so the oracle pins every u
     rng = np.random.default_rng(41)
     for _ in range(60):
         mu, p = random_lie_tensor(rng, max_dim=4)
-        grouped = ricci_deformation(make_spec(mu, p))
+        spec = make_spec(mu, p)
+        grouped = ricci_deformation(spec)
         assert np.abs(grouped.evaluate(0.0) - koszul_ricci(mu)).max() <= 1e-10
+        for u in (-1.0, -0.3, 0.7, 2.0):
+            rescaled = StructureTensor(
+                mu.dim,
+                {
+                    (i, j, k): math.exp(u * (p[k - 1] - p[i - 1] - p[j - 1])) * v
+                    for (i, j, k), v in mu.items()
+                },
+            )
+            oracle = koszul_ricci(rescaled)
+            scale = max(1.0, rescaled.max_abs() ** 2)
+            assert np.abs(ricci_deformation_at(spec, u) - oracle).max() <= 1e-10 * scale
 
 
 def test_koszul_known_values():

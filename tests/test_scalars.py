@@ -13,6 +13,12 @@ def test_parse_rational_forms():
     assert parse_rational(0.5) == Fraction(1, 2)
     assert parse_rational(3) == Fraction(3)
     assert parse_rational(Fraction(2, 6)) == Fraction(1, 3)
+    assert AffineRational.of("0+1/2*t") == AffineRational(Fraction(0), Fraction(1, 2))
+    assert AffineRational.of("1/2*t") == AffineRational(Fraction(0), Fraction(1, 2))
+    assert AffineRational.of("-1/2*t") == AffineRational(Fraction(0), Fraction(-1, 2))
+    assert AffineRational.of("t") == AffineRational.parameter()
+    assert AffineRational.of("-t") == -AffineRational.parameter()
+    assert AffineRational.of("1 - 1/2*t") == AffineRational(Fraction(1), Fraction(-1, 2))
 
 
 def test_parse_rational_rejects_garbage():
@@ -20,6 +26,9 @@ def test_parse_rational_rejects_garbage():
         parse_rational("x/y")
     with pytest.raises(TypeError):
         parse_rational(None)
+    for value in (float("inf"), float("-inf"), float("nan"), "inf", "nan"):
+        with pytest.raises(ValueError):
+            parse_rational(value)
 
 
 def test_format_rational():

@@ -8,7 +8,9 @@ from einext.algebra import StructureTensor, make_spec
 from einext.catalog import entries
 from einext.solver import (
     SearchProblem,
-    _central_jacobian,
+    _class_keys,
+    _QuadraticResidual,
+    _stack_residual,
     full_pattern,
     residual_vector,
     search,
@@ -136,8 +138,11 @@ def test_full_pattern_search_still_finds_heisenberg():
 
 
 def test_objective_gradient_matches_finite_differences():
+    # the model's exact Jacobian against central differences of the
+    # objective computed directly from the tensor, not through the model
     problem = SearchProblem(spectral=F(1, 1, 2), restarts=1, seed=0)
     pattern = problem.pattern
+    keys = _class_keys(problem.dim, problem.spectral, pattern)
 
     def objective(x):
         mu = problem.build_tensor(x)
@@ -145,18 +150,16 @@ def test_objective_gradient_matches_finite_differences():
         return 0.5 * float(r @ r)
 
     def residual_fn(x):
-        return residual_vector(
-            problem.build_tensor(x),
-            problem.spectral,
-            jacobi_weight=problem.jacobi_weight,
-        )
+        spec = make_spec(problem.build_tensor(x), problem.spectral)
+        return _stack_residual(spec, keys, problem.jacobi_weight)
 
+    model = _QuadraticResidual(residual_fn, len(pattern))
     rng = np.random.default_rng(29)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=len(pattern))
         r = residual_fn(x)
-        jac = _central_jacobian(residual_fn, x, r.size)
-        grad = jac.T @ r
+        assert np.abs(model(x) - r).max() <= 1e-9 * max(1.0, np.abs(r).max())
+        grad = model.jacobian(x).T @ r
         fd = np.zeros_like(x)
         for v in range(x.size):
             h = 1e-6 * max(1.0, abs(x[v]))

@@ -14,6 +14,7 @@ from einext.verifier import (
     relation_exists,
     scalar_case_check,
     sparsity_pattern,
+    _violated,
     verify_extension,
 )
 
@@ -31,6 +32,11 @@ def e2_algebra():
 # ---------------------------------------------------------------------------
 # verify_extension
 # ---------------------------------------------------------------------------
+
+
+def test_nan_check_is_violated():
+    checks = {"finite": 0.0, "nan": float("nan"), "large": 1.0}
+    assert _violated(checks, 1e-9) == ["nan", "large"]
 
 
 def test_verify_heisenberg_passes():
