@@ -489,11 +489,21 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
     optional "spectral": [...], optional "decomposition": {"h": [...], "m": [...]},
     optional "constant_structure": bool}.  Values may be numbers or "num/den".
     A "param" value is accepted only when some eigenvalue depends on t.
+    Any other shape raises :class:`StructureError`.
     """
+    try:
+        return _parse_algebra_json(data)
+    except (TypeError, AttributeError) as exc:
+        raise StructureError(f"malformed algebra JSON: {exc}") from exc
+
+
+def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[ExtensionSpec], Optional[OrthogonalDecomposition]]:
     try:
         dim = int(data["dim"])
     except KeyError as exc:
         raise StructureError("missing required key 'dim'") from exc
+    except TypeError as exc:
+        raise StructureError(f"'dim' must be an integer, got {data['dim']!r}") from exc
     entries: dict[tuple[int, int, int], float] = {}
     for item in data.get("mu", []):
         try:
@@ -504,14 +514,19 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
         entries[key] = entries.get(key, 0.0) + value
     mu = StructureTensor(dim, entries)
     spec = None
+    if not isinstance(data.get("spectral", []), list):
+        raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")
     forms = [AffineRational.of(v) for v in data.get("spectral", ())]
-    if data.get("param") is not None and all(f.slope == 0 for f in forms):
+    param = data.get("param")
+    if param is not None and not isinstance(param, (int, float, str)):
+        raise StructureError(f"'param' must be a number, got {param!r}")
+    if param is not None and all(f.slope == 0 for f in forms):
         raise StructureError("'param' given but no eigenvalue depends on t")
     if "spectral" in data:
         spec = ExtensionSpec(
             mu,
             tuple(forms),
-            data.get("param"),
+            param,
             bool(data.get("constant_structure", True)),
         )
     decomp = None

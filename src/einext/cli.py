@@ -56,11 +56,20 @@ def _default_tol() -> float:
         raise InputError(f"bad {TOL_ENV_VAR} value {raw!r}") from exc
 
 
+OVERFLOW_MESSAGE = (
+    "the curvature overflows float64 (a residual that is not finite); "
+    "scale the structure constants down"
+)
+
+
 def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-    else:
-        text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    try:
+        if pretty:
+            text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
+        else:
+            text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # an infinity or NaN in the result
+        raise InputError(OVERFLOW_MESSAGE) from exc
     sys.stdout.write(text + "\n")
 
 
@@ -307,6 +316,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError:
+        print(f"error: {OVERFLOW_MESSAGE}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines used by the eigenvalue-type enumeration: square
-solves and an incremental span tracker.  The tracker stores its basis
-fraction-free, as primitive integer rows of the (unique) reduced echelon
-form, so membership tests cost only integer arithmetic and
-:meth:`SpanTracker.signature` is a canonical hashable label of the
-subspace.  No floating point enters here.
+solves and the orthogonal projector onto the complement of a span.  The
+projector P = Q / d is kept fraction-free, as a symmetric integer matrix Q
+over a positive denominator d in lowest terms; that pair is unique to the
+subspace, so :func:`projector_key` is a canonical hashable label of it.
+Integer arithmetic is int64 while a growth bound allows it and exact
+Python integers past it.  No floating point enters here.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from typing import Sequence
 import numpy as np
 
 Row = list[Fraction]
+
+# An int64 array here holds entries below _ENTRY_CAP, so sums along its
+# rows stay exact; products are checked against _PRODUCT_CAP before they
+# are formed.  Past either bound the arithmetic runs on Python integers.
+_ENTRY_CAP = 2**40
+_PRODUCT_CAP = 2**62
 
 
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row:
@@ -39,134 +46,109 @@ def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     return [aug[i][n] for i in range(n)]
 
 
-def _to_int_row(vector: Sequence) -> list[int]:
-    """Clear denominators, returning an integer multiple of the vector."""
-    if all(type(x) is int for x in vector):
-        return list(vector)
-    fracs = [Fraction(x) for x in vector]
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * scale) for f in fracs]
+def _top(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
 
 
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            swap = next((k for k in range(c + 1, n) if m[k][c] != 0), None)
-            if swap is None:
-                return 0
-            m[c], m[swap] = m[swap], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+def _exact(a: np.ndarray) -> np.ndarray:
+    """int64 when every entry is below the cap, Python integers otherwise.
 
-
-def solve_int_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of a square integer system via Cramer with Bareiss minors."""
-    n = len(matrix)
-    det = int_det(matrix)
-    if det == 0:
-        raise ValueError("singular matrix")
-    out = []
-    for c in range(n):
-        replaced = [
-            [rhs[r] if j == c else matrix[r][j] for j in range(n)] for r in range(n)
-        ]
-        out.append(Fraction(int_det(replaced), det))
-    return out
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*(abs(x) for x in row))
-    return row if g in (0, 1) else [x // g for x in row]
-
-
-class SpanTracker:
-    """Incremental membership test for the span of a growing set of vectors.
-
-    The basis rows are the reduced echelon form scaled to primitive integer
-    vectors with positive pivots, a canonical representation of the spanned
-    subspace.  Vectors are reduced by fraction-free cross-multiplication.
+    The choice depends on the values alone, which keeps
+    :func:`projector_key` canonical whichever path computed the matrix.
     """
+    if _top(a) < _ENTRY_CAP:
+        return a if a.dtype == np.int64 else a.astype(np.int64)
+    return a if a.dtype == object else a.astype(object)
 
-    __slots__ = ("ncols", "_rows", "_pivots")
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+def _int_rows(vectors: Sequence[Sequence], dim: int) -> np.ndarray:
+    """Each vector scaled by the lcm of its denominators, as integer rows."""
+    rows = []
+    for vec in vectors:
+        fracs = [Fraction(x) for x in vec]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        rows.append([int(f * scale) for f in fracs])
+    return _exact(np.array(rows, dtype=object).reshape(len(rows), dim))
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
 
-    def _reduce(self, vector: Sequence) -> list[int]:
-        vec = _to_int_row(vector)
-        for row, p in zip(self._rows, self._pivots):
-            v = vec[p]
-            if v:
-                a = row[p]
-                vec = [a * x - v * y for x, y in zip(vec, row)]
-                vec = _primitive(vec)
-        return vec
+def images(vectors: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The integer rows ``vectors @ Q``: row r maps to d P r (Q is symmetric).
 
-    def contains(self, vector: Sequence) -> bool:
-        return not any(self._reduce(vector))
+    A zero row is a vector that lies in the subspace.
+    """
+    bound = vectors.shape[1] * _top(vectors) * _top(Q)
+    if bound < _PRODUCT_CAP and vectors.dtype != object and Q.dtype != object:
+        return _exact(vectors @ Q)
+    return _exact(vectors.astype(object) @ Q.astype(object))
 
-    def add(self, vector: Sequence) -> bool:
-        """Add a vector; returns False (and changes nothing) if dependent."""
-        vec = self._reduce(vector)
-        pivot = next((c for c, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        if vec[pivot] < 0:
-            vec = [-x for x in vec]
-        for k, row in enumerate(self._rows):
-            r = row[pivot]
-            if r:
-                a = vec[pivot]
-                self._rows[k] = _primitive([a * x - r * y for x, y in zip(row, vec)])
-        pos = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
-        self._rows.insert(pos, vec)
-        self._pivots.insert(pos, pivot)
-        return True
 
-    def copy(self) -> "SpanTracker":
-        clone = SpanTracker(self.ncols)
-        clone._rows = [row[:] for row in self._rows]
-        clone._pivots = self._pivots[:]
-        return clone
+def _lines(U: np.ndarray) -> np.ndarray:
+    """The distinct lines spanned by the nonzero rows of U, one primitive row each."""
+    U = U[U.any(axis=1)]
+    U = U // np.gcd.reduce(U, axis=1)[:, None]
+    lead = U[np.arange(len(U)), (U != 0).argmax(axis=1)]
+    U = np.where(lead < 0, -1, 1)[:, None] * U
+    distinct = {tuple(row): k for k, row in enumerate(U.tolist())}
+    return U[list(distinct.values())]
 
-    def reduce_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Reduce every row of an integer matrix against the basis at once.
 
-        A row reduces to zero exactly when it lies in the span.  Arithmetic
-        is exact int64; the growth bound is checked so an overflow raises
-        instead of wrapping (pivots stay small for the vectors used here).
-        """
-        out = np.array(mat, dtype=np.int64, copy=True)
-        for row, p in zip(self._rows, self._pivots):
-            a = int(row[p])
-            r = np.asarray(row, dtype=np.int64)
-            bound = (
-                a * int(np.abs(out).max(initial=0))
-                + int(np.abs(out[:, p]).max(initial=0)) * int(np.abs(r).max(initial=0))
-            )
-            if bound > 2**62:
-                raise OverflowError("integer growth too large for batch reduction")
-            out = a * out - out[:, p : p + 1] * r[None, :]
-        return out
+def extend(Q: np.ndarray, d: int, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto the complements of W + span(r), one per distinct child.
 
-    def signature(self) -> tuple:
-        """Canonical hashable label of the tracked subspace."""
-        return tuple(tuple(row) for row in self._rows)
+    ``Q / d`` projects onto the complement of W, and the rows of U are the
+    images ``images(R, Q)`` of vectors r.  Rows that vanish (r in W) are
+    skipped, parallel rows give the same child and are built once.  With
+    u = Q r the child is ``(<u,u> Q - d u u^t) / (d <u,u>)`` in lowest terms,
+    built for all children at once; the growth bound is checked first and
+    the batch runs on Python integers when int64 could overflow.  Returns
+    the stacked numerators and the denominators.
+    """
+    U = _lines(U)
+    n = Q.shape[0]
+    top_u = _top(U)
+    norm_bound = n * top_u * top_u
+    if (
+        max(norm_bound * _top(Q) + d * top_u * top_u, d * norm_bound) >= _PRODUCT_CAP
+        or U.dtype == object
+        or Q.dtype == object
+    ):
+        U, Q = U.astype(object), Q.astype(object)
+    norms = (U * U).sum(axis=1)
+    numer = norms[:, None, None] * Q[None] - d * (U[:, :, None] * U[:, None, :])
+    denom = d * norms
+    g = np.gcd(np.gcd.reduce(numer.reshape(len(U), n * n), axis=1), denom)
+    return _exact(numer // g[:, None, None]), denom // g
+
+
+def projector_key(Q: np.ndarray, d: int) -> tuple:
+    """Canonical hashable label of the subspace whose complement Q / d projects onto."""
+    if Q.dtype == object:
+        Q = _exact(Q)
+    return (int(d), Q.tobytes() if Q.dtype != object else tuple(Q.ravel().tolist()))
+
+
+def projector_from_key(key: tuple, dim: int) -> tuple[np.ndarray, int]:
+    """The projector ``(Q, d)`` that :func:`projector_key` labelled ``key``."""
+    d, data = key
+    if isinstance(data, bytes):
+        return np.frombuffer(data, dtype=np.int64).reshape(dim, dim), d
+    return np.array(data, dtype=object).reshape(dim, dim), d
+
+
+def complement_projector(
+    vectors: Sequence[Sequence], dim: int
+) -> tuple[np.ndarray, int, list[bool]]:
+    """The projector Q / d onto the complement of the span of ``vectors``.
+
+    Vectors are added in order; the flags say which of them were independent
+    of the ones before.  Entries may be integers or rationals.
+    """
+    Q, d = np.eye(dim, dtype=np.int64), 1
+    independent = []
+    for row in _int_rows(vectors, dim):
+        u = images(row[None, :], Q)
+        independent.append(bool(u.any()))
+        if independent[-1]:
+            numer, denom = extend(Q, d, u)
+            Q, d = _exact(numer[0]), int(denom[0])
+    return Q, d, independent

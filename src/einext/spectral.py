@@ -2,10 +2,12 @@
 
 Everything in this module is exact rational arithmetic.  The central
 objects are the root triples f_i + f_j - f_k, the candidate eigenvalue
-vector obtained by projecting the all-ones vector away from a linearly
-independent set of such triples, and the consistency conditions that an
-admissible type must satisfy (orthogonality, nonzero entries, nonzero
-trace, maximality of the defining subset).
+vector obtained by projecting the all-ones vector onto the orthogonal
+complement of the span of a linearly independent set of such triples, and
+the consistency conditions that an admissible type must satisfy
+(orthogonality, nonzero entries, nonzero trace, maximality of the defining
+subset).  The projector comes from :mod:`einext.ratlinalg`, exact and
+fraction-free.
 
 Cone membership of the projected all-ones vector is decided by an exact
 phase-one simplex and returns a checkable certificate either way.
@@ -21,7 +23,13 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exactlp import cone_decompose
-from .ratlinalg import SpanTracker, solve_int_system
+from .ratlinalg import (
+    complement_projector,
+    extend,
+    images,
+    projector_from_key,
+    projector_key,
+)
 
 DEFAULT_DIMENSION_CAP = 7
 
@@ -144,10 +152,11 @@ class RootMatrix:
         if self.dim < 2:
             raise DimensionError(f"dimension must be at least 2, got {self.dim}")
         object.__setattr__(self, "triples", tuple(self.triples))
-        tracker = SpanTracker(self.dim)
         for t in self.triples:
             t.validate(self.dim)
-            if not tracker.add(t.vector(self.dim)):
+        _, _, independent = complement_projector(self.columns(), self.dim)
+        for t, ok in zip(self.triples, independent):
+            if not ok:
                 raise RankError(f"column {t} depends on the previous columns")
 
     @property
@@ -162,24 +171,15 @@ def _dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _raw_from_columns(cols: list[tuple[int, ...]], dim: int) -> tuple[Fraction, ...]:
-    m = len(cols)
-    if m == 0:
-        return tuple(Fraction(1) for _ in range(dim))
-    gram = [[sum(x * y for x, y in zip(cols[a], cols[b])) for b in range(m)] for a in range(m)]
-    try:
-        x = solve_int_system(gram, [1] * m)
-    except ValueError as exc:  # cannot happen for independent columns
-        raise RankError(str(exc)) from exc
-    return tuple(
-        Fraction(1) - sum((cols[a][r] * x[a] for a in range(m)), Fraction(0))
-        for r in range(dim)
-    )
-
-
 def raw_candidate(V: RootMatrix) -> tuple[Fraction, ...]:
-    """Exact 1_n - V (V^t V)^{-1} 1_m, in the original index order."""
-    return _raw_from_columns(V.columns(), V.dim)
+    """Exact 1_n - V (V^t V)^{-1} 1_m, in the original index order.
+
+    Every root column sums to 1, so V^t 1_n = 1_m and this is the projection
+    of 1_n onto the orthogonal complement of the column span: the row sums of
+    the projector.
+    """
+    Q, d, _ = complement_projector(V.columns(), V.dim)
+    return tuple(Fraction(int(s), d) for s in Q.sum(axis=1))
 
 
 def candidate_spectral(V: RootMatrix) -> SpectralVector:
@@ -224,9 +224,9 @@ def root_matrix_for(
     """A maximal independent subset of the roots orthogonal to p (greedy)."""
     entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
     n = len(entries)
-    tracker = SpanTracker(n)
-    chosen = [t for t in perp_roots(entries, root_set) if tracker.add(t.vector(n))]
-    return RootMatrix(n, tuple(chosen))
+    perp = perp_roots(entries, root_set)
+    _, _, independent = complement_projector([t.vector(n) for t in perp], n)
+    return RootMatrix(n, tuple(t for t, ok in zip(perp, independent) if ok))
 
 
 def check_consistency(
@@ -246,10 +246,9 @@ def check_consistency(
     orthogonal = all(_dot(c, entries) == 0 for c in cols)
     nonzero_entries = all(x != 0 for x in entries)
     trace = sum(entries, Fraction(0))
-    tracker = SpanTracker(V.dim)
-    for c in cols:
-        tracker.add(c)
-    maximal = all(tracker.contains(t.vector(V.dim)) for t in perp_roots(entries, root_set))
+    Q, _, _ = complement_projector(cols, V.dim)
+    perp = [t.vector(V.dim) for t in perp_roots(entries, root_set)]
+    maximal = not images(np.array(perp, dtype=np.int64).reshape(-1, V.dim), Q).any()
     conditions = {
         "orthogonal": orthogonal,
         "nonzero_entries": nonzero_entries,
@@ -326,57 +325,58 @@ def cone_membership(
     return ConeCertificate(False, target, tuple(gens), witness=tuple(witness))
 
 
-def _enumerate_unfiltered(dim: int) -> dict[SpectralVector, RootMatrix]:
-    """Breadth-first walk over the distinct subspaces spanned by root subsets.
+def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
+    """Breadth-first walk over the subspaces W spanned by root subsets.
 
-    The candidate vector depends only on the span of the chosen columns, so
-    visiting each subspace once (canonical echelon signature dedup) is
-    equivalent to enumerating all linearly independent subsets.  Bulk span
-    tests run through the integer batch reduction.
+    The candidate depends only on W: it is the projection of 1_n onto the
+    complement of W, proportional to the row sums of that projector Q / d.
+    Each level holds the subspaces of one rank below n - 1, deduped by the
+    exact projector, so each is visited once.  Roots orthogonal to the
+    candidate lie in W exactly when their images under Q vanish, so the
+    images that give the children also decide maximality.  Hyperplanes are
+    never stored: their candidates are read off the children of the level
+    below, and need no maximality check.
+
+    Only subspaces through the root (1,2|3) are walked, plus the zero one
+    for the scalar type.  S_n permutes the roots (i,j|k) transitively, so
+    every nonzero W spanned by roots is sigma W' for a permutation sigma
+    and a W' spanned by roots through (1,2|3) (extend that root to a basis
+    of W' from its spanning roots, so the walk reaches W').  Permuting
+    indices commutes with the projector and fixes 1_n, so the candidate of
+    sigma W' is the permuted candidate of W'; the consistency checks and
+    the canonical form are permutation invariant.
     """
-    roots = build_root_set(dim)
-    vectors = [t.vector(dim) for t in roots]
-    root_mat = np.array(
-        [[int(x) for x in v] for v in vectors], dtype=np.int64
-    ).reshape(len(vectors), dim)
-    found: dict[SpectralVector, RootMatrix] = {}
+    roots = np.array([t.vector(dim) for t in build_root_set(dim)], dtype=np.int64)
+    roots = roots.reshape(-1, dim)
+    found: set[tuple[int, ...]] = set()
 
-    def consider(chosen: list[int], tracker: SpanTracker) -> None:
-        cols = [vectors[i] for i in chosen]
-        entries = _raw_from_columns(cols, dim)
-        if any(x == 0 for x in entries) or sum(entries, Fraction(0)) == 0:
-            return
-        scale = math.lcm(*(x.denominator for x in entries))
-        p_int = np.array([int(x * scale) for x in entries], dtype=np.int64)
-        orth = np.where(root_mat @ p_int == 0)[0]
-        if orth.size:
-            residual = tracker.reduce_matrix(root_mat[orth])
-            if residual.any():
-                return
-        canon = SpectralVector(entries).canonical()
-        found.setdefault(canon, RootMatrix(dim, tuple(roots[i] for i in chosen)))
+    def add_types(sums: np.ndarray) -> None:
+        # Rows of candidates with every entry and the entry sum nonzero.  The
+        # sum is 1^t Q 1 = d |P 1|^2 > 0, so sorting and dividing by the gcd
+        # gives the canonical form.
+        sums = np.sort(sums[sums.all(axis=1) & (sums.sum(axis=1) != 0)], axis=1)
+        sums //= np.gcd.reduce(sums, axis=1)[:, None]
+        found.update(map(tuple, sums.tolist()))
 
-    empty = SpanTracker(dim)
-    consider([], empty)
-    seen: set[tuple] = {empty.signature()}
-    frontier: list[tuple[SpanTracker, list[int]]] = [(empty, [])]
-    while frontier:
-        next_frontier: list[tuple[SpanTracker, list[int]]] = []
-        for tracker, chosen in frontier:
-            residual = tracker.reduce_matrix(root_mat)
-            for idx in np.where(residual.any(axis=1))[0]:
-                child = tracker.copy()
-                child.add(vectors[idx])
-                sig = child.signature()
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                picked = chosen + [int(idx)]
-                consider(picked, child)
-                if child.rank < dim - 1:
-                    next_frontier.append((child, picked))
-        frontier = next_frontier
-    return found
+    level = {projector_key(np.eye(dim, dtype=np.int64), 1)}
+    for rank in range(dim - 1):
+        children: set[tuple] = set()
+        for key in level:
+            Q, d = projector_from_key(key, dim)
+            U = images(roots, Q)
+            sums = Q.sum(axis=1)
+            if not U[roots @ sums == 0].any():
+                add_types(sums[None, :])
+            # The zero subspace grows only by the start root (1,2|3).
+            numer, denom = extend(Q, d, U[:1] if rank == 0 else U)
+            if rank + 1 < dim - 1:
+                children.update(map(projector_key, numer, denom.tolist()))
+            else:
+                # A hyperplane's complement is the line of its candidate, so
+                # every root orthogonal to the candidate lies in it: maximal.
+                add_types(numer.sum(axis=2))
+        level = children
+    return {SpectralVector.of(t).canonical() for t in found}
 
 
 def enumerate_types(
@@ -386,8 +386,8 @@ def enumerate_types(
 ) -> set[SpectralVector]:
     """All admissible eigenvalue types in dimension ``dim``, canonicalized.
 
-    Iterates over linearly independent subsets of the root set (pruned by
-    exact rank and by subspace memoization), applies the candidate formula
+    Walks the subspaces spanned by root subsets once each (up to the
+    permutations that move the root (1,2|3)), applies the candidate formula
     and the consistency conditions, and dedupes up to index permutation.
     The scalar type (1,...,1) is always present.  With
     ``apply_cone_filter`` the cone-membership condition is also enforced.
@@ -399,7 +399,7 @@ def enumerate_types(
             f"dimension {dim} exceeds the enumeration cap {cap}; "
             f"pass cap={dim} explicitly to override"
         )
-    types = set(_enumerate_unfiltered(dim))
+    types = _enumerate_unfiltered(dim)
     if apply_cone_filter:
         types = {p for p in types if cone_membership(p).feasible}
     return types

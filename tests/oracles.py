@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, and the cone oracle enumerates basis
-subsets instead of running the simplex.
+contraction with plain loops, the cone oracle enumerates basis subsets
+instead of running the simplex, and the type oracle runs over every
+independent root subset with exact Gram-Schmidt instead of walking
+subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -146,3 +149,52 @@ def cone_bruteforce(generators: list, target: list) -> bool:
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False
+
+
+def gram_schmidt(vectors: list) -> list:
+    """Orthogonal basis of the span, exact; drops dependent vectors."""
+    basis = []
+    for v in vectors:
+        w = [Fraction(x) for x in v]
+        for b in basis:
+            c = sum(x * y for x, y in zip(w, b)) / sum(y * y for y in b)
+            w = [x - c * y for x, y in zip(w, b)]
+        if any(w):
+            basis.append(w)
+    return basis
+
+
+def types_bruteforce(dim: int) -> set:
+    """Canonical eigenvalue types from every independent subset of roots.
+
+    For each subset the candidate is 1_n minus its projection onto the span
+    (Gram-Schmidt in Fractions); it is kept when every entry and the entry
+    sum are nonzero and every root orthogonal to it lies in the span.
+    """
+    roots = [
+        tuple(int(a == i) + int(a == j) - int(a == k) for a in range(dim))
+        for i, j in itertools.combinations(range(dim), 2)
+        for k in range(dim)
+        if k not in (i, j)
+    ]
+    found = set()
+    for size in range(dim):
+        for subset in itertools.combinations(roots, size):
+            basis = gram_schmidt(list(subset))
+            if len(basis) != size:
+                continue
+            p = [Fraction(1)] * dim
+            for b in basis:
+                c = sum(b) / sum(y * y for y in b)
+                p = [x - c * y for x, y in zip(p, b)]
+            if any(x == 0 for x in p) or sum(p) == 0:
+                continue
+            perp = [r for r in roots if sum(a * b for a, b in zip(r, p)) == 0]
+            if len(gram_schmidt(list(subset) + perp)) != size:
+                continue
+            scale = math.lcm(*(x.denominator for x in p))
+            ints = [int(x * scale) for x in p]
+            g = math.gcd(*ints)
+            ints = sorted(x // g for x in ints)
+            found.add(tuple(ints if sum(ints) > 0 else sorted(-x for x in ints)))
+    return found

@@ -125,6 +125,29 @@ def test_unused_param_is_input_error(capsys):
     assert strict_json(out)["einstein"] is True
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"dim": 3, "mu": [], "spectral": 5}, "'spectral'"),
+        ({"dim": [3], "mu": []}, "'dim'"),
+        ({"dim": 3, "mu": [], "spectral": [1, "t", 0], "param": [2]}, "'param'"),
+    ],
+)
+def test_malformed_shape_is_input_error(capsys, data, field):
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert field in err and "Traceback" not in err
+
+
+def test_overflowing_curvature_is_input_error(capsys):
+    for command in (["verify"], ["classify", "--type", "1112"]):
+        code, out, err = run_cli(capsys, *command, "--input", HEISENBERG_JSON % ("1e200", "2"))
+        assert code == 2
+        assert out == ""
+        assert "overflows float64" in err and "not finite" in err
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["verify", "--catalog", "table1:3", "--bogus"])
     capsys.readouterr()

@@ -281,6 +281,18 @@ def test_enumerate_dim4_matches_known_list():
     assert canon_set(enumerate_types(4)) == KNOWN_DIM4_TYPES
 
 
+def test_enumerate_matches_bruteforce_oracle():
+    from oracles import types_bruteforce
+
+    for dim in (3, 4):
+        assert canon_set(enumerate_types(dim)) == types_bruteforce(dim)
+
+
+@pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 409)])
+def test_type_counts(dim, count):
+    assert len(enumerate_types(dim)) == count
+
+
 def test_enumerate_cone_filter_no_discrepancy_dim4():
     report = enumeration_report(4)
     assert report.consistent
@@ -340,3 +352,15 @@ def test_nonscalar_types_admit_sum_relation():
                 for k in range(dim)
             )
             assert found, f"no sum relation in {ints}"
+
+
+def test_walk_on_python_integers_matches_int64(monkeypatch):
+    # With the int64 caps at 2 every projector and image takes the exact
+    # Python-integer path; the walk must give the same types.
+    import einext.ratlinalg as ratlinalg
+
+    expected = {dim: enumerate_types(dim) for dim in (3, 4, 5)}
+    monkeypatch.setattr(ratlinalg, "_ENTRY_CAP", 2)
+    monkeypatch.setattr(ratlinalg, "_PRODUCT_CAP", 2)
+    for dim, types in expected.items():
+        assert enumerate_types(dim) == types
