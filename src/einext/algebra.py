@@ -499,11 +499,12 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
 
 def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[ExtensionSpec], Optional[OrthogonalDecomposition]]:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
     except KeyError as exc:
         raise StructureError("missing required key 'dim'") from exc
-    except TypeError as exc:
-        raise StructureError(f"'dim' must be an integer, got {data['dim']!r}") from exc
+    # int() would truncate 3.7 to 3, and a JSON true is a Python int.
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise StructureError(f"'dim' must be an integer, got {dim!r}")
     entries: dict[tuple[int, int, int], float] = {}
     for item in data.get("mu", []):
         try:

@@ -5,22 +5,28 @@ combination of a finite set of generators.  Returns either the
 coefficients or a separating (Farkas) witness; both certificates are
 exact and can be re-verified by direct substitution.
 
-Bland's pivoting rule is used throughout, so the method terminates on
-degenerate instances.
+The simplex runs on one fraction-free integer tableau ``[A | I | b]`` over
+a common denominator D (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968).  Each
+generator and the target are scaled to integers by the lcm of their
+denominators; a positive column scaling changes no sign of a reduced cost
+and scales every ratio of the ratio test alike, so it changes no pivot.
+The tableau is D times B^-1 [A | I | b] for the current basis B, with
+D = det B > 0 (every pivot entry is positive), so each entry is a minor
+of the scaled input and each Bareiss division is exact.
+
+Bland's rule (smallest improving column, ties in the ratio test to the
+smallest basic index) makes the method terminate on degenerate instances
+and fixes the pivot sequence, hence the certificates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlinalg import solve_square
-
 Vector = Sequence[Fraction]
-
-
-def _column(columns: list[list[Fraction]], j: int) -> list[Fraction]:
-    return [row[j] for row in columns]
 
 
 def cone_decompose(
@@ -44,61 +50,57 @@ def cone_decompose(
             return [], None
         return None, b
 
-    # Row-sign flips so the artificial basis is feasible (b >= 0).
-    signs = [Fraction(1)] * n
-    cols = [[Fraction(generators[j][i]) for j in range(m)] for i in range(n)]
+    # Integer columns: the generators, then the target.  Row-sign flips make
+    # the artificial basis feasible (b >= 0).
+    columns = [[Fraction(x) for x in g] for g in generators] + [b]
+    scales = [math.lcm(*(x.denominator for x in col)) for col in columns]
+    signs = [-1 if x < 0 else 1 for x in b]
+    rows = []
     for i in range(n):
-        if b[i] < 0:
-            b[i] = -b[i]
-            cols[i] = [-x for x in cols[i]]
-            signs[i] = Fraction(-1)
-
-    # Full column list: generators then artificial unit columns.
-    for i in range(n):
-        for r in range(n):
-            cols[r].append(Fraction(1 if r == i else 0))
-    ncols = m + n
-    cost = [Fraction(0)] * m + [Fraction(1)] * n
+        row = [signs[i] * (col[i] * s).numerator for col, s in zip(columns, scales)]
+        rows.append(row[:m] + [int(i == k) for k in range(n)] + row[m:])
+    # Reduced costs of the phase-one objective (cost 1 on each artificial
+    # column) over the artificial basis, as the last row.
+    cost = [0] * m + [1] * n + [0]
+    rows.append([c - sum(col) for c, col in zip(cost, zip(*rows))])
     basis = list(range(m, m + n))
+    D = 1
 
     while True:
-        bmat = [[cols[r][basis[k]] for k in range(n)] for r in range(n)]
-        x_basic = solve_square(bmat, b)
-        bt = [[bmat[r][k] for r in range(n)] for k in range(n)]
-        y = solve_square(bt, [cost[v] for v in basis])
-
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            reduced = cost[j] - sum(y[r] * cols[r][j] for r in range(n))
-            if reduced < 0:
-                entering = j  # Bland: smallest improving index
-                break
+        z = rows[n]
+        # Bland: smallest improving index.
+        entering = next((j for j in range(m + n) if z[j] < 0), None)
         if entering is None:
             break
-
-        direction = solve_square(bmat, _column(cols, entering))
-        ratio = None
-        leaving_pos = None
+        leaving = None
         for k in range(n):
-            if direction[k] > 0:
-                r = x_basic[k] / direction[k]
-                better = ratio is None or r < ratio
-                tie = ratio is not None and r == ratio and basis[k] < basis[leaving_pos]
-                if better or tie:
-                    ratio = r
-                    leaving_pos = k
-        if leaving_pos is None:
+            if rows[k][entering] > 0:
+                if leaving is None:
+                    leaving = k
+                    continue
+                # Minimum ratio b_k / a_k, by cross-multiplication.
+                lhs = rows[k][-1] * rows[leaving][entering]
+                rhs = rows[leaving][-1] * rows[k][entering]
+                if lhs < rhs or (lhs == rhs and basis[k] < basis[leaving]):
+                    leaving = k
+        if leaving is None:
             raise RuntimeError("phase-one objective unbounded; should not happen")
-        basis[leaving_pos] = entering
+        pivot_row = rows[leaving]
+        piv = pivot_row[entering]
+        # One Bareiss step to the new denominator piv: the pivot row stays,
+        # and every division by the old denominator D is exact.
+        for k, row in enumerate(rows):
+            if k != leaving:
+                f = row[entering]
+                rows[k] = [(piv * a - f * p) // D for a, p in zip(row, pivot_row)]
+        D = piv
+        basis[leaving] = entering
 
-    objective = sum(cost[v] * x for v, x in zip(basis, x_basic))
-    if objective == 0:
+    # The phase-one objective is -z_b / D.
+    if z[-1] == 0:
         coeffs = [Fraction(0)] * m
-        for v, x in zip(basis, x_basic):
+        for k, v in enumerate(basis):
             if v < m:
-                coeffs[v] = x
+                coeffs[v] = Fraction(rows[k][-1] * scales[v], D * scales[m])
         return coeffs, None
-    witness = [signs[i] * y[i] for i in range(n)]
-    return None, witness
+    return None, [signs[i] * (1 - Fraction(z[m + i], D)) for i in range(n)]

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines used by the eigenvalue-type enumeration: square
-solves and the orthogonal projector onto the complement of a span.  The
-projector P = Q / d is kept fraction-free, as a symmetric integer matrix Q
-over a positive denominator d in lowest terms; that pair is unique to the
-subspace, so :func:`projector_key` is a canonical hashable label of it.
-Integer arithmetic is int64 while a growth bound allows it and exact
-Python integers past it.  No floating point enters here.
+The orthogonal projector onto the complement of a span, used by the
+eigenvalue-type enumeration.  The projector P = Q / d is kept
+fraction-free, as a symmetric integer matrix Q over a positive denominator
+d in lowest terms; that pair is unique to the subspace, so
+:func:`projector_key` is a canonical hashable label of it.  Integer
+arithmetic is int64 while a growth bound allows it and exact Python
+integers past it.  No floating point enters here.
 """
 
 from __future__ import annotations
@@ -17,33 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-Row = list[Fraction]
-
 # An int64 array here holds entries below _ENTRY_CAP, so sums along its
 # rows stay exact; products are checked against _PRODUCT_CAP before they
 # are formed.  Past either bound the arithmetic runs on Python integers.
 _ENTRY_CAP = 2**40
 _PRODUCT_CAP = 2**62
-
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row:
-    """Solve an exactly determined square system; raises on a singular matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("square system expected")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot_row = next((k for k in range(c, n) if aug[k][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for k in range(n):
-            if k != c and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
-    return [aug[i][n] for i in range(n)]
 
 
 def _top(a: np.ndarray) -> int:

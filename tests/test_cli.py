@@ -131,6 +131,9 @@ def test_unused_param_is_input_error(capsys):
         ({"dim": 3, "mu": [], "spectral": 5}, "'spectral'"),
         ({"dim": [3], "mu": []}, "'dim'"),
         ({"dim": 3, "mu": [], "spectral": [1, "t", 0], "param": [2]}, "'param'"),
+        # int() truncation and bool-as-int would pass these off as dim 3 and 1
+        ({"dim": 3.7, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}], "spectral": [1, 1, 2]}, "'dim'"),
+        ({"dim": True, "mu": []}, "'dim'"),
     ],
 )
 def test_malformed_shape_is_input_error(capsys, data, field):

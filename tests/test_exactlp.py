@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einext.exactlp import cone_decompose
 
@@ -67,3 +69,65 @@ def test_matches_bruteforce_on_random_instances():
         assert feasible == cone_bruteforce(gens, target)
         agree_feasible += feasible
     assert 0 < agree_feasible < 120  # both branches exercised
+
+
+def test_beale_cycling_instance_terminates():
+    # Beale's cycling example (Naval Res. Logist. Quart. 1955) as a cone
+    # instance: rows 1-2 are his degenerate constraints, row 3 his bound,
+    # and row 4 makes the phase-one reduced costs (minus the column sums)
+    # his costs -3/4, 20, -1/2, 6.  With the most negative reduced cost
+    # entering, the phase-one simplex returns to its starting basis after
+    # six degenerate pivots; with Bland's rule it must terminate.
+    gens = [
+        F(["1/4", "1/2", 0, 0]),
+        F([-8, -12, 0, 0]),
+        F([-1, "-1/2", 1, 1]),
+        F([9, 3, 0, -18]),
+    ]
+    target = F([0, 0, 1, 2])
+    coeffs, witness = cone_decompose(gens, target)
+    assert check_certificate(gens, target, coeffs, witness) == cone_bruteforce(gens, target)
+
+
+def test_large_rationals_match_bruteforce():
+    rng = np.random.default_rng(29)
+
+    def big():
+        den = int(rng.integers(10**12 - 10**6, 10**12))
+        return Fraction(int(rng.integers(-(10**12), 10**12)), den)
+
+    feasible = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 7))
+        gens = [[big() for _ in range(n)] for _ in range(m)]
+        target = [big() for _ in range(n)]
+        coeffs, witness = cone_decompose(gens, target)
+        result = check_certificate(gens, target, coeffs, witness)
+        assert result == cone_bruteforce(gens, target)
+        feasible += result
+    assert 0 < feasible < 60
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def cone_instances(draw):
+    n = draw(st.integers(1, 4))
+    vector = st.lists(small_rationals, min_size=n, max_size=n)
+    return draw(st.lists(vector, max_size=6)), draw(vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cone_instances(),
+    st.randoms(use_true_random=False),
+    st.lists(st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)), min_size=6, max_size=6),
+)
+def test_certificate_verifies_and_feasibility_is_invariant(instance, rnd, scales):
+    gens, target = instance
+    feasible = check_certificate(gens, target, *cone_decompose(gens, target))
+    moved = [[s * x for x in g] for s, g in zip(scales, gens)]
+    rnd.shuffle(moved)
+    assert check_certificate(moved, target, *cone_decompose(moved, target)) == feasible

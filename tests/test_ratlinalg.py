@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from oracles import gram_schmidt
 
 from einext.ratlinalg import (
@@ -10,12 +9,7 @@ from einext.ratlinalg import (
     images,
     projector_from_key,
     projector_key,
-    solve_square,
 )
-
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def fraction_projector(vectors, dim):
@@ -32,14 +26,6 @@ def fraction_projector(vectors, dim):
 
 def as_fractions(Q, d):
     return [[Fraction(int(x), d) for x in row] for row in Q]
-
-
-def test_solve_square():
-    a = frac_matrix([[2, 1], [1, 3]])
-    x = solve_square(a, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-    with pytest.raises(ValueError):
-        solve_square(frac_matrix([[1, 2], [2, 4]]), [Fraction(1), Fraction(1)])
 
 
 def test_projector_basic():

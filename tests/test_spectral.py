@@ -288,9 +288,43 @@ def test_enumerate_matches_bruteforce_oracle():
         assert canon_set(enumerate_types(dim)) == types_bruteforce(dim)
 
 
+@pytest.fixture(scope="module")
+def types_of():
+    """``enumerate_types(dim)``, walked once per dimension for this module."""
+    walked = {}
+
+    def get(dim):
+        if dim not in walked:
+            walked[dim] = enumerate_types(dim)
+        return walked[dim]
+
+    return get
+
+
 @pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 409)])
-def test_type_counts(dim, count):
-    assert len(enumerate_types(dim)) == count
+def test_type_counts(types_of, dim, count):
+    assert len(types_of(dim)) == count
+
+
+# Every type the cone condition rejects up to dimension 6, with its witness.
+CONE_REJECTED = {
+    (-4, -1, 2, 3, 4, 5): ("1", "-1/2", "1", "-3/2", "-1", "-1/2"),
+    (-3, -2, -1, 2, 3, 4): ("0", "-1", "1", "1", "0", "-1"),
+    (-2, -1, 2, 3, 4, 6): ("-1", "1", "1", "0", "-1", "0"),
+}
+
+
+@pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 406)])
+def test_cone_filtered_counts_and_witnesses(types_of, dim, count):
+    certs = {p: cone_membership(p) for p in types_of(dim)}
+    assert all(cert.verify() for cert in certs.values())
+    assert sum(cert.feasible for cert in certs.values()) == count
+    rejected = {
+        p.as_ints(): tuple(str(x) for x in cert.witness)
+        for p, cert in certs.items()
+        if not cert.feasible
+    }
+    assert rejected == {k: w for k, w in CONE_REJECTED.items() if len(k) == dim}
 
 
 def test_enumerate_cone_filter_no_discrepancy_dim4():
