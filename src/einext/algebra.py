@@ -224,32 +224,31 @@ def make_spec(
     )
 
 
-def jacobi_tensor(mu: StructureTensor) -> np.ndarray:
-    """Cyclic Jacobi sums J[i,j,k,l] over all index quadruples (0-based array)."""
-    T = mu.dense()
-    E = np.einsum("ijm,mkl->ijkl", T, T)
-    return E + np.transpose(E, (1, 2, 0, 3)) + np.transpose(E, (2, 0, 1, 3))
+def _jacobi_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Polarised Jacobi form: sum_m S[i,j,m] T[m,k,l] + cyclic in (i, j, k),
+    one block of l-values per triple i < j < k in lexicographic order.
+
+    ``_jacobi_form(T, T)`` holds the Jacobi sums of the constants T; they
+    alternate in (i, j, k), so these blocks are all the independent ones.
+    Bilinear in (S, T); leading axes broadcast.
+    """
+    E = np.einsum("...ijm,...mkl->...ijkl", S, T)
+    r = np.arange(S.shape[-1])
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    J = E[..., i, j, k, :] + E[..., k, i, j, :] + E[..., j, k, i, :]
+    return J.reshape(J.shape[:-2] + (-1,))
 
 
 def jacobi_components(mu: StructureTensor) -> np.ndarray:
     """Independent Jacobi sums, one block of l-values per triple i < j < k."""
-    J = jacobi_tensor(mu)
-    n = mu.dim
-    rows = [
-        J[i, j, k, :]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    ]
-    if not rows:
-        return np.zeros(0)
-    return np.concatenate(rows)
+    T = mu.dense()
+    return _jacobi_form(T, T)
 
 
 def jacobi_residual(mu: StructureTensor) -> float:
     """Maximum absolute violation of the Jacobi identity."""
-    J = jacobi_tensor(mu)
-    return float(np.abs(J).max()) if J.size else 0.0
+    T = mu.dense()
+    return float(np.abs(_jacobi_form(T, T)).max(initial=0.0))
 
 
 class DerivationCheck(NamedTuple):
@@ -278,10 +277,14 @@ def mean_curvature(mu: StructureTensor) -> np.ndarray:
     return np.einsum("ikk->i", mu.dense())
 
 
+def _divergence_form(T: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Divergence components of the constants T; linear, leading axes broadcast."""
+    return np.einsum("...ijj,ij->...i", T, p[:, None] - p[None, :])
+
+
 def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
     """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0."""
-    p = spec.eigenvalues()
-    return np.einsum("ijj,ij->i", spec.algebra.dense(), p[:, None] - p[None, :])
+    return _divergence_form(spec.algebra.dense(), spec.eigenvalues())
 
 
 @dataclass(frozen=True)
@@ -482,13 +485,21 @@ def _value_to_float(value) -> float:
     return float(value)
 
 
+def _require_int(value, field: str) -> int:
+    # int() would truncate 3.7 to 3, and a JSON true is a Python int.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[ExtensionSpec], Optional[OrthogonalDecomposition]]:
     """Parse the interchange format.
 
     Expected shape: {"dim": n, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}, ...],
     optional "spectral": [...], optional "decomposition": {"h": [...], "m": [...]},
-    optional "constant_structure": bool}.  Values may be numbers or "num/den".
-    A "param" value is accepted only when some eigenvalue depends on t.
+    optional "constant_structure": bool}.  Indices and "dim" are integers;
+    values may be numbers or "num/den".  A "param" value is accepted only
+    when some eigenvalue depends on t.
     Any other shape raises :class:`StructureError`.
     """
     try:
@@ -502,16 +513,16 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
         dim = data["dim"]
     except KeyError as exc:
         raise StructureError("missing required key 'dim'") from exc
-    # int() would truncate 3.7 to 3, and a JSON true is a Python int.
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise StructureError(f"'dim' must be an integer, got {dim!r}")
+    _require_int(dim, "'dim'")
     entries: dict[tuple[int, int, int], float] = {}
     for item in data.get("mu", []):
         try:
-            key = (int(item["i"]), int(item["j"]), int(item["k"]))
+            key = (item["i"], item["j"], item["k"])
             value = _value_to_float(item["v"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"bad mu entry {item!r}") from exc
+        for name, idx in zip("ijk", key):
+            _require_int(idx, f"mu index '{name}'")
         entries[key] = entries.get(key, 0.0) + value
     mu = StructureTensor(dim, entries)
     spec = None
@@ -534,8 +545,8 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
     if "decomposition" in data:
         d = data["decomposition"]
         decomp = OrthogonalDecomposition(
-            tuple(int(x) for x in d.get("h", ())),
-            tuple(int(x) for x in d.get("m", ())),
+            tuple(_require_int(x, "decomposition 'h' entry") for x in d.get("h", ())),
+            tuple(_require_int(x, "decomposition 'm' entry") for x in d.get("m", ())),
         )
     return mu, spec, decomp
 

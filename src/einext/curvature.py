@@ -91,37 +91,29 @@ class GroupedRicci:
         }
 
 
-def _ricci_form(S: np.ndarray, T: np.ndarray, positive: bool = False) -> np.ndarray:
+def _ricci_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Polarised Ricci operator: ``_ricci_form(T, T)`` is the Ricci operator
     of the left-invariant metric with structure constants T.
 
     Bilinear in (S, T), so for T = sum_e T_e the ordered pairs of pieces add
     up to the whole operator.  Leading axes broadcast, which evaluates every
-    pair of a stack of pieces in one call.  ``positive`` replaces each
-    coefficient by its absolute value, so on nonnegative inputs no term can
-    cancel.
+    pair of a stack of pieces in one call.
     """
-    a, b, c, d = (0.5, 1.0, 0.25, 0.5) if positive else (-0.5, -1.0, 0.25, -0.5)
     G = (
-        a * np.einsum("...jkl,...ilk->...ij", S, T)
-        + b * np.einsum("...l,...lji->...ij", np.einsum("...lkk->...l", S), T)
-        + c * np.einsum("...kli,...klj->...ij", S, T)
-        + d * np.einsum("...ikl,...jkl->...ij", S, T)
+        -0.5 * np.einsum("...jkl,...ilk->...ij", S, T)
+        - np.einsum("...l,...lji->...ij", np.einsum("...lkk->...l", S), T)
+        + 0.25 * np.einsum("...kli,...klj->...ij", S, T)
+        - 0.5 * np.einsum("...ikl,...jkl->...ij", S, T)
     )
     return 0.5 * (G + G.swapaxes(-1, -2))
 
 
-def _grouped_terms(spec: ExtensionSpec, magnitudes: bool = False) -> dict[AffineRational, np.ndarray]:
+def _grouped_terms(spec: ExtensionSpec) -> dict[AffineRational, np.ndarray]:
     """Accumulate the grouped Ricci coefficients.
 
     The tensor is split into pieces T_e, one per exact exponent
     e = p_k - p_i - p_j of its nonzero entries; the pair (T_e, T_f)
     contributes to the class q = -(e + f)/2.
-
-    With ``magnitudes`` the absolute values are accumulated instead, which
-    overestimates support: a class key appears whenever any structurally
-    allowed term could contribute, with no cancellation.  Solvers use this
-    to fix the class list of a sparsity pattern independently of the values.
     """
     n = spec.dim
     p = spec.spectral
@@ -136,10 +128,8 @@ def _grouped_terms(spec: ExtensionSpec, magnitudes: bool = False) -> dict[Affine
     for e, i, j, k, v in entries:
         P[e, i, j, k] = v
         P[e, j, i, k] = -v
-    if magnitudes:
-        P = np.abs(P)
     exps = list(piece_of)
-    pairs = _ricci_form(P[:, None], P[None, :], positive=magnitudes)
+    pairs = _ricci_form(P[:, None], P[None, :])
     classes: dict[AffineRational, np.ndarray] = {}
     for a, e in enumerate(exps):
         for b, f in enumerate(exps):

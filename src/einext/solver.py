@@ -4,14 +4,16 @@ The residual stacks, in a fixed deterministic order, the grouped Ricci
 deviations (every nonzero-exponent class entrywise, and the constant class
 against its Einstein target), the divergence components, and the weighted
 Jacobi components.  Every row is a polynomial of degree at most two in the
-pattern variables, so the residual is rebuilt once as an exact quadratic
-model whose Jacobian is exact as well.  A multistart damped least-squares
-loop on that model minimizes half the squared norm; identical problem and
-seed reproduce the trajectory bit for bit.
+pattern variables; the solver assembles it exactly from the polarised Ricci
+and Jacobi forms on pairs of unit tensors and keeps it as a sparse list of
+monomials.  A multistart damped least-squares loop on that model minimizes
+half the squared norm; the reported objective is recomputed from the tensor,
+and identical problem and seed reproduce the trajectory bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,11 +23,13 @@ import numpy as np
 from .algebra import (
     ExtensionSpec,
     StructureTensor,
+    _divergence_form,
+    _jacobi_form,
     divergence_residual,
     jacobi_components,
     make_spec,
 )
-from .curvature import _grouped_terms
+from .curvature import HALF, _grouped_terms, _ricci_form
 from .scalars import AffineRational
 from .spectral import SpectralVector
 from .verifier import sparsity_pattern
@@ -71,15 +75,16 @@ class SearchProblem:
         )
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        dim = len(self.spectral)
-        if self.pattern is None:
-            object.__setattr__(
-                self, "pattern", tuple(sorted(sparsity_pattern(self.spectral)))
-            )
-        else:
-            object.__setattr__(
-                self, "pattern", _normalize_pattern(self.pattern, dim)
-            )
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
+        for name in ("tolerance", "jacobi_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not (all(map(math.isfinite, self.bounds)) and self.bounds[0] < self.bounds[1]):
+            raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds!r}")
+        pattern = sparsity_pattern(self.spectral) if self.pattern is None else self.pattern
+        object.__setattr__(self, "pattern", _normalize_pattern(pattern, self.dim))
 
     @property
     def dim(self) -> int:
@@ -113,21 +118,6 @@ class SearchResult:
             "pattern": [list(t) for t in self.pattern],
             "restarts": self.restart_summaries,
         }
-
-
-def _class_keys(
-    dim: int, spectral: Sequence[Fraction], pattern: Sequence[Triple]
-) -> list[AffineRational]:
-    """Exponent classes any pattern-supported tensor can touch, plus zero.
-
-    Determined from the pattern alone (magnitude accumulation, so nothing
-    cancels); this fixes the residual layout independently of the values.
-    """
-    indicator = StructureTensor(dim, {t: 1.0 for t in pattern})
-    spec = make_spec(indicator, spectral)
-    support = _grouped_terms(spec, magnitudes=True)
-    keys = set(support) | {AffineRational.zero()}
-    return sorted(keys, key=lambda q: q.sort_key())
 
 
 def _stack_residual(
@@ -173,69 +163,89 @@ def residual_vector(
     return _stack_residual(spec, keys, jacobi_weight)
 
 
-class _QuadraticResidual:
-    """Precompiled residual map for a fixed pattern and class layout.
+class _QuadraticModel:
+    """The residual of a fixed pattern, assembled from its bilinear pieces.
 
-    Every residual row is a polynomial of degree at most two in the pattern
-    variables (Ricci and Jacobi rows are quadratic, divergence is linear,
-    the target shift is constant), so a handful of probe evaluations
-    reconstructs the map exactly, evaluation reduces to three matrix-vector
-    products, and :meth:`jacobian` differentiates the model exactly.
+    Let E_a be the unit tensor of pattern triple a = (i, j, k), with exact
+    exponent e_a = p_k - p_i - p_j.  In the tensor sum_a x_a E_a, the
+    monomial x_a x_b (a <= b) adds _ricci_form(E_a, E_b) + _ricci_form(E_b,
+    E_a), halved when a = b, to the Ricci class -(e_a + e_b)/2, and the
+    polarised Jacobi form likewise to the weighted Jacobi rows; the
+    divergence rows are linear and the Einstein target is constant.  The
+    class layout is the constant class plus every class with a nonzero
+    coefficient: it depends on the type and pattern, never on the values.
+
+    The coefficients are COO arrays (row, a, b, coeff) with a <= b over the
+    variables and a constant slot x_v = 1, so a linear term is (row, a, v)
+    and a constant (row, v, v).  One ``np.bincount`` evaluates the model and
+    two build its exact Jacobian.
     """
 
-    def __init__(self, fun, nvars: int):
-        self.nvars = nvars
-        zero = np.zeros(nvars)
-        self.const = fun(zero)
-        m = self.const.size
-        self.linear = np.zeros((m, nvars))
-        self.square = np.zeros((m, nvars))
-        for a in range(nvars):
-            e = zero.copy()
-            e[a] = 1.0
-            plus = fun(e)
-            e[a] = -1.0
-            minus = fun(e)
-            self.linear[:, a] = 0.5 * (plus - minus)
-            self.square[:, a] = 0.5 * (plus + minus) - self.const
-        self.pair_a, self.pair_b = np.triu_indices(nvars, k=1)
-        self.cross = np.zeros((m, self.pair_a.size))
-        for idx, (a, b) in enumerate(zip(self.pair_a, self.pair_b)):
-            e = zero.copy()
-            e[a] = 1.0
-            e[b] = 1.0
-            self.cross[:, idx] = (
-                fun(e)
-                - self.const
-                - self.linear[:, a]
-                - self.square[:, a]
-                - self.linear[:, b]
-                - self.square[:, b]
-            )
-        # Per variable: the cross columns it appears in and the partner
-        # variable of each, so the Jacobian needs no m x pairs temporary.
-        self.pairs_of = []
-        self.partner_of = []
-        for a in range(nvars):
-            idx = np.flatnonzero((self.pair_a == a) | (self.pair_b == a))
-            self.pairs_of.append(idx)
-            self.partner_of.append(
-                np.where(self.pair_a[idx] == a, self.pair_b[idx], self.pair_a[idx])
-            )
+    def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
+        n, v = base.dim, len(pattern)
+        p, pv = base.spectral, base.eigenvalues()
+        # Unit tensors, and the piece (distinct exact exponent) of each variable.
+        E = np.zeros((v, n, n, n))
+        piece_of: dict[AffineRational, int] = {}
+        piece = np.zeros(v, dtype=np.intp)
+        for a, (i, j, k) in enumerate(pattern):
+            E[a, i - 1, j - 1, k - 1], E[a, j - 1, i - 1, k - 1] = 1.0, -1.0
+            piece[a] = piece_of.setdefault(p[k - 1] - p[i - 1] - p[j - 1], len(piece_of))
+        # Row blocks: every class a pair of pieces reaches, in order, then the
+        # divergence and the Jacobi rows.  pair_class[e, f] is -(e + f)/2.
+        zero = AffineRational.zero()
+        names = sorted(
+            {(e + f) * -HALF for e in piece_of for f in piece_of} | {zero}, key=AffineRational.sort_key
+        )
+        index = {q: c for c, q in enumerate(names)}
+        pair_class = np.array(
+            [[index[(e + f) * -HALF] for f in piece_of] for e in piece_of], dtype=np.intp
+        ).reshape(len(piece_of), len(piece_of))
+        DIV, JAC = len(names), len(names) + 1
+        iu = np.triu_indices(n)
+        target = (base.trace() * np.diag(pv) - base.trace_sq() * np.eye(n))[iu]
+        t = np.flatnonzero(target)
+        D = _divergence_form(E, pv)
+        a, i = np.nonzero(D)
+        # Entries (block, row in block, a, b, coeff); v is the constant slot.
+        chunks = [
+            np.broadcast_arrays(index[zero], t, v, v, -target[t]),
+            np.broadcast_arrays(DIV, i, a, v, D[a, i]),
+        ]
+        for a in range(v):
+            S, T = E[a], E[a:]
+            R = (_ricci_form(S, T) + _ricci_form(T, S))[:, iu[0], iu[1]]
+            J = jacobi_weight * (_jacobi_form(S, T) + _jacobi_form(T, S))
+            R[0] *= 0.5
+            J[0] *= 0.5
+            b, t = np.nonzero(R)
+            chunks.append(np.broadcast_arrays(pair_class[piece[a], piece[a + b]], t, a, a + b, R[b, t]))
+            b, t = np.nonzero(J)
+            chunks.append(np.broadcast_arrays(JAC, t, a, a + b, J[b, t]))
+        block, t, self.a, self.b, self.coeff = (np.concatenate(f) for f in zip(*chunks))
+        # The layout: the constant class and every class with a coefficient.
+        size = np.zeros(len(names) + 2, dtype=np.intp)
+        size[block] = size[index[zero]] = iu[0].size
+        size[DIV], size[JAC] = n, math.comb(n, 3) * n
+        self.keys = [names[c] for c in np.flatnonzero(size[:DIV])]
+        self.row = (np.cumsum(size) - size)[block] + t
+        self.size = int(size.sum())
+        self.nvars = v
+        self._jac_a = self.row * (v + 1) + self.a
+        self._jac_b = self.row * (v + 1) + self.b
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.const + self.linear @ x + self.square @ (x * x)
-        if self.pair_a.size:
-            out = out + self.cross @ (x[self.pair_a] * x[self.pair_b])
-        return out
+        xx = np.append(x, 1.0)
+        return np.bincount(self.row, self.coeff * xx[self.a] * xx[self.b], minlength=self.size)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Exact derivative of the model at x."""
-        jac = self.linear + 2.0 * self.square * x
-        for a, (idx, partner) in enumerate(zip(self.pairs_of, self.partner_of)):
-            if idx.size:
-                jac[:, a] += self.cross[:, idx] @ x[partner]
-        return jac
+        xx = np.append(x, 1.0)
+        flat = self.size * (self.nvars + 1)
+        jac = np.bincount(self._jac_a, self.coeff * xx[self.b], minlength=flat)
+        jac += np.bincount(self._jac_b, self.coeff * xx[self.a], minlength=flat)
+        # The last column is the derivative by the constant slot.
+        return jac.reshape(self.size, self.nvars + 1)[:, :-1]
 
 
 def _levenberg_marquardt(
@@ -251,6 +261,7 @@ def _levenberg_marquardt(
     objective = 0.5 * float(r @ r)
     trace = [objective]
     damping = 1e-3
+    eye = np.eye(x.size)
     for _ in range(max_iterations):
         jac = fun.jacobian(x)
         grad = jac.T @ r
@@ -260,9 +271,7 @@ def _levenberg_marquardt(
         accepted = False
         for _attempt in range(25):
             try:
-                step = np.linalg.solve(
-                    hess + damping * np.eye(x.size), -grad
-                )
+                step = np.linalg.solve(hess + damping * eye, -grad)
             except np.linalg.LinAlgError:
                 damping *= 4.0
                 continue
@@ -288,35 +297,19 @@ def _levenberg_marquardt(
 
 def search(problem: SearchProblem) -> SearchResult:
     """Multistart least-squares search; reproducible for a fixed seed."""
-    dim = problem.dim
-    keys = _class_keys(dim, problem.spectral, problem.pattern)
-    base = make_spec(StructureTensor(dim), problem.spectral)
+    base = make_spec(StructureTensor(problem.dim), problem.spectral)
+    fun = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
 
     def direct(values: np.ndarray) -> np.ndarray:
         spec = base.with_algebra(problem.build_tensor(values))
-        return _stack_residual(spec, keys, problem.jacobi_weight)
+        return _stack_residual(spec, fun.keys, problem.jacobi_weight)
 
-    nvars = len(problem.pattern)
-    if nvars == 0:
-        empty = np.zeros(0)
-        r = direct(empty)
-        objective = 0.5 * float(r @ r)
-        return SearchResult(
-            best_mu=problem.build_tensor(empty),
-            residual=objective,
-            converged=objective <= problem.tolerance,
-            restart_summaries=[
-                {"restart": 0, "objective": objective, "iterations": 0, "trace": [objective]}
-            ],
-            pattern=problem.pattern,
-        )
-
-    fun = _QuadraticResidual(direct, nvars)
     rng = np.random.default_rng(problem.seed)
     summaries = []
     candidates = []
-    for restart in range(problem.restarts):
-        x0 = rng.uniform(-3.0, 3.0, size=nvars)
+    # Without variables every restart is the same single point.
+    for restart in range(problem.restarts if fun.nvars else 1):
+        x0 = rng.uniform(-3.0, 3.0, size=fun.nvars)
         x, trace = _levenberg_marquardt(
             fun, x0, problem.bounds, problem.max_iterations
         )

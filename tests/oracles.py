@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, the cone oracle enumerates basis subsets
+contraction with plain loops, the class-layout oracle accumulates magnitudes
+so that nothing can cancel, the cone oracle enumerates basis subsets
 instead of running the simplex, and the type oracle runs over every
 independent root subset with exact Gram-Schmidt instead of walking
 subspaces.
@@ -64,6 +65,35 @@ def koszul_ricci(mu) -> np.ndarray:
                 total += (first - second - third)[a]
             ric[i, j] = total
     return ric
+
+
+def class_layout(spectral, pattern) -> list:
+    """Exponent classes a tensor supported on the pattern can touch, plus 0.
+
+    The indicator tensor of the pattern is split into pieces by the exact
+    exponent e = p_k - p_i - p_j, and every ordered pair of pieces is
+    contracted with the Ricci formula's coefficients replaced by their
+    absolute values, so no term can cancel; the class -(e + f)/2 is kept
+    when that contraction is nonzero.
+    """
+    p = [Fraction(x) for x in spectral]
+    n = len(p)
+    pieces: dict = {}
+    for (i, j, k) in pattern:
+        P = pieces.setdefault(p[k - 1] - p[i - 1] - p[j - 1], np.zeros((n, n, n)))
+        P[i - 1, j - 1, k - 1] = P[j - 1, i - 1, k - 1] = 1.0
+    keys = {Fraction(0)}
+    for e, S in pieces.items():
+        for f, T in pieces.items():
+            G = (
+                0.5 * np.einsum("jkl,ilk->ij", S, T)
+                + np.einsum("l,lji->ij", np.einsum("lkk->l", S), T)
+                + 0.25 * np.einsum("kli,klj->ij", S, T)
+                + 0.5 * np.einsum("ikl,jkl->ij", S, T)
+            )
+            if G.any():
+                keys.add(-(e + f) / 2)
+    return sorted(keys)
 
 
 def killing_bruteforce(mu) -> np.ndarray:

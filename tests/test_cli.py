@@ -134,6 +134,18 @@ def test_unused_param_is_input_error(capsys):
         # int() truncation and bool-as-int would pass these off as dim 3 and 1
         ({"dim": 3.7, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}], "spectral": [1, 1, 2]}, "'dim'"),
         ({"dim": True, "mu": []}, "'dim'"),
+        # ... and these as index 1 or 3
+        ({"dim": 3, "mu": [{"i": 1.7, "j": 2, "k": 3, "v": 2.0}], "spectral": [1, 1, 2]}, "'i'"),
+        ({"dim": 3, "mu": [{"i": True, "j": 2, "k": 3, "v": 2.0}], "spectral": [1, 1, 2]}, "'i'"),
+        ({"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3.0, "v": 2.0}], "spectral": [1, 1, 2]}, "'k'"),
+        (
+            {"dim": 3, "mu": [], "spectral": [1, 1, 2], "decomposition": {"h": [3.9], "m": [1, 2]}},
+            "'h'",
+        ),
+        (
+            {"dim": 3, "mu": [], "spectral": [1, 1, 2], "decomposition": {"h": [3], "m": [1, False]}},
+            "'m'",
+        ),
     ],
 )
 def test_malformed_shape_is_input_error(capsys, data, field):
@@ -243,6 +255,22 @@ def test_search_cli_pattern_full(capsys):
     )
     assert code == 0
     assert json.loads(out)["converged"] is True
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    [
+        ("--tol=nan", "tolerance"),
+        ("--tol=-1e-10", "tolerance"),
+        ("--jacobi-weight=nan", "jacobi_weight"),
+        ("--jacobi-weight=inf", "jacobi_weight"),
+    ],
+)
+def test_search_non_finite_setting_is_input_error(capsys, setting, field):
+    code, out, err = run_cli(capsys, "search", "--spectral", "1,1,2", setting)
+    assert code == 2
+    assert out == ""
+    assert field in err and "structure constants" not in err
 
 
 def test_verify_stdin(capsys, monkeypatch):

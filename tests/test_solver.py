@@ -3,19 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from einext.algebra import StructureTensor, make_spec
 from einext.catalog import entries
+from einext.curvature import _grouped_terms
 from einext.solver import (
     SearchProblem,
-    _class_keys,
-    _QuadraticResidual,
+    _QuadraticModel,
     _stack_residual,
     full_pattern,
     residual_vector,
     search,
 )
 from einext.verifier import classify_type_0001, sparsity_pattern, verify_extension
+
+from oracles import class_layout
 
 
 def F(*values):
@@ -137,26 +141,32 @@ def test_full_pattern_search_still_finds_heisenberg():
     assert abs(abs(result.best_mu.get(1, 2, 3)) - 2.0) <= 1e-6
 
 
+def assembled(spectral, pattern=None, jacobi_weight=10.0):
+    """The search problem, its assembled model and the direct residual."""
+    problem = SearchProblem(spectral=F(*spectral), pattern=pattern, jacobi_weight=jacobi_weight)
+    base = make_spec(StructureTensor(problem.dim), problem.spectral)
+    model = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
+
+    def direct(x):
+        spec = base.with_algebra(problem.build_tensor(x))
+        return _stack_residual(spec, model.keys, problem.jacobi_weight)
+
+    return problem, model, direct
+
+
 def test_objective_gradient_matches_finite_differences():
     # the model's exact Jacobian against central differences of the
     # objective computed directly from the tensor, not through the model
-    problem = SearchProblem(spectral=F(1, 1, 2), restarts=1, seed=0)
-    pattern = problem.pattern
-    keys = _class_keys(problem.dim, problem.spectral, pattern)
+    problem, model, residual_fn = assembled((1, 1, 2))
 
     def objective(x):
         mu = problem.build_tensor(x)
         r = residual_vector(mu, problem.spectral, jacobi_weight=problem.jacobi_weight)
         return 0.5 * float(r @ r)
 
-    def residual_fn(x):
-        spec = make_spec(problem.build_tensor(x), problem.spectral)
-        return _stack_residual(spec, keys, problem.jacobi_weight)
-
-    model = _QuadraticResidual(residual_fn, len(pattern))
     rng = np.random.default_rng(29)
     for _ in range(20):
-        x = rng.uniform(-2, 2, size=len(pattern))
+        x = rng.uniform(-2, 2, size=len(problem.pattern))
         r = residual_fn(x)
         assert np.abs(model(x) - r).max() <= 1e-9 * max(1.0, np.abs(r).max())
         grad = model.jacobian(x).T @ r
@@ -172,8 +182,79 @@ def test_objective_gradient_matches_finite_differences():
         assert np.abs(grad - fd).max() / scale <= 1e-5
 
 
+# The eight types of the benchmark's search workload (default patterns), the
+# full patterns of dims 3-5 and one dim-6 type.
+MODEL_CASES = [
+    ((1, 1, 2), None), ((1, 1, 1), None), ((0, 0, 1), None), ((1, 1, 0), None),
+    ((1, 1, 1, 1), None), ((0, 0, 0, 1), None), ((1, 1, 1, 0), None),
+    ((1, 1, 1, 1, 2), None),
+    ((1, 1, 2), full_pattern(3)), ((1, 1, 1, 2), full_pattern(4)),
+    ((1, 2, 3, 4, 5), full_pattern(5)),
+    ((1, 1, 2, 2, 3, 4), None),
+]
+
+
+def check_model(problem, model, direct, points):
+    assert [q.slope for q in model.keys] == [0] * len(model.keys)
+    for x in points:
+        r = direct(x)
+        assert model(x).shape == r.shape
+        assert np.abs(model(x) - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
+
+
+@pytest.mark.parametrize("spectral, pattern", MODEL_CASES)
+def test_assembled_model_matches_direct_residual(spectral, pattern):
+    problem, model, direct = assembled(spectral, pattern)
+    rng = np.random.default_rng(len(problem.pattern))
+    points = [np.zeros(model.nvars)] + [
+        rng.uniform(-3, 3, size=model.nvars) for _ in range(20)
+    ]
+    check_model(problem, model, direct, points)
+    assert [q.const for q in model.keys] == class_layout(problem.spectral, problem.pattern)
+
+
+@st.composite
+def typed_patterns(draw):
+    n = draw(st.integers(3, 5))
+    spectral = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    pattern = draw(st.sets(st.sampled_from(full_pattern(n)), min_size=1, max_size=20))
+    return spectral, tuple(sorted(pattern))
+
+
+@settings(max_examples=30, deadline=None)
+@given(typed_patterns(), st.integers(0, 2**32 - 1), st.floats(0.0, 20.0))
+@example(((0, 1, 0), ((1, 2, 1), (1, 2, 2))), 0, 10.0)
+def test_assembled_model_property(case, seed, jacobi_weight):
+    spectral, pattern = case
+    problem, model, direct = assembled(spectral, pattern, jacobi_weight)
+    x = np.random.default_rng(seed).uniform(-3, 3, size=model.nvars)
+    check_model(problem, model, direct, [x])
+    # The oracle keeps every class some pair of pieces touches; the model
+    # drops those whose coefficients all cancel exactly, such as class 1/2
+    # of type (0, 1, 0) on (1,2|1), (1,2|2).  Such a class vanishes at x too.
+    layout = {q.const for q in model.keys}
+    oracle = set(class_layout(problem.spectral, problem.pattern))
+    assert layout <= oracle
+    spec = make_spec(problem.build_tensor(x), problem.spectral)
+    scale = max(1.0, np.abs(direct(x)).max())
+    for q, C in _grouped_terms(spec).items():
+        assert q.const in layout or np.abs(C).max() <= 1e-12 * scale
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         SearchProblem(spectral=F(1, 1, 2), restarts=0)
     with pytest.raises(ValueError):
         SearchProblem(spectral=F(1, 1), pattern=((1, 1, 1),))
+    for field, bad in [
+        ("tolerance", float("nan")),
+        ("tolerance", -1.0),
+        ("jacobi_weight", float("inf")),
+        ("jacobi_weight", float("nan")),
+        ("bounds", (float("-inf"), 1.0)),
+        ("bounds", (1.0, 1.0)),
+        ("bounds", (0.0, float("nan"))),
+        ("max_iterations", -1),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            SearchProblem(spectral=F(1, 1, 2), **{field: bad})
