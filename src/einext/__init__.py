@@ -44,27 +44,19 @@ from .curvature import (
     ricci_at_identity,
     ricci_deformation,
     ricci_deformation_at,
-    scalar_deformation,
 )
 from .scalars import AffineRational, parse_rational
 from .solver import SearchProblem, SearchResult, full_pattern, residual_vector, search
 from .spectral import (
     ConeCertificate,
-    ConsistencyReport,
     DimensionCapError,
     DimensionError,
-    RankError,
-    RootMatrix,
     RootTriple,
     SpectralVector,
     build_root_set,
-    candidate_spectral,
-    check_consistency,
     cone_membership,
     enumerate_types,
     enumeration_report,
-    raw_candidate,
-    root_matrix_for,
 )
 from .verifier import (
     ClassifierReport,

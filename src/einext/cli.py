@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,14 +47,25 @@ class InputError(ValueError):
     pass
 
 
-def _default_tol() -> float:
+def _require_finite(name: str, value: float, nonnegative: bool = False) -> float:
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        kind = "finite and nonnegative" if nonnegative else "finite"
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _tolerance(args: argparse.Namespace) -> float:
+    """``--tol``, else ``EINEXT_TOL``, else 1e-9."""
+    if args.tol is not None:
+        return _require_finite("--tol", args.tol, nonnegative=True)
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise InputError(f"bad {TOL_ENV_VAR} value {raw!r}") from exc
+    return _require_finite(TOL_ENV_VAR, value, nonnegative=True)
 
 
 OVERFLOW_MESSAGE = (
@@ -138,14 +150,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             args.pretty,
         )
         return EXIT_OK
-    types = enumerate_types(args.dim, apply_cone_filter=args.cone_filter, **kwargs)
+    types = enumerate_types(args.dim, **kwargs)
+    if args.cone_filter:
+        types = {p for p in types if cone_membership(p).feasible}
     _emit(_types_json(types), args.pretty)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     spec = _load_spec(args)
-    report = verify_extension(spec, args.tol)
+    report = verify_extension(spec, tol)
     payload = report.to_json()
     check = is_derivation(spec)
     payload["is_derivation"] = check.ok
@@ -162,13 +177,16 @@ _CLASSIFIERS = {
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     spec = _load_spec(args)
-    report = _CLASSIFIERS[args.type](spec, args.tol)
+    report = _CLASSIFIERS[args.type](spec, tol)
     _emit(report.to_json(), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
+    if args.u is not None:
+        _require_finite("--u", args.u)
     spec = _load_spec(args)
     report = extension_ricci(spec)
     payload = report.to_json()
@@ -243,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tol_default = None  # resolved lazily so the env var is honored per run
-
     p_enum = sub.add_parser(
         "enumerate", help="enumerate admissible eigenvalue types", parents=[common]
     )
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_spec_input(p):
         p.add_argument("--input", help="algebra JSON: path, inline object, or - for stdin")
         p.add_argument("--catalog", help="catalog reference, e.g. table1:3 or heisenberg:2")
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", type=float, default=None)
 
     p_verify = sub.add_parser("verify", help="check the Einstein conditions", parents=[common])
     add_spec_input(p_verify)
@@ -308,8 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _default_tol()
         return args.func(args)
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

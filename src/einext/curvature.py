@@ -9,7 +9,8 @@ sum of matrix coefficients times exponentials exp(-2 u q), one class per
 exact half-integer combination q of the eigenvalues (affine forms in the
 optional free parameter), so the Einstein criterion "every nonzero-exponent
 class vanishes and the constant class hits its target" is a finite set of
-exact equations on floating-point coefficients.
+exact equations on floating-point coefficients.  The scalar curvature is the
+trace of the Ricci operator, so its classes are the traces of these.
 
 ``ricci_deformation_at`` evaluates the rescaled constants at a numeric
 deformation time without the exponent bookkeeping; tests compare the two.
@@ -24,13 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (
-    ExtensionSpec,
-    StructureTensor,
-    divergence_residual,
-    killing_form,
-    mean_curvature,
-)
+from .algebra import ExtensionSpec, StructureTensor, divergence_residual
 from .scalars import AffineRational
 
 HALF = Fraction(1, 2)
@@ -183,36 +178,6 @@ def connection_coeffs(spec: ExtensionSpec, u: float) -> np.ndarray:
     return 0.5 * (Tu - np.einsum("jki->ijk", Tu) - np.einsum("kij->ijk", Tu))
 
 
-def scalar_deformation(spec: ExtensionSpec) -> dict[AffineRational, float]:
-    """Grouped scalar curvature of the deformation.
-
-    Computed from the scalar-curvature formula directly, not by tracing the
-    grouped Ricci representation, so the two can be compared as independent
-    paths.
-    """
-    _require_constant(spec)
-    n = spec.dim
-    T = spec.algebra.dense()
-    B = killing_form(spec.algebra)
-    trad = mean_curvature(spec.algebra)
-    p = list(spec.spectral)
-    out: dict[AffineRational, float] = {}
-
-    def add(q: AffineRational, value: float) -> None:
-        if value != 0.0:
-            out[q] = out.get(q, 0.0) + value
-
-    for k in range(n):
-        add(p[k], -(trad[k] ** 2 + 0.5 * B[k, k]))
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                c = T[k, l, i] ** 2
-                if c != 0.0:
-                    add(p[k] + p[l] - p[i], -0.25 * c)
-    return {q: v for q, v in out.items() if v != 0.0}
-
-
 @dataclass
 class CurvatureReport:
     """Grouped curvature data of the deformation and its extension.
@@ -266,7 +231,7 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     _require_constant(spec)
     n = spec.dim
     grouped = ricci_deformation(spec)
-    scal = scalar_deformation(spec)
+    scal = {q: t for q, t in grouped.trace_by_class().items() if t != 0.0}
     trace_d = spec.trace()
     pv = spec.eigenvalues()
 

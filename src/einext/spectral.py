@@ -1,13 +1,12 @@
 """Admissible eigenvalue types of rank-one Einstein extensions.
 
 Everything in this module is exact rational arithmetic.  The central
-objects are the root triples f_i + f_j - f_k, the candidate eigenvalue
-vector obtained by projecting the all-ones vector onto the orthogonal
-complement of the span of a linearly independent set of such triples, and
-the consistency conditions that an admissible type must satisfy
-(orthogonality, nonzero entries, nonzero trace, maximality of the defining
-subset).  The projector comes from :mod:`einext.ratlinalg`, exact and
-fraction-free.
+objects are the root triples f_i + f_j - f_k and, for a subspace W spanned
+by roots, the candidate eigenvalue vector: the projection of the all-ones
+vector onto the orthogonal complement of W.  A candidate is an admissible
+type when every entry and the entry sum are nonzero and every root
+orthogonal to it lies in W.  The type walk carries the exact,
+fraction-free projectors of :mod:`einext.ratlinalg`.
 
 Cone membership of the projected all-ones vector is decided by an exact
 phase-one simplex and returns a checkable certificate either way.
@@ -16,30 +15,20 @@ phase-one simplex and returns a checkable certificate either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .exactlp import cone_decompose
-from .ratlinalg import (
-    complement_projector,
-    extend,
-    images,
-    projector_from_key,
-    projector_key,
-)
+from .ratlinalg import extend, images, projector_from_key, projector_key
 
 DEFAULT_DIMENSION_CAP = 7
 
 
 class DimensionError(ValueError):
-    """Dimension below 2 or mismatched sizes."""
-
-
-class RankError(ValueError):
-    """Linearly dependent columns where independence is required."""
+    """Dimension below 2."""
 
 
 class DimensionCapError(ValueError):
@@ -52,14 +41,6 @@ class RootTriple(NamedTuple):
     i: int
     j: int
     k: int
-
-    def validate(self, dim: int) -> "RootTriple":
-        i, j, k = self
-        if not (1 <= i < j <= dim):
-            raise ValueError(f"need 1 <= i < j <= {dim}, got ({i},{j}|{k})")
-        if not (1 <= k <= dim) or k in (i, j):
-            raise ValueError(f"need k outside {{i, j}}, got ({i},{j}|{k})")
-        return self
 
     def vector(self, dim: int) -> tuple[int, ...]:
         vec = [0] * dim
@@ -104,12 +85,6 @@ class SpectralVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        return sum((x * x for x in self.entries), Fraction(0))
-
     def canonical(self) -> "SpectralVector":
         """Sorted nondecreasing, coprime integer entries, normalized sign.
 
@@ -141,127 +116,16 @@ class SpectralVector:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class RootMatrix:
-    """Ordered independent root triples over dimension ``dim`` (columns of V)."""
-
-    dim: int
-    triples: tuple[RootTriple, ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DimensionError(f"dimension must be at least 2, got {self.dim}")
-        object.__setattr__(self, "triples", tuple(self.triples))
-        for t in self.triples:
-            t.validate(self.dim)
-        _, _, independent = complement_projector(self.columns(), self.dim)
-        for t, ok in zip(self.triples, independent):
-            if not ok:
-                raise RankError(f"column {t} depends on the previous columns")
-
-    @property
-    def ncols(self) -> int:
-        return len(self.triples)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [t.vector(self.dim) for t in self.triples]
-
-
 def _dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def raw_candidate(V: RootMatrix) -> tuple[Fraction, ...]:
-    """Exact 1_n - V (V^t V)^{-1} 1_m, in the original index order.
-
-    Every root column sums to 1, so V^t 1_n = 1_m and this is the projection
-    of 1_n onto the orthogonal complement of the column span: the row sums of
-    the projector.
-    """
-    Q, d, _ = complement_projector(V.columns(), V.dim)
-    return tuple(Fraction(int(s), d) for s in Q.sum(axis=1))
-
-
-def candidate_spectral(V: RootMatrix) -> SpectralVector:
-    """Canonicalized candidate eigenvalue vector defined by V."""
-    return SpectralVector(raw_candidate(V)).canonical()
-
-
-@dataclass
-class ConsistencyReport:
-    """Outcome of the admissibility conditions for a (p, V) pair."""
-
-    ok: bool
-    conditions: dict[str, bool]
-    trace: Fraction
-    notes: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "conditions": dict(self.conditions),
-            "trace": str(self.trace),
-            "notes": list(self.notes),
-        }
-
-
-def perp_roots(
-    p: Sequence[Fraction], root_set: Optional[Sequence[RootTriple]] = None
-) -> list[RootTriple]:
-    """The root triples orthogonal to p."""
-    n = len(p)
-    roots = build_root_set(n) if root_set is None else list(root_set)
-    return [t for t in roots if p[t.i - 1] + p[t.j - 1] - p[t.k - 1] == 0]
-
-
-def root_matrix_for(
-    p: "SpectralVector | Sequence[Fraction]",
-    root_set: Optional[Sequence[RootTriple]] = None,
-) -> RootMatrix:
-    """A maximal independent subset of the roots orthogonal to p (greedy)."""
-    entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
-    n = len(entries)
-    perp = perp_roots(entries, root_set)
-    _, _, independent = complement_projector([t.vector(n) for t in perp], n)
-    return RootMatrix(n, tuple(t for t, ok in zip(perp, independent) if ok))
-
-
-def check_consistency(
-    p: "SpectralVector | Sequence[Fraction]",
-    V: RootMatrix,
-    root_set: Optional[Sequence[RootTriple]] = None,
-) -> ConsistencyReport:
-    """Admissibility of p with defining matrix V.
-
-    Checks, all exactly: V^t p = 0, every entry nonzero, nonzero entry sum,
-    and that the columns of V span all roots orthogonal to p.
-    """
-    entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
-    if len(entries) != V.dim:
-        raise DimensionError(f"p has {len(entries)} entries, V has dimension {V.dim}")
-    cols = V.columns()
-    orthogonal = all(_dot(c, entries) == 0 for c in cols)
-    nonzero_entries = all(x != 0 for x in entries)
-    trace = sum(entries, Fraction(0))
-    Q, _, _ = complement_projector(cols, V.dim)
-    perp = [t.vector(V.dim) for t in perp_roots(entries, root_set)]
-    maximal = not images(np.array(perp, dtype=np.int64).reshape(-1, V.dim), Q).any()
-    conditions = {
-        "orthogonal": orthogonal,
-        "nonzero_entries": nonzero_entries,
-        "nonzero_trace": trace != 0,
-        "maximal": maximal,
-    }
-    notes = []
-    if trace == 0:
-        notes.append(
-            "entry sum is zero: pairing the candidate formula with p forces "
-            "|p|^2 = 0, so no admissible type has this trace"
-        )
-    return ConsistencyReport(all(conditions.values()), conditions, trace, notes)
+def perp_roots(p: Sequence[Fraction]) -> list[RootTriple]:
+    """The root triples orthogonal to p, tested on p scaled to integers."""
+    p = [Fraction(x) for x in p]
+    scale = math.lcm(*(x.denominator for x in p))
+    q = [x.numerator * (scale // x.denominator) for x in p]
+    return [t for t in build_root_set(len(q)) if q[t.i - 1] + q[t.j - 1] == q[t.k - 1]]
 
 
 @dataclass
@@ -304,20 +168,17 @@ class ConeCertificate:
         return out
 
 
-def cone_membership(
-    p: "SpectralVector | Sequence[Fraction]",
-    root_set: Optional[Sequence[RootTriple]] = None,
-) -> ConeCertificate:
+def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate:
     """Decide exactly whether |p|^2 1_n - (sum p) p is a nonnegative
     combination of the roots orthogonal to p."""
     entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
     if any(x == 0 for x in entries):
         raise ValueError("cone membership requires all entries of p to be nonzero")
     n = len(entries)
-    norm_sq = sum((x * x for x in entries), Fraction(0))
+    length_sq = sum((x * x for x in entries), Fraction(0))
     trace = sum(entries, Fraction(0))
-    target = tuple(norm_sq - trace * x for x in entries)
-    gens = perp_roots(entries, root_set)
+    target = tuple(length_sq - trace * x for x in entries)
+    gens = perp_roots(entries)
     coeffs, witness = cone_decompose([t.vector(n) for t in gens], target)
     if coeffs is not None:
         mapping = dict(zip(gens, coeffs))
@@ -343,7 +204,7 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     and a W' spanned by roots through (1,2|3) (extend that root to a basis
     of W' from its spanning roots, so the walk reaches W').  Permuting
     indices commutes with the projector and fixes 1_n, so the candidate of
-    sigma W' is the permuted candidate of W'; the consistency checks and
+    sigma W' is the permuted candidate of W'; the admissibility checks and
     the canonical form are permutation invariant.
     """
     roots = np.array([t.vector(dim) for t in build_root_set(dim)], dtype=np.int64)
@@ -379,18 +240,15 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     return {SpectralVector.of(t).canonical() for t in found}
 
 
-def enumerate_types(
-    dim: int,
-    apply_cone_filter: bool = False,
-    cap: int = DEFAULT_DIMENSION_CAP,
-) -> set[SpectralVector]:
+def enumerate_types(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> set[SpectralVector]:
     """All admissible eigenvalue types in dimension ``dim``, canonicalized.
 
     Walks the subspaces spanned by root subsets once each (up to the
     permutations that move the root (1,2|3)), applies the candidate formula
-    and the consistency conditions, and dedupes up to index permutation.
-    The scalar type (1,...,1) is always present.  With
-    ``apply_cone_filter`` the cone-membership condition is also enforced.
+    and the admissibility conditions, and dedupes up to index permutation.
+    The scalar type (1,...,1) is always present.  The cone condition is a
+    separate filter: :func:`cone_membership`, or :func:`enumeration_report`
+    for both sets.
     """
     if dim < 2:
         raise DimensionError(f"dimension must be at least 2, got {dim}")
@@ -399,10 +257,7 @@ def enumerate_types(
             f"dimension {dim} exceeds the enumeration cap {cap}; "
             f"pass cap={dim} explicitly to override"
         )
-    types = _enumerate_unfiltered(dim)
-    if apply_cone_filter:
-        types = {p for p in types if cone_membership(p).feasible}
-    return types
+    return _enumerate_unfiltered(dim)
 
 
 @dataclass
@@ -423,6 +278,6 @@ class EnumerationReport:
 
 
 def enumeration_report(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> EnumerationReport:
-    unfiltered = enumerate_types(dim, apply_cone_filter=False, cap=cap)
+    unfiltered = enumerate_types(dim, cap=cap)
     filtered = {p for p in unfiltered if cone_membership(p).feasible}
     return EnumerationReport(dim, unfiltered, filtered)

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, the class-layout oracle accumulates magnitudes
-so that nothing can cancel, the cone oracle enumerates basis subsets
-instead of running the simplex, and the type oracle runs over every
-independent root subset with exact Gram-Schmidt instead of walking
-subspaces.
+contraction with plain loops, the scalar oracle sums the scalar-curvature
+formula term by term instead of tracing the Ricci operator, the
+class-layout oracle accumulates magnitudes so that nothing can cancel, the
+cone oracle enumerates basis subsets instead of running the simplex, and
+the type and admissibility oracles use exact Gram-Schmidt instead of the
+fraction-free projectors of the type walk.
 """
 
 from __future__ import annotations
@@ -65,6 +66,36 @@ def koszul_ricci(mu) -> np.ndarray:
                 total += (first - second - third)[a]
             ric[i, j] = total
     return ric
+
+
+def scalar_classes(spec) -> dict:
+    """Scalar curvature of the deformation by exponent class, term by term.
+
+    scal = -sum_k ((tr ad_k)^2 + B(e_k, e_k) / 2) - sum_{i,k,l} mu[k,l|i]^2 / 4
+    for the rescaled constants; the k-th term of the first sum scales like
+    exp(-2 u p_k) and the (i,k,l) term like exp(-2 u (p_k + p_l - p_i)).
+    Classes whose terms add up to exactly zero are dropped.
+    """
+    mu = spec.algebra
+    n = mu.dim
+    T = mu.dense()
+    p = list(spec.spectral)
+    out: dict = {}
+
+    def add(q, value: float) -> None:
+        if value != 0.0:
+            out[q] = out.get(q, 0.0) + value
+
+    for k in range(n):
+        ad = mu.ad(k + 1)
+        add(p[k], -(np.trace(ad) ** 2 + 0.5 * np.trace(ad @ ad)))
+    for i in range(n):
+        for k in range(n):
+            for l in range(n):
+                c = T[k, l, i] ** 2
+                if c != 0.0:
+                    add(p[k] + p[l] - p[i], -0.25 * c)
+    return {q: v for q, v in out.items() if v != 0.0}
 
 
 def class_layout(spectral, pattern) -> list:
@@ -194,6 +225,46 @@ def gram_schmidt(vectors: list) -> list:
     return basis
 
 
+def root_vectors(dim: int) -> list:
+    """Every root f_i + f_j - f_k (i < j, k outside {i, j}) as an int tuple."""
+    return [
+        tuple(int(a == i) + int(a == j) - int(a == k) for a in range(dim))
+        for i, j in itertools.combinations(range(dim), 2)
+        for k in range(dim)
+        if k not in (i, j)
+    ]
+
+
+def ones_off(basis: list, dim: int) -> list:
+    """1_n minus its projection onto the span of an orthogonal basis."""
+    p = [Fraction(1)] * dim
+    for b in basis:
+        c = sum(b) / sum(y * y for y in b)
+        p = [x - c * y for x, y in zip(p, b)]
+    return p
+
+
+def admissibility_defects(p) -> list:
+    """The admissibility conditions the eigenvalue tuple p fails, exactly.
+
+    An admissible type has no zero entry, a nonzero entry sum, and is a
+    positive multiple of the projection of 1_n onto the orthogonal
+    complement of the roots orthogonal to it.
+    """
+    p = [Fraction(x) for x in p]
+    defects = []
+    if any(x == 0 for x in p):
+        defects.append("zero entry")
+    if sum(p) == 0:
+        defects.append("zero trace")
+    perp = [r for r in root_vectors(len(p)) if sum(a * b for a, b in zip(r, p)) == 0]
+    c = ones_off(gram_schmidt(perp), len(p))
+    scale = next((x / y for x, y in zip(p, c) if y != 0), Fraction(0))
+    if scale <= 0 or any(x != scale * y for x, y in zip(p, c)):
+        defects.append("not the projection of 1_n off its orthogonal roots")
+    return defects
+
+
 def types_bruteforce(dim: int) -> set:
     """Canonical eigenvalue types from every independent subset of roots.
 
@@ -201,22 +272,14 @@ def types_bruteforce(dim: int) -> set:
     (Gram-Schmidt in Fractions); it is kept when every entry and the entry
     sum are nonzero and every root orthogonal to it lies in the span.
     """
-    roots = [
-        tuple(int(a == i) + int(a == j) - int(a == k) for a in range(dim))
-        for i, j in itertools.combinations(range(dim), 2)
-        for k in range(dim)
-        if k not in (i, j)
-    ]
+    roots = root_vectors(dim)
     found = set()
     for size in range(dim):
         for subset in itertools.combinations(roots, size):
             basis = gram_schmidt(list(subset))
             if len(basis) != size:
                 continue
-            p = [Fraction(1)] * dim
-            for b in basis:
-                c = sum(b) / sum(y * y for y in b)
-                p = [x - c * y for x, y in zip(p, b)]
+            p = ones_off(basis, dim)
             if any(x == 0 for x in p) or sum(p) == 0:
                 continue
             perp = [r for r in roots if sum(a * b for a, b in zip(r, p)) == 0]

@@ -273,6 +273,38 @@ def test_search_non_finite_setting_is_input_error(capsys, setting, field):
     assert field in err and "structure constants" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, flag",
+    [
+        (["verify", "--catalog", "table1:3", "--tol", "nan"], None, "--tol"),
+        (["verify", "--catalog", "table1:3", "--tol=-1"], None, "--tol"),
+        (["verify", "--catalog", "table1:3"], "nan", "EINEXT_TOL"),
+        (["verify", "--catalog", "table1:3"], "-1e-9", "EINEXT_TOL"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol=-1"], None, "--tol"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol", "inf"], None, "--tol"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2"], "nan", "EINEXT_TOL"),
+        (["curvature", "--catalog", "table1:3", "--u", "nan"], None, "--u"),
+        (["curvature", "--catalog", "table1:3", "--u", "-inf"], None, "--u"),
+    ],
+)
+def test_bad_tolerance_or_time_is_input_error(capsys, monkeypatch, argv, env, flag):
+    if env is None:
+        monkeypatch.delenv("EINEXT_TOL", raising=False)
+    else:
+        monkeypatch.setenv("EINEXT_TOL", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "structure constants" not in err
+
+
+def test_tol_flag_overrides_bad_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("EINEXT_TOL", "nan")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "table1:3", "--tol", "1e-9")
+    assert code == 0
+    assert json.loads(out)["einstein"] is True
+
+
 def test_verify_stdin(capsys, monkeypatch):
     import io
 

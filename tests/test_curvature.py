@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from einext.algebra import ExtensionSpec, StructureTensor, make_spec
+from einext.catalog import entries as catalog_entries
 from einext.curvature import (
     NonConstantStructureError,
     connection_coeffs,
@@ -11,11 +12,10 @@ from einext.curvature import (
     ricci_at_identity,
     ricci_deformation,
     ricci_deformation_at,
-    scalar_deformation,
 )
 from einext.scalars import AffineRational
 
-from oracles import koszul_connection, koszul_ricci
+from oracles import koszul_connection, koszul_ricci, scalar_classes
 from util import random_lie_tensor, random_sparse_tensor
 
 STATED_GRID = (-1.0, -0.3, 0.0, 0.7, 2.0)
@@ -174,8 +174,6 @@ def test_non_constant_structure_refused():
     with pytest.raises(NonConstantStructureError):
         connection_coeffs(spec, 0.0)
     with pytest.raises(NonConstantStructureError):
-        scalar_deformation(spec)
-    with pytest.raises(NonConstantStructureError):
         extension_ricci(spec)
 
 
@@ -185,28 +183,27 @@ def test_non_constant_structure_refused():
 
 
 def test_scalar_examples():
-    assert scalar_deformation(make_spec(StructureTensor(3), [1, 1, 1])) == {}
-    heis = scalar_deformation(make_spec(heisenberg3(), [1, 1, 2]))
+    assert extension_ricci(make_spec(StructureTensor(3), [1, 1, 1])).scal_terms == {}
+    heis = extension_ricci(make_spec(heisenberg3(), [1, 1, 2])).scal_terms
     assert set(heis) == {AffineRational.zero()}
     assert heis[AffineRational.zero()] == pytest.approx(-2.0)  # (tr D)^2 - 3 tr D^2
-    row4 = scalar_deformation(row4_spec(1.0))
+    row4 = extension_ricci(row4_spec(1.0)).scal_terms
     total = sum(row4.values())
     assert total == pytest.approx(-2.0)
 
 
 def test_scalar_equals_trace_of_grouped_per_class():
+    # the scalar classes are the traces of the Ricci classes; the oracle sums
+    # the scalar-curvature formula term by term
     rng = np.random.default_rng(27)
-    for _ in range(50):
-        mu, p = random_sparse_tensor(rng, max_dim=4)
-        spec = make_spec(mu, p)
-        grouped_traces = ricci_deformation(spec).trace_by_class()
-        scal = scalar_deformation(spec)
-        keys = set(grouped_traces) | set(scal)
-        for q in keys:
-            lhs = grouped_traces.get(q, 0.0)
-            rhs = scal.get(q, 0.0)
-            scale = max(1.0, abs(lhs), abs(rhs))
-            assert abs(lhs - rhs) <= 1e-12 * scale
+    specs = [entry.spec for entry in catalog_entries()]
+    specs += [make_spec(*random_sparse_tensor(rng, max_dim=6)) for _ in range(300)]
+    for spec in specs:
+        scal = extension_ricci(spec).scal_terms
+        expected = scalar_classes(spec)
+        assert set(scal) == set(expected)
+        for q, value in expected.items():
+            assert abs(scal[q] - value) <= 1e-12 * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from einext.ratlinalg import complement_projector
 from einext.spectral import (
     ConeCertificate,
     DimensionCapError,
     DimensionError,
-    RankError,
-    RootMatrix,
     RootTriple,
     SpectralVector,
     build_root_set,
-    candidate_spectral,
-    check_consistency,
     cone_membership,
     enumerate_types,
     enumeration_report,
     perp_roots,
-    raw_candidate,
-    root_matrix_for,
 )
+
+from oracles import admissibility_defects
 
 KNOWN_DIM4_TYPES = {
     (1, 1, 1, 1),
@@ -39,12 +36,20 @@ def canon_set(types):
     return {tuple(int(x) for x in p.entries) for p in types}
 
 
+def candidate(roots, dim):
+    """Row sums of the projector onto the complement of the roots' span:
+    the projection of 1_n, since every root vector sums to 1."""
+    Q, d, _ = complement_projector([t.vector(dim) for t in roots], dim)
+    return tuple(Fraction(int(s), d) for s in Q.sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Root set
 # ---------------------------------------------------------------------------
 
 
 def test_root_set_sizes():
+    assert RootTriple(1, 2, 3).vector(3) == (1, 1, -1)
     assert build_root_set(2) == []
     assert build_root_set(3) == [RootTriple(1, 2, 3), RootTriple(1, 3, 2), RootTriple(2, 3, 1)]
     assert len(build_root_set(4)) == 12
@@ -56,24 +61,30 @@ def test_root_set_rejects_dim_one():
         build_root_set(1)
 
 
-def test_root_triple_vector_and_validation():
-    t = RootTriple(1, 2, 3)
-    assert t.vector(3) == (1, 1, -1)
-    with pytest.raises(ValueError):
-        RootTriple(2, 1, 3).validate(3)
-    with pytest.raises(ValueError):
-        RootTriple(1, 2, 2).validate(3)
-
-
-def test_root_matrix_rank_enforced():
-    with pytest.raises(RankError):
-        RootMatrix(4, (RootTriple(1, 2, 3), RootTriple(1, 2, 3)))
-
-
 def test_root_matrix_column_sum_property():
-    V = RootMatrix(4, (RootTriple(1, 2, 3), RootTriple(1, 2, 4)))
-    for col in V.columns():
-        assert sum(col) == 1
+    for dim in (3, 4, 5):
+        assert all(sum(t.vector(dim)) == 1 for t in build_root_set(dim))
+
+
+def test_perp_roots_matches_direct_fraction_test():
+    # p scaled to integers must give exactly the roots a Fraction test gives,
+    # also for numerators near 10^15 over denominators near 10^12
+    rng = np.random.default_rng(31)
+    hits = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 7))
+        top, bottom = (10**15, 10**12) if trial % 2 else (20, 6)
+        p = [
+            Fraction(int(rng.integers(-top, top)), int(rng.integers(bottom // 2, bottom)))
+            for _ in range(n)
+        ]
+        for _ in range(int(rng.integers(0, 3))):
+            i, j, k = rng.choice(n, size=3, replace=False)
+            p[k] = p[i] + p[j]
+        direct = [t for t in build_root_set(n) if p[t.i - 1] + p[t.j - 1] - p[t.k - 1] == 0]
+        assert perp_roots(p) == direct
+        hits += bool(direct)
+    assert hits >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -82,26 +93,29 @@ def test_root_matrix_column_sum_property():
 
 
 def test_candidate_single_column_n3():
-    V = RootMatrix(3, (RootTriple(1, 2, 3),))
-    assert raw_candidate(V) == (Fraction(2, 3), Fraction(2, 3), Fraction(4, 3))
-    assert candidate_spectral(V).entries == (1, 1, 2)
+    roots = perp_roots([1, 1, 2])
+    assert roots == [RootTriple(1, 2, 3)]
+    assert candidate(roots, 3) == (Fraction(2, 3), Fraction(2, 3), Fraction(4, 3))
+    assert SpectralVector(candidate(roots, 3)).canonical().entries == (1, 1, 2)
 
 
 def test_candidate_empty_matrix():
-    V = RootMatrix(5, ())
-    assert raw_candidate(V) == tuple([Fraction(1)] * 5)
-    assert candidate_spectral(V).entries == (1, 1, 1, 1, 1)
+    assert perp_roots([1] * 5) == []
+    assert candidate([], 5) == tuple([Fraction(1)] * 5)
+    assert SpectralVector(candidate([], 5)).canonical().entries == (1, 1, 1, 1, 1)
 
 
 def test_candidate_two_columns_n4():
-    V = RootMatrix(4, (RootTriple(1, 2, 3), RootTriple(1, 2, 4)))
-    assert raw_candidate(V) == (
-        Fraction(3, 5),
-        Fraction(3, 5),
-        Fraction(6, 5),
-        Fraction(6, 5),
-    )
-    assert candidate_spectral(V).entries == (1, 1, 2, 2)
+    roots = perp_roots([1, 1, 2, 2])
+    assert roots == [RootTriple(1, 2, 3), RootTriple(1, 2, 4)]
+    for order in (roots, roots[::-1]):
+        assert candidate(order, 4) == (
+            Fraction(3, 5),
+            Fraction(3, 5),
+            Fraction(6, 5),
+            Fraction(6, 5),
+        )
+        assert SpectralVector(candidate(order, 4)).canonical().entries == (1, 1, 2, 2)
 
 
 def test_canonical_form_rules():
@@ -135,39 +149,30 @@ def test_spectral_vector_requires_two_entries():
 
 
 # ---------------------------------------------------------------------------
-# Consistency
+# Admissibility (the oracle the walk is checked against)
 # ---------------------------------------------------------------------------
 
 
 def test_consistency_examples():
-    p = SpectralVector.of([1, 1, 2])
-    good = check_consistency(p, RootMatrix(3, (RootTriple(1, 2, 3),)))
-    assert good.ok and all(good.conditions.values())
-
-    scalar = check_consistency(SpectralVector.of([1, 1, 1]), RootMatrix(3, ()))
-    assert scalar.ok
-
-    bad = check_consistency(p, RootMatrix(3, (RootTriple(1, 3, 2),)))
-    assert not bad.ok
-    assert not bad.conditions["orthogonal"]
-
-
-def test_consistency_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        check_consistency(SpectralVector.of([1, 1]), RootMatrix(3, ()))
+    assert admissibility_defects([1, 1, 2]) == []
+    assert admissibility_defects([1, 1, 1]) == []
+    # (1,1,3) is orthogonal to no root, so it would have to be 1_n
+    assert admissibility_defects([1, 1, 3]) == [
+        "not the projection of 1_n off its orthogonal roots"
+    ]
+    assert admissibility_defects([-1, -1, -2]) == [
+        "not the projection of 1_n off its orthogonal roots"
+    ]
+    assert "zero entry" in admissibility_defects([0, 1, 1])
 
 
 def test_consistency_flags_zero_trace():
-    p = SpectralVector.of([-3, -2, -1, 1, 2, 3])
-    V = root_matrix_for(p)
-    report = check_consistency(p, V)
-    assert not report.ok
-    assert report.conditions["orthogonal"]
-    assert report.conditions["nonzero_entries"]
-    assert report.conditions["maximal"]
-    assert not report.conditions["nonzero_trace"]
-    assert report.trace == 0
-    assert report.notes
+    # pairing p with the projection of 1_n forces |p|^2 = 0 when the trace is
+    # zero, so p cannot be that projection either
+    assert admissibility_defects([-3, -2, -1, 1, 2, 3]) == [
+        "zero trace",
+        "not the projection of 1_n off its orthogonal roots",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +353,22 @@ def test_emitted_types_invariants():
             assert all(v != 0 for v in ints)
             assert sum(ints) > 0
             assert np.gcd.reduce([abs(v) for v in ints]) == 1
-            V = root_matrix_for(p)
-            assert all(
-                sum(a * b for a, b in zip(col, p.entries)) == 0 for col in V.columns()
-            )
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_emitted_types_have_no_admissibility_defect(types_of, dim):
+    assert [p for p in types_of(dim) if admissibility_defects(p.entries)] == []
 
 
 def test_well_definedness_of_defining_subsets():
-    # recomputing a maximal independent subset of the orthogonal roots and
-    # applying the candidate formula reproduces the same canonical vector
+    # the candidate formula over the orthogonal roots, taken in any order,
+    # reproduces the same canonical vector
     rng = np.random.default_rng(4)
     for p in sorted(enumerate_types(4), key=lambda q: q.entries):
         roots = perp_roots(p.entries)
         for _ in range(3):
-            order = list(rng.permutation(len(roots)))
-            shuffled = [roots[i] for i in order]
-            V = root_matrix_for(p, root_set=shuffled)
-            assert candidate_spectral(V) == p
+            shuffled = [roots[i] for i in rng.permutation(len(roots))]
+            assert SpectralVector(candidate(shuffled, 4)).canonical() == p
 
 
 def test_scalar_type_always_present():
