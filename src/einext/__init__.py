@@ -38,7 +38,6 @@ from .catalog import (
 from .curvature import (
     CurvatureReport,
     GroupedRicci,
-    NonConstantStructureError,
     connection_coeffs,
     extension_ricci,
     ricci_at_identity,

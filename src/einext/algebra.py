@@ -12,6 +12,7 @@ its twisting) are what the curvature and verification layers build on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -64,7 +65,6 @@ class StructureTensor:
         entries: Optional[Mapping[tuple[int, int, int], float]] = None,
         *,
         lie: bool = False,
-        jacobi_tol: float = DEFAULT_JACOBI_TOL,
     ):
         if dim < 1:
             raise StructureError(f"dimension must be positive, got {dim}")
@@ -82,7 +82,7 @@ class StructureTensor:
         self._entries = {k: v for k, v in store.items() if v != 0.0}
         if lie:
             res = jacobi_residual(self)
-            if res > jacobi_tol:
+            if res > DEFAULT_JACOBI_TOL:
                 raise StructureError(f"Jacobi identity violated (residual {res:.3e})")
 
     def get(self, i: int, j: int, k: int) -> float:
@@ -113,11 +113,7 @@ class StructureTensor:
 
     def ad(self, i: int) -> np.ndarray:
         """Matrix of ad_{e_i} acting on the frame: ad(i)[k-1, j-1] = mu[i,j|k]."""
-        out = np.zeros((self.dim, self.dim))
-        for j in range(1, self.dim + 1):
-            for k in range(1, self.dim + 1):
-                out[k - 1, j - 1] = self.get(i, j, k)
-        return out
+        return self.dense()[i - 1].T
 
     def restrict(self, indices: Sequence[int]) -> "StructureTensor":
         """Sub-tensor on the given frame indices, relabelled 1..len(indices)."""
@@ -156,14 +152,12 @@ class ExtensionSpec:
     The endomorphism is diagonal in the frame, D e_i = p_i e_i, with constant
     eigenvalues stored as exact affine forms in at most one free parameter.
     ``param`` supplies the numeric parameter value when any eigenvalue has a
-    nonzero slope.  ``constant_structure`` marks the data as homogeneous;
-    curvature routines refuse anything else.
+    nonzero slope.
     """
 
     algebra: StructureTensor
     spectral: tuple[AffineRational, ...]
     param: Optional[float] = None
-    constant_structure: bool = True
 
     def __post_init__(self) -> None:
         forms = tuple(AffineRational.of(v) for v in self.spectral)
@@ -185,7 +179,8 @@ class ExtensionSpec:
         return self.spectral[i - 1]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array([f.evaluate(self.param) for f in self.spectral])
+        """The float image of :meth:`exact_eigenvalues`."""
+        return np.array([float(x) for x in self.exact_eigenvalues()])
 
     def trace(self) -> float:
         return float(self.eigenvalues().sum())
@@ -197,13 +192,11 @@ class ExtensionSpec:
     def exact_eigenvalues(self) -> tuple[Fraction, ...]:
         """Eigenvalues with the parameter substituted exactly (if any)."""
         t = Fraction(self.param) if self.param is not None else None
-        out = []
-        for f in self.spectral:
-            if f.slope == 0:
-                out.append(f.const)
-            else:
-                out.append(f.substitute(t))
-        return tuple(out)
+        return tuple([f.const if f.slope == 0 else f.substitute(t) for f in self.spectral])
+
+    def einstein_target(self) -> np.ndarray:
+        """(tr D) diag(p) - tr(D^2) id, the constant Ricci class of an Einstein extension."""
+        return self.trace() * np.diag(self.eigenvalues()) - self.trace_sq() * np.eye(self.dim)
 
     def with_algebra(self, algebra: StructureTensor) -> "ExtensionSpec":
         return replace(self, algebra=algebra)
@@ -213,15 +206,9 @@ def make_spec(
     algebra: StructureTensor,
     spectral: Iterable[SpectralLike],
     param: Optional[float] = None,
-    constant_structure: bool = True,
 ) -> ExtensionSpec:
-    """Convenience constructor coercing numbers and "num/den" strings."""
-    return ExtensionSpec(
-        algebra,
-        tuple(AffineRational.of(v) for v in spectral),
-        param,
-        constant_structure,
-    )
+    """Convenience constructor taking numbers and "num/den" strings."""
+    return ExtensionSpec(algebra, tuple(spectral), param)
 
 
 def _jacobi_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -350,39 +337,24 @@ def qn_split(
     """Split the abelian-part action on the ideal by eigenvalue pattern."""
     decomp.validate(mu, tol)
     m_idx = decomp.m_indices
-    size = len(m_idx)
-    forms = {i: spec.eigenvalue(i) for i in range(1, mu.dim + 1)}
+    m = np.array(m_idx, dtype=np.intp) - 1
+    forms = np.array(spec.spectral, dtype=object)
+    gap = np.subtract.outer(forms[m], forms[m])  # gap[k', l'] = p_k - p_l, exactly
+    same = gap == AffineRational.zero()
+    T = mu.dense()
     result = QNSplit(m_idx, {}, {}, {})
     for a in decomp.h_indices:
-        action = np.zeros((size, size))
-        for kp, k in enumerate(m_idx):
-            for lp, l in enumerate(m_idx):
-                action[kp, lp] = mu.get(a, l, k)
-        if forms[a].is_zero:
-            for kp, k in enumerate(m_idx):
-                for lp, l in enumerate(m_idx):
-                    v = action[kp, lp]
-                    if abs(v) > tol and forms[k] != forms[l]:
-                        result.violations.append(
-                            (a, k, l, v, "zero-eigenvalue action must preserve eigenspaces")
-                        )
+        action = T[a - 1][np.ix_(m, m)].T  # action[k', l'] = mu[a, l | k]
+        if forms[a - 1].is_zero:
             result.t_ops[a] = action
+            bad, why = ~same, "zero-eigenvalue action must preserve eigenspaces"
         else:
-            q = np.zeros((size, size))
-            nshift = np.zeros((size, size))
-            for kp, k in enumerate(m_idx):
-                for lp, l in enumerate(m_idx):
-                    v = action[kp, lp]
-                    if forms[k] == forms[l]:
-                        q[kp, lp] = v
-                    elif forms[k] == forms[l] + forms[a]:
-                        nshift[kp, lp] = v
-                    elif abs(v) > tol:
-                        result.violations.append(
-                            (a, k, l, v, "entry outside both eigenvalue patterns")
-                        )
-            result.q_ops[a] = q
-            result.n_ops[a] = nshift
+            shift = ~same & (gap == forms[a - 1])
+            result.q_ops[a] = np.where(same, action, 0.0)
+            result.n_ops[a] = np.where(shift, action, 0.0)
+            bad, why = ~same & ~shift, "entry outside both eigenvalue patterns"
+        for kp, lp in zip(*np.nonzero(bad & (np.abs(action) > tol))):
+            result.violations.append((a, m_idx[kp], m_idx[lp], action[kp, lp], why))
     return result
 
 
@@ -407,14 +379,9 @@ def standard_modification(
     if res > tol:
         raise StructureError(f"input is not a Lie algebra (Jacobi residual {res:.3e})")
     forms = {i: spec.eigenvalue(i) for i in range(1, mu.dim + 1)}
+    h, m = set(decomp.h_indices), set(decomp.m_indices)
     for (i, j, k), v in mu.items():
-        if (
-            i in decomp.m_indices
-            and j in decomp.m_indices
-            and k in decomp.m_indices
-            and abs(v) > tol
-            and forms[k] != forms[i] + forms[j]
-        ):
+        if {i, j, k} <= m and abs(v) > tol and forms[k] != forms[i] + forms[j]:
             raise PatternViolationError(
                 f"ideal bracket mu[{i},{j}|{k}] = {v:g} is not an eigenvector "
                 "of the deformation; the twisting does not apply"
@@ -434,32 +401,22 @@ def standard_modification(
         + [(f"Q_{b}", op) for b, op in split.q_ops.items()]
         + [(f"N_{b}", op) for b, op in split.n_ops.items()]
     )
-    for x in range(len(labelled)):
-        for y in range(x + 1, len(labelled)):
-            name_x, op_x = labelled[x]
-            name_y, op_y = labelled[y]
-            comm = op_x @ op_y - op_y @ op_x
-            defect = float(np.abs(comm).max()) if comm.size else 0.0
-            if defect > tol:
-                raise CommutationError(
-                    f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
-                )
+    for (name_x, op_x), (name_y, op_y) in itertools.combinations(labelled, 2):
+        comm = op_x @ op_y - op_y @ op_x
+        defect = float(np.abs(comm).max()) if comm.size else 0.0
+        if defect > tol:
+            raise CommutationError(
+                f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
+            )
 
-    m_idx = split.m_indices
-    entries: dict[tuple[int, int, int], float] = {}
+    # The survivors: brackets inside the ideal, and each bracket [e_a, e_l]
+    # (a in h, l, k in m) that a zero eigenvalue keeps or that shifts by p_a.
+    entries = {}
     for (i, j, k), v in mu.items():
-        if i in m_idx and j in m_idx:
+        a, l = (i, j) if i in h else (j, i)
+        kept = a not in h or (k not in h and (forms[a].is_zero or forms[k] == forms[l] + forms[a]))
+        if l not in h and kept:
             entries[(i, j, k)] = v
-    for a, op in split.t_ops.items():
-        for kp, k in enumerate(m_idx):
-            for lp, l in enumerate(m_idx):
-                if op[kp, lp] != 0.0:
-                    entries[(a, l, k)] = entries.get((a, l, k), 0.0) + op[kp, lp]
-    for b, op in split.n_ops.items():
-        for kp, k in enumerate(m_idx):
-            for lp, l in enumerate(m_idx):
-                if op[kp, lp] != 0.0:
-                    entries[(b, l, k)] = entries.get((b, l, k), 0.0) + op[kp, lp]
     out = StructureTensor(mu.dim, entries)
 
     res = jacobi_residual(out)
@@ -482,6 +439,8 @@ def standard_modification(
 def _value_to_float(value) -> float:
     if isinstance(value, str):
         return float(parse_rational(value))
+    if isinstance(value, bool):  # float(true) would be 1.0
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -497,9 +456,11 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
 
     Expected shape: {"dim": n, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}, ...],
     optional "spectral": [...], optional "decomposition": {"h": [...], "m": [...]},
-    optional "constant_structure": bool}.  Indices and "dim" are integers;
-    values may be numbers or "num/den".  A "param" value is accepted only
-    when some eigenvalue depends on t.
+    optional "param": value, optional "constant_structure": true}.  Indices
+    and "dim" are integers; values, "param" included, may be numbers or
+    "num/den".  A "param" value is accepted only when some eigenvalue
+    depends on t.  Only homogeneous data is supported, so
+    "constant_structure" may only be true.
     Any other shape raises :class:`StructureError`.
     """
     try:
@@ -514,6 +475,11 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
     except KeyError as exc:
         raise StructureError("missing required key 'dim'") from exc
     _require_int(dim, "'dim'")
+    if data.get("constant_structure", True) is not True:
+        raise StructureError(
+            f"'constant_structure' must be true (only homogeneous data is supported), "
+            f"got {data['constant_structure']!r}"
+        )
     entries: dict[tuple[int, int, int], float] = {}
     for item in data.get("mu", []):
         try:
@@ -530,17 +496,15 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
         raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")
     forms = [AffineRational.of(v) for v in data.get("spectral", ())]
     param = data.get("param")
-    if param is not None and not isinstance(param, (int, float, str)):
-        raise StructureError(f"'param' must be a number, got {param!r}")
-    if param is not None and all(f.slope == 0 for f in forms):
-        raise StructureError("'param' given but no eigenvalue depends on t")
+    if param is not None:
+        try:
+            param = _value_to_float(param)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"'param' must be a number or \"num/den\", got {param!r}") from exc
+        if all(f.slope == 0 for f in forms):
+            raise StructureError("'param' given but no eigenvalue depends on t")
     if "spectral" in data:
-        spec = ExtensionSpec(
-            mu,
-            tuple(forms),
-            param,
-            bool(data.get("constant_structure", True)),
-        )
+        spec = ExtensionSpec(mu, tuple(forms), param)
     decomp = None
     if "decomposition" in data:
         d = data["decomposition"]
@@ -571,8 +535,6 @@ def algebra_to_json(
         else:
             out["spectral"] = [f.json_key() for f in spec.spectral]
             out["param"] = spec.param
-        if not spec.constant_structure:
-            out["constant_structure"] = False
     if decomp is not None:
         out["decomposition"] = {
             "h": list(decomp.h_indices),

@@ -191,10 +191,13 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
     report = extension_ricci(spec)
     payload = report.to_json()
     if args.u is not None:
-        payload["evaluated_at"] = {
-            "u": args.u,
-            "extension_ricci": report.evaluate_extension(args.u).tolist(),
-        }
+        try:
+            values = report.evaluate_extension(args.u)
+        except OverflowError as exc:
+            raise InputError(
+                f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
+            ) from exc
+        payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
     _emit(payload, args.pretty)
     return EXIT_OK
 

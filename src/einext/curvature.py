@@ -12,6 +12,13 @@ class vanishes and the constant class hits its target" is a finite set of
 exact equations on floating-point coefficients.  The scalar curvature is the
 trace of the Ricci operator, so its classes are the traces of these.
 
+Each of these steps has one home here: ``_exponent_layout`` forms the
+pieces and classes on integers (the solver's model uses it too),
+``_grouped_terms`` fills the classes, and ``_exp_sum`` evaluates
+sum_q exp(-2 u q) C_q for the deformed operator and for both non-constant
+blocks of the extension.  The Einstein target of the constant class is
+``ExtensionSpec.einstein_target``.
+
 ``ricci_deformation_at`` evaluates the rescaled constants at a numeric
 deformation time without the exponent bookkeeping; tests compare the two.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,18 +36,6 @@ from .algebra import ExtensionSpec, StructureTensor, divergence_residual
 from .scalars import AffineRational
 
 HALF = Fraction(1, 2)
-
-
-class NonConstantStructureError(ValueError):
-    """Curvature routines only accept constant (homogeneous) structure data."""
-
-
-def _require_constant(spec: ExtensionSpec) -> None:
-    if not spec.constant_structure:
-        raise NonConstantStructureError(
-            "structure data is flagged non-constant; the deformation curvature "
-            "formulas implemented here require constant structure tensors"
-        )
 
 
 @dataclass
@@ -52,7 +47,7 @@ class GroupedRicci:
     param: Optional[float] = None
 
     def exponents(self) -> list[AffineRational]:
-        return sorted(self.classes, key=lambda q: q.sort_key())
+        return sorted(self.classes, key=AffineRational.sort_key)
 
     def coefficient(self, q: AffineRational) -> np.ndarray:
         return self.classes.get(q, np.zeros((self.dim, self.dim)))
@@ -64,26 +59,67 @@ class GroupedRicci:
         return {q: C for q, C in self.classes.items() if not q.is_zero}
 
     def evaluate(self, u: float) -> np.ndarray:
-        weights = [
-            (math.exp(-2.0 * u * q.evaluate(self.param)), self.classes[q])
-            for q in self.exponents()
-        ]
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = math.fsum(w * C[i, j] for w, C in weights)
-        return out
+        return _exp_sum(self.classes, u, self.param, (self.dim, self.dim))
 
     def trace_by_class(self) -> dict[AffineRational, float]:
         return {q: float(np.trace(C)) for q, C in self.classes.items()}
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "classes": {
-                q.json_key(): self.classes[q].tolist() for q in self.exponents()
-            },
-        }
+        return {"dim": self.dim, "classes": _by_exponent(self.classes)}
+
+
+def _by_exponent(classes: dict) -> dict:
+    """JSON form of classes: keyed by exponent, in exponent order, as lists."""
+    order = sorted(classes, key=AffineRational.sort_key)
+    return {q.json_key(): np.asarray(classes[q]).tolist() for q in order}
+
+
+def _exp_sum(
+    classes: dict[AffineRational, np.ndarray], u: float, param: Optional[float], shape: tuple
+) -> np.ndarray:
+    """sum_q exp(-2 u q) C_q over classes of the given shape, each entry an
+    exactly rounded sum; raises OverflowError when a term leaves float64."""
+    if not classes:
+        return np.zeros(shape)
+    weights = np.array([math.exp(-2.0 * u * q.evaluate(param)) for q in classes])
+    with np.errstate(over="ignore"):
+        terms = weights[:, None] * np.stack([C.ravel() for C in classes.values()])
+    if not np.isfinite(terms).all():
+        raise OverflowError(f"exp(-2 u q) C_q overflows float64 at u = {u!r}")
+    return np.array([math.fsum(column) for column in terms.T]).reshape(shape)
+
+
+def _exponent_layout(
+    spectral: Sequence[AffineRational], triples: Sequence[tuple[int, int, int]]
+) -> tuple[np.ndarray, list[AffineRational], np.ndarray]:
+    """The exponent classes of a tensor supported on the given triples.
+
+    Returns the piece of each triple, numbering the distinct exact exponents
+    e = p_k - p_i - p_j in order of first appearance; the classes, the
+    constant class and every -(e + f)/2, sorted; and ``pair_class[e, f]``,
+    the index of the class -(e + f)/2 of two pieces, formed once per pair.
+    Scaled by twice the lcm of the denominators, every eigenvalue, exponent
+    and class is a pair (constant, slope) of Python ints.
+    """
+    scale = 2 * math.lcm(*[x.denominator for f in spectral for x in (f.const, f.slope)])
+    c = [f.const.numerator * (scale // f.const.denominator) for f in spectral]
+    s = [f.slope.numerator * (scale // f.slope.denominator) for f in spectral]
+    exponents = [(c[k - 1] - c[i - 1] - c[j - 1], s[k - 1] - s[i - 1] - s[j - 1]) for i, j, k in triples]
+    piece_of: dict[tuple[int, int], int] = {}
+    piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in exponents], dtype=np.intp)
+    exps = list(piece_of)
+    pair = {
+        (a, b): (-(exps[a][0] + exps[b][0]) // 2, -(exps[a][1] + exps[b][1]) // 2)
+        for a in range(len(exps))
+        for b in range(a, len(exps))
+    }
+    keys = sorted(set(pair.values()) | {(0, 0)})
+    index = {q: m for m, q in enumerate(keys)}
+    pair_class = np.zeros((len(exps), len(exps)), dtype=np.intp)
+    for (a, b), q in pair.items():
+        pair_class[a, b] = pair_class[b, a] = index[q]
+    classes = [AffineRational(Fraction(qc, scale), Fraction(qs, scale)) for qc, qs in keys]
+    return piece, classes, pair_class
 
 
 def _ricci_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -104,38 +140,28 @@ def _ricci_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def _grouped_terms(spec: ExtensionSpec) -> dict[AffineRational, np.ndarray]:
-    """Accumulate the grouped Ricci coefficients.
+    """The nonzero grouped Ricci coefficients C_q.
 
-    The tensor is split into pieces T_e, one per exact exponent
-    e = p_k - p_i - p_j of its nonzero entries; the pair (T_e, T_f)
-    contributes to the class q = -(e + f)/2.
+    The tensor is split into pieces T_e by exponent (``_exponent_layout``);
+    the pair (T_e, T_f) contributes ``_ricci_form(T_e, T_f)`` to the class
+    q = -(e + f)/2.
     """
     n = spec.dim
-    p = spec.spectral
-    piece_of: dict[AffineRational, int] = {}
-    entries = [
-        (piece_of.setdefault(p[k - 1] - p[i - 1] - p[j - 1], len(piece_of)), i - 1, j - 1, k - 1, v)
-        for (i, j, k), v in spec.algebra.items()
-    ]
-    if not entries:
+    items = spec.algebra.items()
+    if not items:
         return {}
-    P = np.zeros((len(piece_of), n, n, n))
-    for e, i, j, k, v in entries:
-        P[e, i, j, k] = v
-        P[e, j, i, k] = -v
-    exps = list(piece_of)
-    pairs = _ricci_form(P[:, None], P[None, :])
-    classes: dict[AffineRational, np.ndarray] = {}
-    for a, e in enumerate(exps):
-        for b, f in enumerate(exps):
-            q = (e + f) * -HALF
-            classes[q] = classes.get(q, 0.0) + pairs[a, b]
-    return {q: C for q, C in classes.items() if C.any()}
+    piece, classes, pair_class = _exponent_layout(spec.spectral, [t for t, _ in items])
+    P = np.zeros((len(pair_class), n, n, n))
+    for e, ((i, j, k), v) in zip(piece, items):
+        P[e, i - 1, j - 1, k - 1] = v
+        P[e, j - 1, i - 1, k - 1] = -v
+    C = np.zeros((len(classes), n, n))
+    np.add.at(C, pair_class.ravel(), _ricci_form(P[:, None], P[None, :]).reshape(-1, n, n))
+    return {q: Cq for q, Cq in zip(classes, C) if Cq.any()}
 
 
 def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
     """Grouped exponential representation of the deformed Ricci operator."""
-    _require_constant(spec)
     return GroupedRicci(spec.dim, _grouped_terms(spec), spec.param)
 
 
@@ -157,7 +183,6 @@ def ricci_deformation_at(spec: ExtensionSpec, u: float) -> np.ndarray:
     constants, so this is the Ricci operator of ``_rescaled(spec, u)``,
     independent of the exponent bookkeeping it cross-checks.
     """
-    _require_constant(spec)
     Tu = _rescaled(spec, u)
     return _ricci_form(Tu, Tu)
 
@@ -173,7 +198,6 @@ def connection_coeffs(spec: ExtensionSpec, u: float) -> np.ndarray:
 
     The Koszul combination of the rescaled constants mu_u.
     """
-    _require_constant(spec)
     Tu = _rescaled(spec, u)
     return 0.5 * (Tu - np.einsum("jki->ijk", Tu) - np.einsum("kij->ijk", Tu))
 
@@ -202,33 +226,24 @@ class CurvatureReport:
         n = self.dim
         out = np.zeros((n + 1, n + 1))
         out[0, 0] = self.ric_00
-        row = np.zeros(n)
-        for q, vec in self.ric_0i_classes.items():
-            row += math.exp(-2.0 * u * q.evaluate(self.param)) * vec
-        out[0, 1:] = row
-        out[1:, 0] = row
-        block = np.zeros((n, n))
-        for q, C in self.ric_block_classes.items():
-            block += math.exp(-2.0 * u * q.evaluate(self.param)) * C
-        out[1:, 1:] = block
+        out[0, 1:] = out[1:, 0] = _exp_sum(self.ric_0i_classes, u, self.param, (n,))
+        out[1:, 1:] = _exp_sum(self.ric_block_classes, u, self.param, (n, n))
         return out
 
     def to_json(self) -> dict:
-        key = lambda q: q.json_key()
         return {
             "ric_u": self.ric_u.to_json(),
-            "scal": {key(q): v for q, v in sorted(self.scal_terms.items(), key=lambda t: t[0].sort_key())},
+            "scal": _by_exponent(self.scal_terms),
             "extension": {
                 "ric_00": self.ric_00,
-                "ric_0i": {key(q): vec.tolist() for q, vec in self.ric_0i_classes.items()},
-                "ric_ij": {key(q): C.tolist() for q, C in self.ric_block_classes.items()},
+                "ric_0i": _by_exponent(self.ric_0i_classes),
+                "ric_ij": _by_exponent(self.ric_block_classes),
             },
         }
 
 
 def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     """Ricci tensor of the extended metric in grouped form."""
-    _require_constant(spec)
     n = spec.dim
     grouped = ricci_deformation(spec)
     scal = {q: t for q, t in grouped.trace_by_class().items() if t != 0.0}

@@ -11,10 +11,6 @@ integers past it.  No floating point enters here.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Sequence
-
 import numpy as np
 
 # An int64 array here holds entries below _ENTRY_CAP, so sums along its
@@ -37,16 +33,6 @@ def _exact(a: np.ndarray) -> np.ndarray:
     if _top(a) < _ENTRY_CAP:
         return a if a.dtype == np.int64 else a.astype(np.int64)
     return a if a.dtype == object else a.astype(object)
-
-
-def _int_rows(vectors: Sequence[Sequence], dim: int) -> np.ndarray:
-    """Each vector scaled by the lcm of its denominators, as integer rows."""
-    rows = []
-    for vec in vectors:
-        fracs = [Fraction(x) for x in vec]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        rows.append([int(f * scale) for f in fracs])
-    return _exact(np.array(rows, dtype=object).reshape(len(rows), dim))
 
 
 def images(vectors: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -111,22 +97,3 @@ def projector_from_key(key: tuple, dim: int) -> tuple[np.ndarray, int]:
     if isinstance(data, bytes):
         return np.frombuffer(data, dtype=np.int64).reshape(dim, dim), d
     return np.array(data, dtype=object).reshape(dim, dim), d
-
-
-def complement_projector(
-    vectors: Sequence[Sequence], dim: int
-) -> tuple[np.ndarray, int, list[bool]]:
-    """The projector Q / d onto the complement of the span of ``vectors``.
-
-    Vectors are added in order; the flags say which of them were independent
-    of the ones before.  Entries may be integers or rationals.
-    """
-    Q, d = np.eye(dim, dtype=np.int64), 1
-    independent = []
-    for row in _int_rows(vectors, dim):
-        u = images(row[None, :], Q)
-        independent.append(bool(u.any()))
-        if independent[-1]:
-            numer, denom = extend(Q, d, u)
-            Q, d = _exact(numer[0]), int(denom[0])
-    return Q, d, independent

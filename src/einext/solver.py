@@ -5,10 +5,12 @@ deviations (every nonzero-exponent class entrywise, and the constant class
 against its Einstein target), the divergence components, and the weighted
 Jacobi components.  Every row is a polynomial of degree at most two in the
 pattern variables; the solver assembles it exactly from the polarised Ricci
-and Jacobi forms on pairs of unit tensors and keeps it as a sparse list of
-monomials.  A multistart damped least-squares loop on that model minimizes
-half the squared norm; the reported objective is recomputed from the tensor,
-and identical problem and seed reproduce the trajectory bit for bit.
+and Jacobi forms on pairs of unit tensors, on the exponent classes of
+``curvature._exponent_layout`` and against ``ExtensionSpec.einstein_target``,
+and keeps it as a sparse list of monomials.  A multistart damped
+least-squares loop on that model minimizes half the squared norm; the
+reported objective is recomputed from the tensor, and identical problem and
+seed reproduce the trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .algebra import (
     jacobi_components,
     make_spec,
 )
-from .curvature import HALF, _grouped_terms, _ricci_form
+from .curvature import _exponent_layout, _grouped_terms, _ricci_form
 from .scalars import AffineRational
 from .spectral import SpectralVector
 from .verifier import sparsity_pattern
@@ -127,8 +129,7 @@ def _stack_residual(
 ) -> np.ndarray:
     n = spec.dim
     classes = _grouped_terms(spec)
-    pv = spec.eigenvalues()
-    target = spec.trace() * np.diag(pv) - spec.trace_sq() * np.eye(n)
+    target = spec.einstein_target()
     iu = np.triu_indices(n)
     rows = []
     for q in keys:
@@ -155,7 +156,7 @@ def residual_vector(
     values = (
         spectral.entries if isinstance(spectral, SpectralVector) else spectral
     )
-    spec = make_spec(mu, [Fraction(x) for x in values])
+    spec = make_spec(mu, values)
     classes = _grouped_terms(spec)
     keys = sorted(
         set(classes) | {AffineRational.zero()}, key=lambda q: q.sort_key()
@@ -183,33 +184,21 @@ class _QuadraticModel:
 
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
-        p, pv = base.spectral, base.eigenvalues()
-        # Unit tensors, and the piece (distinct exact exponent) of each variable.
         E = np.zeros((v, n, n, n))
-        piece_of: dict[AffineRational, int] = {}
-        piece = np.zeros(v, dtype=np.intp)
         for a, (i, j, k) in enumerate(pattern):
             E[a, i - 1, j - 1, k - 1], E[a, j - 1, i - 1, k - 1] = 1.0, -1.0
-            piece[a] = piece_of.setdefault(p[k - 1] - p[i - 1] - p[j - 1], len(piece_of))
-        # Row blocks: every class a pair of pieces reaches, in order, then the
-        # divergence and the Jacobi rows.  pair_class[e, f] is -(e + f)/2.
-        zero = AffineRational.zero()
-        names = sorted(
-            {(e + f) * -HALF for e in piece_of for f in piece_of} | {zero}, key=AffineRational.sort_key
-        )
-        index = {q: c for c, q in enumerate(names)}
-        pair_class = np.array(
-            [[index[(e + f) * -HALF] for f in piece_of] for e in piece_of], dtype=np.intp
-        ).reshape(len(piece_of), len(piece_of))
+        # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
+        piece, names, pair_class = _exponent_layout(base.spectral, pattern)
+        zero = names.index(AffineRational.zero())
         DIV, JAC = len(names), len(names) + 1
         iu = np.triu_indices(n)
-        target = (base.trace() * np.diag(pv) - base.trace_sq() * np.eye(n))[iu]
+        target = base.einstein_target()[iu]
         t = np.flatnonzero(target)
-        D = _divergence_form(E, pv)
+        D = _divergence_form(E, base.eigenvalues())
         a, i = np.nonzero(D)
         # Entries (block, row in block, a, b, coeff); v is the constant slot.
         chunks = [
-            np.broadcast_arrays(index[zero], t, v, v, -target[t]),
+            np.broadcast_arrays(zero, t, v, v, -target[t]),
             np.broadcast_arrays(DIV, i, a, v, D[a, i]),
         ]
         for a in range(v):
@@ -225,7 +214,7 @@ class _QuadraticModel:
         block, t, self.a, self.b, self.coeff = (np.concatenate(f) for f in zip(*chunks))
         # The layout: the constant class and every class with a coefficient.
         size = np.zeros(len(names) + 2, dtype=np.intp)
-        size[block] = size[index[zero]] = iu[0].size
+        size[block] = size[zero] = iu[0].size
         size[DIV], size[JAC] = n, math.comb(n, 3) * n
         self.keys = [names[c] for c in np.flatnonzero(size[:DIV])]
         self.row = (np.cumsum(size) - size)[block] + t

@@ -3,12 +3,16 @@
 ``verify_extension`` decides whether an extension spec produces an Einstein
 metric: the divergence condition must hold, every nonzero-exponent class of
 the grouped Ricci representation must vanish, and the constant class must
-equal (tr D) diag(p) - tr(D^2) id.  A direct evaluation on a small grid of
-deformation times cross-checks the grouped bookkeeping.
+equal (tr D) diag(p) - tr(D^2) id (``ExtensionSpec.einstein_target``).  A
+direct evaluation on a small grid of deformation times cross-checks the
+grouped bookkeeping.
 
 The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
-(1,...,1,2).
+(1,...,1,2).  Each reads slices of the dense constants, relabelled so the
+distinguished direction comes last, and reports through one builder.
+``relation_exists`` and ``sparsity_pattern`` filter one table of
+p_i + p_j - p_k.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import ExtensionSpec, StructureTensor, divergence_residual
-from .curvature import ricci_at_identity, ricci_deformation, ricci_deformation_at
+from .algebra import ExtensionSpec, divergence_residual
+from .curvature import _ricci_form, ricci_deformation, ricci_deformation_at
 from .scalars import AffineRational
 from .spectral import SpectralVector
 
@@ -78,11 +82,8 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     nonzero-exponent Ricci class, "target" for the constant class against
     (tr D) diag(p) - tr(D^2) id, and "u_grid" for the direct cross-check.
     """
-    grouped = ricci_deformation(spec)  # also refuses non-constant data
-    pv = spec.eigenvalues()
-    trace_d = spec.trace()
-    trace_d2 = spec.trace_sq()
-    target = trace_d * np.diag(pv) - trace_d2 * np.eye(spec.dim)
+    grouped = ricci_deformation(spec)
+    target = spec.einstein_target()
 
     residuals: dict[str, float] = {}
     residuals["divergence"] = _maxabs(divergence_residual(spec))
@@ -99,7 +100,7 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     einstein = not violated
     return VerificationReport(
         einstein=einstein,
-        einstein_constant=(-trace_d2 + 0.0) if einstein else None,  # avoid -0.0
+        einstein_constant=(-spec.trace_sq() + 0.0) if einstein else None,  # avoid -0.0
         residuals=residuals,
         violated_conditions=violated,
         tolerance=tol,
@@ -134,16 +135,20 @@ def _forms(p: SpectralInput) -> tuple[AffineRational, ...]:
     return tuple(AffineRational.of(x) for x in p)
 
 
+def _root_values(forms: Sequence[AffineRational]) -> dict[tuple[int, int, int], AffineRational]:
+    """p_i + p_j - p_k for every (i, j, k) with i < j, in lexicographic order."""
+    n = len(forms)
+    return {
+        (i, j, k): forms[i - 1] + forms[j - 1] - forms[k - 1]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(1, n + 1)
+    }
+
+
 def relation_exists(p: SpectralInput) -> Optional[tuple[int, int, int]]:
     """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
-    forms = _forms(p)
-    n = len(forms)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                if forms[k - 1] == forms[i - 1] + forms[j - 1]:
-                    return (i, j, k)
-    return None
+    return next((t for t, r in _root_values(_forms(p)).items() if r.is_zero), None)
 
 
 def sparsity_pattern(p: SpectralInput) -> set[tuple[int, int, int]]:
@@ -153,15 +158,8 @@ def sparsity_pattern(p: SpectralInput) -> set[tuple[int, int, int]]:
     all other structure constants must vanish for an Einstein extension.
     """
     forms = _forms(p)
-    n = len(forms)
     allowed = {AffineRational.zero(), *forms}
-    out = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                if forms[i - 1] + forms[j - 1] - forms[k - 1] in allowed:
-                    out.add((i, j, k))
-    return out
+    return {t for t, r in _root_values(forms).items() if r in allowed}
 
 
 @dataclass
@@ -194,94 +192,67 @@ class ClassifierReport:
         return out
 
 
-def _permute_distinguished(
-    spec: ExtensionSpec, lam: Fraction, nu: Fraction, type_name: str
-) -> StructureTensor:
-    """Relabel the frame so the multiplicity-free eigenvalue sits last.
+def _relabelled(spec: ExtensionSpec, lam: Fraction, nu: Fraction, type_name: str) -> np.ndarray:
+    """Dense constants, relabelled so the multiplicity-free eigenvalue sits last.
 
     Refuses anything that is not exactly (lam, ..., lam, nu) up to order;
     near-miss types are never coerced.
     """
     values = spec.exact_eigenvalues()
-    n = len(values)
     special = [i for i, v in enumerate(values) if v == nu]
     rest = [i for i, v in enumerate(values) if v == lam]
-    if len(special) != 1 or len(rest) != n - 1:
+    if len(special) != 1 or len(rest) != len(values) - 1:
         raise TypeMismatchError(
             f"classifier {type_name} needs eigenvalues ({lam},...,{lam},{nu}) "
             f"up to order; got {tuple(str(v) for v in values)}"
         )
     order = rest + special
-    perm = {old + 1: new + 1 for new, old in enumerate(order)}
-    return spec.algebra.permuted(perm)
+    return spec.algebra.dense()[np.ix_(order, order, order)]
 
 
-def _s_vector(mu: StructureTensor) -> np.ndarray:
-    """S[i] = sum_k mu[k,i|k] (negative trace of ad_{e_i})."""
-    return np.einsum("kik->i", mu.dense())
+def _report(
+    type_name: str, checks: dict[str, float], tol: float, detail: Optional[str] = None, **fields
+) -> ClassifierReport:
+    """A classifier's report; ``detail`` names a details flag that repeats the verdict."""
+    violated = _violated(checks, tol)
+    details = {detail: not violated} if detail else {}
+    return ClassifierReport(type_name, not violated, checks, violated, details=details, **fields)
 
 
 def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (0,...,0,1): the distinguished direction splits off a line and
     the complementary block is Einstein with constant -1."""
-    mu = _permute_distinguished(spec, Fraction(0), Fraction(1), "0001")
-    n = mu.dim
-    touching = [
-        abs(v) for (i, j, k), v in mu.items() if n in (i, j, k)
-    ]
-    block = mu.restrict(range(1, n))
-    block_ric = ricci_at_identity(block)
+    T = _relabelled(spec, Fraction(0), Fraction(1), "0001")
+    block = T[:-1, :-1, :-1]
     checks = {
-        "distinguished_decoupled": max(touching, default=0.0),
-        "block_einstein_minus_one": _maxabs(block_ric + np.eye(n - 1)),
+        # T[:, -1, :] = -T[-1, :, :], so these hold every entry touching e_n.
+        "distinguished_decoupled": max(_maxabs(T[-1]), _maxabs(T[..., -1])),
+        "block_einstein_minus_one": _maxabs(_ricci_form(block, block) + np.eye(len(block))),
     }
-    violated = _violated(checks, tol)
-    return ClassifierReport(
-        type_name="0001",
-        passed=not violated,
-        checks=checks,
-        violated=violated,
-        details={"product_decomposition": not violated},
-    )
+    return _report("0001", checks, tol, "product_decomposition")
 
 
 def classify_type_1110(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (1,...,1,0): transverse symmetric action with zero trace and
     squared norm n-1 over a Ricci-flat block."""
-    mu = _permute_distinguished(spec, Fraction(1), Fraction(0), "1110")
-    n = mu.dim
-    s_n = float(_s_vector(mu)[n - 1])
-    mu_in_n = max((abs(mu.get(i, n, n)) for i in range(1, n)), default=0.0)
-    mu_ij_n = max(
-        (abs(v) for (i, j, k), v in mu.items() if k == n and i < n and j < n),
-        default=0.0,
-    )
-    action = np.array(
-        [[mu.get(n, i, j) for j in range(1, n)] for i in range(1, n)]
-    )
-    skew = 0.5 * (action - action.T)
-    skew_defect = _maxabs(skew)
-    gauge_obstruction = skew_defect > tol
-    sym = 0.5 * (action + action.T)
-    q_values = np.linalg.eigh(sym)[0]
-    block = mu.restrict(range(1, n))
+    T = _relabelled(spec, Fraction(1), Fraction(0), "1110")
+    # action[i, j] = mu[n, i | j], read as -mu[i, n | j]: eigh's last bits
+    # depend on the signs of its zeros.
+    action = -T[:-1, -1, :-1]
+    skew_defect = _maxabs(0.5 * (action - action.T))
+    q_values = np.linalg.eigh(0.5 * (action + action.T))[0]
+    block = T[:-1, :-1, :-1]
     checks = {
-        "transverse_trace": abs(s_n),
-        "distinguished_geodesic": mu_in_n,
-        "block_closed": mu_ij_n,
+        "transverse_trace": abs(float(np.einsum("kik->i", T)[-1])),
+        "distinguished_geodesic": _maxabs(T[:-1, -1, -1]),
+        "block_closed": _maxabs(T[:-1, :-1, -1]),
         "symmetric_action": skew_defect,
         "trace_zero": abs(float(q_values.sum())),
-        "trace_square": abs(float((q_values**2).sum()) - (n - 1)),
-        "block_ricci_flat": _maxabs(ricci_at_identity(block)),
+        "trace_square": abs(float((q_values**2).sum()) - len(block)),
+        "block_ricci_flat": _maxabs(_ricci_form(block, block)),
     }
-    violated = _violated(checks, tol)
-    return ClassifierReport(
-        type_name="1110",
-        passed=not violated,
-        checks=checks,
-        violated=violated,
-        gauge_obstruction=gauge_obstruction,
-        spectrum=[float(q) for q in q_values],
+    return _report(
+        "1110", checks, tol, gauge_obstruction=skew_defect > tol, spectrum=[float(q) for q in q_values]
     )
 
 
@@ -292,35 +263,18 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     vector must couple to it with squared norm 4, and the undeformed Ricci
     operator must equal diag(-2, ..., -2, n-1).
     """
-    mu = _permute_distinguished(spec, Fraction(1), Fraction(2), "1112")
-    n = mu.dim
-    s_n = float(_s_vector(mu)[n - 1])
-    mu_in_n = max((abs(mu.get(i, n, n)) for i in range(1, n)), default=0.0)
-    action = np.array(
-        [[mu.get(n, i, j) for j in range(1, n)] for i in range(1, n)]
-    )
+    T = _relabelled(spec, Fraction(1), Fraction(2), "1112")
+    n = len(T)
+    action = -T[:-1, -1, :-1]  # action[i, j] = mu[n, i | j]
     skew_defect = _maxabs(action - action.T) / 2.0
-    gauge_obstruction = skew_defect > tol
-    coupling = max(
-        abs(sum(mu.get(i, k, n) ** 2 for k in range(1, n)) - 4.0)
-        for i in range(1, n)
-    )
-    ric0 = ricci_at_identity(mu)
+    # Python floats, so a square past float64 raises OverflowError.
+    coupling = max((abs(sum(x**2 for x in row) - 4.0) for row in T[:-1, :-1, -1].tolist()), default=0.0)
     expected = np.diag([-2.0] * (n - 1) + [float(n - 1)])
     checks = {
-        "transverse_trace": abs(s_n),
-        "distinguished_geodesic": mu_in_n,
+        "transverse_trace": abs(float(np.einsum("kik->i", T)[-1])),
+        "distinguished_geodesic": _maxabs(T[:-1, -1, -1]),
         "distinguished_action": _maxabs(action),
         "contact_coupling": coupling,
-        "ricci_at_identity": _maxabs(ric0 - expected),
+        "ricci_at_identity": _maxabs(_ricci_form(T, T) - expected),
     }
-    violated = _violated(checks, tol)
-    passed = not violated
-    return ClassifierReport(
-        type_name="1112",
-        passed=passed,
-        checks=checks,
-        violated=violated,
-        gauge_obstruction=gauge_obstruction,
-        details={"k_contact_eta_einstein": passed},
-    )
+    return _report("1112", checks, tol, "k_contact_eta_einstein", gauge_obstruction=skew_defect > tol)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einext.algebra import (
     CommutationError,
@@ -298,6 +300,72 @@ def test_qn_split_reports_pattern_violation():
     assert split.violations
     a, k, l, value, why = split.violations[0]
     assert (a, k, l) == (3, 2, 1) and value == 1.0
+
+
+@st.composite
+def decomposed_tensors(draw):
+    """Random brackets that an abelian h and an ideal m admit: [h, m] and
+    [m, m] inside m, with values that include one below the tolerance.
+    Half the cases have an abelian m and skew same-eigenvalue blocks in
+    every action, so that the twist can apply."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    h = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
+    m = [i for i in range(1, n + 1) if i not in h]
+    twistable = draw(st.booleans())
+    allowed = [(a, l, k) for a in h for l in m for k in m]
+    if not twistable:
+        allowed += [(i, j, k) for i in m for j in m if i < j for k in m]
+    value = st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0, 1e-12])
+    entries = {t: draw(value) for t in sorted(draw(st.sets(st.sampled_from(allowed), max_size=8)))}
+    for a, l, k in allowed if twistable else ():
+        if l <= k and p[k - 1] == p[l - 1]:
+            entries[(a, l, k)] = -entries.get((a, k, l), 0.0) if l < k else 0.0
+    mu = StructureTensor(n, entries)
+    return mu, make_spec(mu, p), OrthogonalDecomposition(tuple(h), tuple(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposed_tensors())
+def test_qn_split_and_twist_invariants(case):
+    mu, spec, decomp = case
+    p = spec.exact_eigenvalues()
+    m = decomp.m_indices
+    split = qn_split(mu, spec, decomp)
+    for a in decomp.h_indices:
+        action = np.array([[mu.get(a, l, k) for l in m] for k in m])
+        crosses = np.array([[p[k - 1] != p[l - 1] for l in m] for k in m])
+        violations = np.zeros_like(action)
+        for b, k, l, v, _ in split.violations:
+            if b == a:
+                assert abs(v) > 1e-10 and crosses[m.index(k), m.index(l)]
+                violations[m.index(k), m.index(l)] = v
+        if p[a - 1] == 0:
+            # T is the whole action; what crosses eigenspaces is also reported.
+            assert a not in split.q_ops and np.array_equal(split.t_ops[a], action)
+            assert np.array_equal(violations, np.where(crosses & (np.abs(action) > 1e-10), action, 0.0))
+            continue
+        shifts = np.array([[p[k - 1] == p[l - 1] + p[a - 1] for l in m] for k in m])
+        Q, N = split.q_ops[a], split.n_ops[a]
+        assert not Q[crosses].any() and not N[~shifts].any()
+        # Entries outside both patterns but within the tolerance are dropped.
+        assert np.abs(Q + N + violations - action).max(initial=0.0) <= 1e-10
+
+    try:
+        out = standard_modification(mu, spec, decomp)
+    except StructureError:
+        return
+    h = set(decomp.h_indices)
+
+    def is_q_entry(i, j, k):
+        a, l = (i, j) if i in h else (j, i)
+        return a in h and l not in h and p[a - 1] != 0 and p[k - 1] == p[l - 1]
+
+    expected = {key: v for key, v in mu.items() if not is_q_entry(*key)}
+    got = dict(out.items())
+    for key in set(got) | set(expected):
+        if got.get(key) != expected.get(key):
+            assert key not in got and abs(expected[key]) <= 1e-10
 
 
 def test_standard_modification_removes_rotation():

@@ -125,6 +125,21 @@ def test_unused_param_is_input_error(capsys):
     assert strict_json(out)["einstein"] is True
 
 
+def test_param_takes_rational_strings(capsys):
+    row4 = {
+        "dim": 3,
+        "mu": [{"i": 3, "j": 1, "k": 1, "v": 0.5}, {"i": 3, "j": 2, "k": 2, "v": -1.0}],
+        "spectral": [1, "t", 0],
+    }
+    outputs = []
+    for param in (0.5, "1/2", "0.5"):
+        code, out, err = run_cli(capsys, "verify", "--input", json.dumps({**row4, "param": param}))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert strict_json(outputs[0])["einstein_constant"] == pytest.approx(-1.25)
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
@@ -146,6 +161,13 @@ def test_unused_param_is_input_error(capsys):
             {"dim": 3, "mu": [], "spectral": [1, 1, 2], "decomposition": {"h": [3], "m": [1, False]}},
             "'m'",
         ),
+        # only homogeneous data is supported; bool("no") would pass as true
+        ({"dim": 3, "mu": [], "spectral": [1, 1, 2], "constant_structure": False}, "'constant_structure'"),
+        ({"dim": 3, "mu": [], "spectral": [1, 1, 2], "constant_structure": "no"}, "'constant_structure'"),
+        ({"dim": 3, "mu": [], "spectral": [1, 1, 2], "constant_structure": 0}, "'constant_structure'"),
+        # float(true) would read these as 1
+        ({"dim": 3, "mu": [], "spectral": [1, "t", 0], "param": True}, "'param'"),
+        ({"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": True}], "spectral": [1, 1, 2]}, "bad mu entry"),
     ],
 )
 def test_malformed_shape_is_input_error(capsys, data, field):
@@ -161,6 +183,15 @@ def test_overflowing_curvature_is_input_error(capsys):
         assert code == 2
         assert out == ""
         assert "overflows float64" in err and "not finite" in err
+
+
+def test_overflowing_time_names_u(capsys):
+    code, out, err = run_cli(
+        capsys, "curvature", "--input", HEISENBERG_JSON % ("1.0", "1"), "--u", "-1000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--u" in err and "structure constants" not in err
 
 
 def test_unknown_flag_rejected(capsys):

@@ -6,7 +6,6 @@ import pytest
 from einext.algebra import ExtensionSpec, StructureTensor, make_spec
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
-    NonConstantStructureError,
     connection_coeffs,
     extension_ricci,
     ricci_at_identity,
@@ -163,18 +162,6 @@ def test_grouped_parametric_evaluation():
     for u in STATED_GRID:
         assert np.abs(grouped.evaluate(u) - target).max() <= 1e-12
         assert np.abs(ricci_deformation_at(spec, u) - target).max() <= 1e-12
-
-
-def test_non_constant_structure_refused():
-    spec = make_spec(heisenberg3(), [1, 1, 2], constant_structure=False)
-    with pytest.raises(NonConstantStructureError):
-        ricci_deformation(spec)
-    with pytest.raises(NonConstantStructureError):
-        ricci_deformation_at(spec, 0.0)
-    with pytest.raises(NonConstantStructureError):
-        connection_coeffs(spec, 0.0)
-    with pytest.raises(NonConstantStructureError):
-        extension_ricci(spec)
 
 
 # ---------------------------------------------------------------------------

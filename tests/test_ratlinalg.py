@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 from oracles import gram_schmidt
+from util import complement_projector
 
 from einext.ratlinalg import (
-    complement_projector,
     extend,
     images,
     projector_from_key,

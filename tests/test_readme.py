@@ -1,13 +1,49 @@
-"""The README's library sketch runs as documented."""
+"""The README's library sketch and command lines run as documented."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from einext.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_block(heading, language):
+    section = README.read_text(encoding="utf-8").split(f"## {heading}", 1)[1]
+    block = re.search(rf"```{language}\n(.*?)```", section, re.S)
+    assert block is not None, f"no {language} block under {heading!r}"
+    return block.group(1)
+
+
 def test_library_sketch_runs():
-    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S)
-    assert block is not None, "no python block under 'Library sketch'"
-    exec(compile(block.group(1), "README.md (Library sketch)", "exec"), {})
+    exec(compile(readme_block("Library sketch", "python"), "README.md (Library sketch)", "exec"), {})
+
+
+COMMANDS = [
+    shlex.split(line, comments=True)
+    for line in readme_block("Command line", "sh").splitlines()
+    if line.startswith("einext ") and "--input algebra.json" not in line
+]
+
+
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_readme_command_runs(capsys, monkeypatch, argv):
+    monkeypatch.delenv("EINEXT_TOL", raising=False)
+    code = main(argv[1:])
+    payload = strict_json(capsys.readouterr().out)
+    assert code in (0, 3)
+    if argv[1:] == ["enumerate", "--dim", "3"]:
+        assert payload == [[1, 1, 1], [1, 1, 2]]
+    if argv[1:] == ["verify", "--catalog", "table1:3"]:
+        assert payload["einstein_constant"] == -6.0

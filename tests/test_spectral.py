@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from einext.ratlinalg import complement_projector
 from einext.spectral import (
     ConeCertificate,
     DimensionCapError,
@@ -18,6 +17,7 @@ from einext.spectral import (
 )
 
 from oracles import admissibility_defects
+from util import complement_projector
 
 KNOWN_DIM4_TYPES = {
     (1, 1, 1, 1),
