@@ -44,7 +44,7 @@ from .curvature import (
     ricci_deformation,
     ricci_deformation_at,
 )
-from .scalars import AffineRational, parse_rational
+from .scalars import parse_rational
 from .solver import SearchProblem, SearchResult, full_pattern, residual_vector, search
 from .spectral import (
     ConeCertificate,

@@ -2,8 +2,10 @@
 
 The basic object is the sparse tensor of constants mu[i,j|k] = <[e_i, e_j], e_k>
 in an orthonormal frame (antisymmetric in i, j; indices 1-based).  An
-:class:`ExtensionSpec` pairs such a tensor with the eigenvalues of the
-diagonal deforming endomorphism, optionally depending on one free parameter.
+:class:`ExtensionSpec` pairs such a tensor with the exact rational
+eigenvalues of the diagonal deforming endomorphism.  :func:`make_spec` reads
+them, substituting the value of the one free parameter t into any affine
+form "a+b*t" on the way in, so every later layer compares plain Fractions.
 
 The Lie-theoretic primitives here (Jacobi residual, Killing form, mean
 curvature, divergence condition, derivation test, and the Q/N splitting with
@@ -16,11 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .scalars import AffineRational, parse_rational
+from .scalars import RationalLike, format_rational, parse_affine, parse_rational
 
 DEFAULT_JACOBI_TOL = 1e-10
 
@@ -142,45 +144,34 @@ class StructureTensor:
         return f"StructureTensor(dim={self.dim}, {body or 'zero'})"
 
 
-SpectralLike = Union[AffineRational, int, float, str, Fraction]
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionSpec:
     """Frame data together with the eigenvalues of the deforming endomorphism.
 
-    The endomorphism is diagonal in the frame, D e_i = p_i e_i, with constant
-    eigenvalues stored as exact affine forms in at most one free parameter.
-    ``param`` supplies the numeric parameter value when any eigenvalue has a
-    nonzero slope.
+    The endomorphism is diagonal in the frame, D e_i = p_i e_i, with exact
+    rational eigenvalues; :func:`make_spec` reads them from other input.
     """
 
     algebra: StructureTensor
-    spectral: tuple[AffineRational, ...]
-    param: Optional[float] = None
+    spectral: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        forms = tuple(AffineRational.of(v) for v in self.spectral)
-        object.__setattr__(self, "spectral", forms)
-        if len(forms) != self.algebra.dim:
+        object.__setattr__(self, "spectral", tuple(self.spectral))
+        if len(self.spectral) != self.algebra.dim:
             raise StructureError(
-                f"{len(forms)} eigenvalues for dimension {self.algebra.dim}"
+                f"{len(self.spectral)} eigenvalues for dimension {self.algebra.dim}"
             )
-        if any(f.slope != 0 for f in forms) and self.param is None:
-            raise StructureError("parametric eigenvalues need a param value")
-        if self.param is not None and not math.isfinite(float(self.param)):
-            raise StructureError(f"param {self.param} is not finite")
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
-    def eigenvalue(self, i: int) -> AffineRational:
+    def eigenvalue(self, i: int) -> Fraction:
         return self.spectral[i - 1]
 
     def eigenvalues(self) -> np.ndarray:
-        """The float image of :meth:`exact_eigenvalues`."""
-        return np.array([float(x) for x in self.exact_eigenvalues()])
+        """The float image of the exact eigenvalues."""
+        return np.array([float(x) for x in self.spectral])
 
     def trace(self) -> float:
         return float(self.eigenvalues().sum())
@@ -188,11 +179,6 @@ class ExtensionSpec:
     def trace_sq(self) -> float:
         p = self.eigenvalues()
         return float((p * p).sum())
-
-    def exact_eigenvalues(self) -> tuple[Fraction, ...]:
-        """Eigenvalues with the parameter substituted exactly (if any)."""
-        t = Fraction(self.param) if self.param is not None else None
-        return tuple([f.const if f.slope == 0 else f.substitute(t) for f in self.spectral])
 
     def einstein_target(self) -> np.ndarray:
         """(tr D) diag(p) - tr(D^2) id, the constant Ricci class of an Einstein extension."""
@@ -204,11 +190,28 @@ class ExtensionSpec:
 
 def make_spec(
     algebra: StructureTensor,
-    spectral: Iterable[SpectralLike],
-    param: Optional[float] = None,
+    spectral: Iterable[RationalLike],
+    param: Optional[RationalLike] = None,
 ) -> ExtensionSpec:
-    """Convenience constructor taking numbers and "num/den" strings."""
-    return ExtensionSpec(algebra, tuple(spectral), param)
+    """Read eigenvalues given as numbers, "num/den" strings or affine forms
+    "a+b*t"; each form is substituted exactly at ``param``, which must be
+    given exactly when some eigenvalue depends on t."""
+    try:
+        forms = [parse_affine(v) for v in spectral]
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"bad eigenvalue in 'spectral': {exc}") from exc
+    parametric = any(slope != 0 for _, slope in forms)
+    if param is None:
+        if parametric:
+            raise StructureError("parametric eigenvalues need a 'param' value")
+        return ExtensionSpec(algebra, tuple(const for const, _ in forms))
+    if not parametric:
+        raise StructureError("'param' given but no eigenvalue depends on t")
+    try:
+        t = parse_rational(param)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"'param' must be a finite number or \"num/den\", got {param!r}") from exc
+    return ExtensionSpec(algebra, tuple(const + slope * t for const, slope in forms))
 
 
 def _jacobi_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -245,7 +248,7 @@ class DerivationCheck(NamedTuple):
 
 def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> DerivationCheck:
     """Whether D is a derivation: (p_k - p_i - p_j) mu[i,j|k] = 0 for all triples."""
-    p = spec.eigenvalues()
+    p = spec.spectral
     worst = 0.0
     for (i, j, k), v in spec.algebra.items():
         worst = max(worst, abs(float(p[k - 1] - p[i - 1] - p[j - 1]) * v))
@@ -338,18 +341,18 @@ def qn_split(
     decomp.validate(mu, tol)
     m_idx = decomp.m_indices
     m = np.array(m_idx, dtype=np.intp) - 1
-    forms = np.array(spec.spectral, dtype=object)
-    gap = np.subtract.outer(forms[m], forms[m])  # gap[k', l'] = p_k - p_l, exactly
-    same = gap == AffineRational.zero()
+    p = np.array(spec.spectral, dtype=object)
+    gap = np.subtract.outer(p[m], p[m])  # gap[k', l'] = p_k - p_l, exactly
+    same = gap == 0
     T = mu.dense()
     result = QNSplit(m_idx, {}, {}, {})
     for a in decomp.h_indices:
         action = T[a - 1][np.ix_(m, m)].T  # action[k', l'] = mu[a, l | k]
-        if forms[a - 1].is_zero:
+        if p[a - 1] == 0:
             result.t_ops[a] = action
             bad, why = ~same, "zero-eigenvalue action must preserve eigenspaces"
         else:
-            shift = ~same & (gap == forms[a - 1])
+            shift = ~same & (gap == p[a - 1])
             result.q_ops[a] = np.where(same, action, 0.0)
             result.n_ops[a] = np.where(shift, action, 0.0)
             bad, why = ~same & ~shift, "entry outside both eigenvalue patterns"
@@ -378,10 +381,10 @@ def standard_modification(
     res = jacobi_residual(mu)
     if res > tol:
         raise StructureError(f"input is not a Lie algebra (Jacobi residual {res:.3e})")
-    forms = {i: spec.eigenvalue(i) for i in range(1, mu.dim + 1)}
+    p = {i: spec.eigenvalue(i) for i in range(1, mu.dim + 1)}
     h, m = set(decomp.h_indices), set(decomp.m_indices)
     for (i, j, k), v in mu.items():
-        if {i, j, k} <= m and abs(v) > tol and forms[k] != forms[i] + forms[j]:
+        if {i, j, k} <= m and abs(v) > tol and p[k] != p[i] + p[j]:
             raise PatternViolationError(
                 f"ideal bracket mu[{i},{j}|{k}] = {v:g} is not an eigenvector "
                 "of the deformation; the twisting does not apply"
@@ -414,7 +417,7 @@ def standard_modification(
     entries = {}
     for (i, j, k), v in mu.items():
         a, l = (i, j) if i in h else (j, i)
-        kept = a not in h or (k not in h and (forms[a].is_zero or forms[k] == forms[l] + forms[a]))
+        kept = a not in h or (k not in h and (p[a] == 0 or p[k] == p[l] + p[a]))
         if l not in h and kept:
             entries[(i, j, k)] = v
     out = StructureTensor(mu.dim, entries)
@@ -436,14 +439,6 @@ def standard_modification(
 # ---------------------------------------------------------------------------
 
 
-def _value_to_float(value) -> float:
-    if isinstance(value, str):
-        return float(parse_rational(value))
-    if isinstance(value, bool):  # float(true) would be 1.0
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _require_int(value, field: str) -> int:
     # int() would truncate 3.7 to 3, and a JSON true is a Python int.
     if not isinstance(value, int) or isinstance(value, bool):
@@ -458,9 +453,10 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
     optional "spectral": [...], optional "decomposition": {"h": [...], "m": [...]},
     optional "param": value, optional "constant_structure": true}.  Indices
     and "dim" are integers; values, "param" included, may be numbers or
-    "num/den".  A "param" value is accepted only when some eigenvalue
-    depends on t.  Only homogeneous data is supported, so
-    "constant_structure" may only be true.
+    "num/den", and eigenvalues also affine forms "a+b*t", which
+    :func:`make_spec` substitutes at "param".  A "param" value is accepted
+    exactly when some eigenvalue depends on t.  Only homogeneous data is
+    supported, so "constant_structure" may only be true.
     Any other shape raises :class:`StructureError`.
     """
     try:
@@ -484,27 +480,19 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
     for item in data.get("mu", []):
         try:
             key = (item["i"], item["j"], item["k"])
-            value = _value_to_float(item["v"])
+            value = float(parse_rational(item["v"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise StructureError(f"bad mu entry {item!r}") from exc
+            raise StructureError(f"bad mu entry {item!r}: {exc}") from exc
         for name, idx in zip("ijk", key):
             _require_int(idx, f"mu index '{name}'")
         entries[key] = entries.get(key, 0.0) + value
     mu = StructureTensor(dim, entries)
-    spec = None
     if not isinstance(data.get("spectral", []), list):
         raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")
-    forms = [AffineRational.of(v) for v in data.get("spectral", ())]
     param = data.get("param")
-    if param is not None:
-        try:
-            param = _value_to_float(param)
-        except (TypeError, ValueError) as exc:
-            raise StructureError(f"'param' must be a number or \"num/den\", got {param!r}") from exc
-        if all(f.slope == 0 for f in forms):
-            raise StructureError("'param' given but no eigenvalue depends on t")
-    if "spectral" in data:
-        spec = ExtensionSpec(mu, tuple(forms), param)
+    spec = None
+    if "spectral" in data or param is not None:
+        spec = make_spec(mu, data.get("spectral", ()), param)
     decomp = None
     if "decomposition" in data:
         d = data["decomposition"]
@@ -527,14 +515,9 @@ def algebra_to_json(
         ],
     }
     if spec is not None:
-        if all(f.slope == 0 for f in spec.spectral):
-            out["spectral"] = [
-                int(f.const) if f.const.denominator == 1 else f.json_key()
-                for f in spec.spectral
-            ]
-        else:
-            out["spectral"] = [f.json_key() for f in spec.spectral]
-            out["param"] = spec.param
+        out["spectral"] = [
+            int(q) if q.denominator == 1 else format_rational(q) for q in spec.spectral
+        ]
     if decomp is not None:
         out["decomposition"] = {
             "h": list(decomp.h_indices),

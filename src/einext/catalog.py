@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import ExtensionSpec, StructureTensor, StructureError, make_spec
 from .curvature import ricci_at_identity
-from .scalars import AffineRational
 from .spectral import SpectralVector
 from .verifier import VerificationReport, verify_extension
 
@@ -59,11 +58,7 @@ def table1(row: int, param: Optional[float] = None) -> CatalogEntry:
             raise ValueError("row 4 requires the free parameter")
         p = float(param)
         mu = StructureTensor(3, {(3, 1, 1): p, (3, 2, 2): -1.0}, lie=True)
-        spec = ExtensionSpec(
-            mu,
-            (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-            param=p,
-        )
+        spec = make_spec(mu, [1, p, 0])
         return CatalogEntry(
             f"table1:4:{p:g}",
             spec,
@@ -135,10 +130,7 @@ def product(a: ExtensionSpec, b: ExtensionSpec) -> ExtensionSpec:
     entries = {key: v for key, v in a.algebra.items()}
     for (i, j, k), v in b.algebra.items():
         entries[(i + na, j + na, k + na)] = v
-    if a.param is not None and b.param is not None and a.param != b.param:
-        raise StructureError("blocks disagree on the free parameter value")
-    param = a.param if a.param is not None else b.param
-    return ExtensionSpec(StructureTensor(na + b.dim, entries), a.spectral + b.spectral, param)
+    return ExtensionSpec(StructureTensor(na + b.dim, entries), a.spectral + b.spectral)
 
 
 def counterexample_p6() -> SpectralVector:

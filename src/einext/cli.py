@@ -23,7 +23,6 @@ from .scalars import parse_rational
 from .solver import SearchProblem, full_pattern, search
 from .spectral import (
     DEFAULT_DIMENSION_CAP,
-    DimensionCapError,
     SpectralVector,
     cone_membership,
     enumerate_types,
@@ -328,9 +327,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,11 +6,12 @@ curvature quantity here is one formula, the polarised Ricci form
 ``_ricci_form``, applied to rescaled constants.  Splitting mu by the exact
 exponent e = p_k - p_i - p_j turns the deformed Ricci operator into a finite
 sum of matrix coefficients times exponentials exp(-2 u q), one class per
-exact half-integer combination q of the eigenvalues (affine forms in the
-optional free parameter), so the Einstein criterion "every nonzero-exponent
-class vanishes and the constant class hits its target" is a finite set of
-exact equations on floating-point coefficients.  The scalar curvature is the
-trace of the Ricci operator, so its classes are the traces of these.
+exact value of the half-integer combination q of the rational eigenvalues
+(exponentials with distinct q are independent), so the Einstein criterion
+"every nonzero-exponent class vanishes and the constant class hits its
+target" is a finite set of exact equations on floating-point coefficients.
+The scalar curvature is the trace of the Ricci operator, so its classes are
+the traces of these.
 
 Each of these steps has one home here: ``_exponent_layout`` forms the
 pieces and classes on integers (the solver's model uses it too),
@@ -28,14 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import ExtensionSpec, StructureTensor, divergence_residual
-from .scalars import AffineRational
+from .scalars import format_rational
 
 HALF = Fraction(1, 2)
+ZERO = Fraction(0)
 
 
 @dataclass
@@ -43,25 +45,24 @@ class GroupedRicci:
     """Deformed Ricci operator as sum_q exp(-2 u q) C_q in the moving frame."""
 
     dim: int
-    classes: dict[AffineRational, np.ndarray]
-    param: Optional[float] = None
+    classes: dict[Fraction, np.ndarray]
 
-    def exponents(self) -> list[AffineRational]:
-        return sorted(self.classes, key=AffineRational.sort_key)
+    def exponents(self) -> list[Fraction]:
+        return sorted(self.classes)
 
-    def coefficient(self, q: AffineRational) -> np.ndarray:
+    def coefficient(self, q: Fraction) -> np.ndarray:
         return self.classes.get(q, np.zeros((self.dim, self.dim)))
 
     def constant_class(self) -> np.ndarray:
-        return self.coefficient(AffineRational.zero()).copy()
+        return self.coefficient(ZERO).copy()
 
-    def nonzero_exponent_classes(self) -> dict[AffineRational, np.ndarray]:
-        return {q: C for q, C in self.classes.items() if not q.is_zero}
+    def nonzero_exponent_classes(self) -> dict[Fraction, np.ndarray]:
+        return {q: C for q, C in self.classes.items() if q != 0}
 
     def evaluate(self, u: float) -> np.ndarray:
-        return _exp_sum(self.classes, u, self.param, (self.dim, self.dim))
+        return _exp_sum(self.classes, u, (self.dim, self.dim))
 
-    def trace_by_class(self) -> dict[AffineRational, float]:
+    def trace_by_class(self) -> dict[Fraction, float]:
         return {q: float(np.trace(C)) for q, C in self.classes.items()}
 
     def to_json(self) -> dict:
@@ -70,18 +71,15 @@ class GroupedRicci:
 
 def _by_exponent(classes: dict) -> dict:
     """JSON form of classes: keyed by exponent, in exponent order, as lists."""
-    order = sorted(classes, key=AffineRational.sort_key)
-    return {q.json_key(): np.asarray(classes[q]).tolist() for q in order}
+    return {format_rational(q): np.asarray(classes[q]).tolist() for q in sorted(classes)}
 
 
-def _exp_sum(
-    classes: dict[AffineRational, np.ndarray], u: float, param: Optional[float], shape: tuple
-) -> np.ndarray:
+def _exp_sum(classes: dict[Fraction, np.ndarray], u: float, shape: tuple) -> np.ndarray:
     """sum_q exp(-2 u q) C_q over classes of the given shape, each entry an
     exactly rounded sum; raises OverflowError when a term leaves float64."""
     if not classes:
         return np.zeros(shape)
-    weights = np.array([math.exp(-2.0 * u * q.evaluate(param)) for q in classes])
+    weights = np.array([math.exp(-2.0 * u * float(q)) for q in classes])
     with np.errstate(over="ignore"):
         terms = weights[:, None] * np.stack([C.ravel() for C in classes.values()])
     if not np.isfinite(terms).all():
@@ -90,8 +88,8 @@ def _exp_sum(
 
 
 def _exponent_layout(
-    spectral: Sequence[AffineRational], triples: Sequence[tuple[int, int, int]]
-) -> tuple[np.ndarray, list[AffineRational], np.ndarray]:
+    spectral: Sequence[Fraction], triples: Sequence[tuple[int, int, int]]
+) -> tuple[np.ndarray, list[Fraction], np.ndarray]:
     """The exponent classes of a tensor supported on the given triples.
 
     Returns the piece of each triple, numbering the distinct exact exponents
@@ -99,26 +97,23 @@ def _exponent_layout(
     constant class and every -(e + f)/2, sorted; and ``pair_class[e, f]``,
     the index of the class -(e + f)/2 of two pieces, formed once per pair.
     Scaled by twice the lcm of the denominators, every eigenvalue, exponent
-    and class is a pair (constant, slope) of Python ints.
+    and class is a Python int.
     """
-    scale = 2 * math.lcm(*[x.denominator for f in spectral for x in (f.const, f.slope)])
-    c = [f.const.numerator * (scale // f.const.denominator) for f in spectral]
-    s = [f.slope.numerator * (scale // f.slope.denominator) for f in spectral]
-    exponents = [(c[k - 1] - c[i - 1] - c[j - 1], s[k - 1] - s[i - 1] - s[j - 1]) for i, j, k in triples]
-    piece_of: dict[tuple[int, int], int] = {}
+    scale = 2 * math.lcm(*[x.denominator for x in spectral])
+    c = [x.numerator * (scale // x.denominator) for x in spectral]
+    exponents = [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples]
+    piece_of: dict[int, int] = {}
     piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in exponents], dtype=np.intp)
     exps = list(piece_of)
     pair = {
-        (a, b): (-(exps[a][0] + exps[b][0]) // 2, -(exps[a][1] + exps[b][1]) // 2)
-        for a in range(len(exps))
-        for b in range(a, len(exps))
+        (a, b): -(exps[a] + exps[b]) // 2 for a in range(len(exps)) for b in range(a, len(exps))
     }
-    keys = sorted(set(pair.values()) | {(0, 0)})
+    keys = sorted(set(pair.values()) | {0})
     index = {q: m for m, q in enumerate(keys)}
     pair_class = np.zeros((len(exps), len(exps)), dtype=np.intp)
     for (a, b), q in pair.items():
         pair_class[a, b] = pair_class[b, a] = index[q]
-    classes = [AffineRational(Fraction(qc, scale), Fraction(qs, scale)) for qc, qs in keys]
+    classes = [Fraction(q, scale) for q in keys]
     return piece, classes, pair_class
 
 
@@ -139,7 +134,7 @@ def _ricci_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.swapaxes(-1, -2))
 
 
-def _grouped_terms(spec: ExtensionSpec) -> dict[AffineRational, np.ndarray]:
+def _grouped_terms(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     """The nonzero grouped Ricci coefficients C_q.
 
     The tensor is split into pieces T_e by exponent (``_exponent_layout``);
@@ -162,7 +157,7 @@ def _grouped_terms(spec: ExtensionSpec) -> dict[AffineRational, np.ndarray]:
 
 def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
     """Grouped exponential representation of the deformed Ricci operator."""
-    return GroupedRicci(spec.dim, _grouped_terms(spec), spec.param)
+    return GroupedRicci(spec.dim, _grouped_terms(spec))
 
 
 def _rescaled(spec: ExtensionSpec, u: float) -> np.ndarray:
@@ -212,11 +207,10 @@ class CurvatureReport:
     """
 
     ric_u: GroupedRicci
-    scal_terms: dict[AffineRational, float]
+    scal_terms: dict[Fraction, float]
     ric_00: float
-    ric_0i_classes: dict[AffineRational, np.ndarray]
-    ric_block_classes: dict[AffineRational, np.ndarray]
-    param: Optional[float] = None
+    ric_0i_classes: dict[Fraction, np.ndarray]
+    ric_block_classes: dict[Fraction, np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -226,8 +220,8 @@ class CurvatureReport:
         n = self.dim
         out = np.zeros((n + 1, n + 1))
         out[0, 0] = self.ric_00
-        out[0, 1:] = out[1:, 0] = _exp_sum(self.ric_0i_classes, u, self.param, (n,))
-        out[1:, 1:] = _exp_sum(self.ric_block_classes, u, self.param, (n, n))
+        out[0, 1:] = out[1:, 0] = _exp_sum(self.ric_0i_classes, u, (n,))
+        out[1:, 1:] = _exp_sum(self.ric_block_classes, u, (n, n))
         return out
 
     def to_json(self) -> dict:
@@ -253,7 +247,7 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     ric_00 = -spec.trace_sq()
 
     div = divergence_residual(spec)
-    mixed: dict[AffineRational, np.ndarray] = {}
+    mixed: dict[Fraction, np.ndarray] = {}
     for i in range(n):
         if div[i] == 0.0:
             continue
@@ -264,9 +258,8 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     block = {q: C.copy() for q, C in grouped.classes.items()}
     shift = trace_d * np.diag(pv)
     if shift.any():
-        zero = AffineRational.zero()
-        block[zero] = block.get(zero, np.zeros((n, n))) - shift
-        if not block[zero].any():
-            del block[zero]
+        block[ZERO] = block.get(ZERO, np.zeros((n, n))) - shift
+        if not block[ZERO].any():
+            del block[ZERO]
 
-    return CurvatureReport(grouped, scal, ric_00, mixed, block, spec.param)
+    return CurvatureReport(grouped, scal, ric_00, mixed, block)

@@ -32,7 +32,6 @@ from .algebra import (
     make_spec,
 )
 from .curvature import _exponent_layout, _grouped_terms, _ricci_form
-from .scalars import AffineRational
 from .spectral import SpectralVector
 from .verifier import sparsity_pattern
 
@@ -124,7 +123,7 @@ class SearchResult:
 
 def _stack_residual(
     spec: ExtensionSpec,
-    keys: Sequence[AffineRational],
+    keys: Sequence[Fraction],
     jacobi_weight: float,
 ) -> np.ndarray:
     n = spec.dim
@@ -134,7 +133,7 @@ def _stack_residual(
     rows = []
     for q in keys:
         C = classes.get(q, np.zeros((n, n)))
-        if q.is_zero:
+        if q == 0:
             C = C - target
         rows.append(C[iu])
     rows.append(divergence_residual(spec))
@@ -158,9 +157,7 @@ def residual_vector(
     )
     spec = make_spec(mu, values)
     classes = _grouped_terms(spec)
-    keys = sorted(
-        set(classes) | {AffineRational.zero()}, key=lambda q: q.sort_key()
-    )
+    keys = sorted(set(classes) | {Fraction(0)})
     return _stack_residual(spec, keys, jacobi_weight)
 
 
@@ -189,7 +186,7 @@ class _QuadraticModel:
             E[a, i - 1, j - 1, k - 1], E[a, j - 1, i - 1, k - 1] = 1.0, -1.0
         # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
         piece, names, pair_class = _exponent_layout(base.spectral, pattern)
-        zero = names.index(AffineRational.zero())
+        zero = names.index(Fraction(0))
         DIV, JAC = len(names), len(names) + 1
         iu = np.triu_indices(n)
         target = base.einstein_target()[iu]

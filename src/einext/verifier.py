@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import ExtensionSpec, divergence_residual
 from .curvature import _ricci_form, ricci_deformation, ricci_deformation_at
-from .scalars import AffineRational
+from .scalars import format_rational, parse_rational
 from .spectral import SpectralVector
 
 DEFAULT_TOL = 1e-9
@@ -87,10 +87,8 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
 
     residuals: dict[str, float] = {}
     residuals["divergence"] = _maxabs(divergence_residual(spec))
-    for q, C in sorted(
-        grouped.nonzero_exponent_classes().items(), key=lambda t: t[0].sort_key()
-    ):
-        residuals[f"exponent {q.json_key()}"] = _maxabs(C)
+    for q, C in sorted(grouped.nonzero_exponent_classes().items()):
+        residuals[f"exponent {format_rational(q)}"] = _maxabs(C)
     residuals["target"] = _maxabs(grouped.constant_class() - target)
     residuals["u_grid"] = max(
         _maxabs(ricci_deformation_at(spec, u) - target) for u in U_GRID
@@ -118,8 +116,8 @@ def scalar_case_check(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> bool:
         raise VerificationPreconditionError(
             "scalar_case_check requires a spec that passes verification"
         )
-    forms = spec.spectral
-    scalar = all(f == forms[0] for f in forms)
+    p = spec.spectral
+    scalar = all(x == p[0] for x in p)
     flat = _maxabs(ricci_deformation(spec).evaluate(0.0)) <= tol
     return scalar == flat
 
@@ -127,19 +125,19 @@ def scalar_case_check(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> bool:
 SpectralInput = Union[SpectralVector, ExtensionSpec, Sequence]
 
 
-def _forms(p: SpectralInput) -> tuple[AffineRational, ...]:
+def _eigenvalues(p: SpectralInput) -> tuple[Fraction, ...]:
     if isinstance(p, ExtensionSpec):
         return p.spectral
     if isinstance(p, SpectralVector):
-        return tuple(AffineRational(x) for x in p.entries)
-    return tuple(AffineRational.of(x) for x in p)
+        return p.entries
+    return tuple(parse_rational(x) for x in p)
 
 
-def _root_values(forms: Sequence[AffineRational]) -> dict[tuple[int, int, int], AffineRational]:
+def _root_values(p: Sequence[Fraction]) -> dict[tuple[int, int, int], Fraction]:
     """p_i + p_j - p_k for every (i, j, k) with i < j, in lexicographic order."""
-    n = len(forms)
+    n = len(p)
     return {
-        (i, j, k): forms[i - 1] + forms[j - 1] - forms[k - 1]
+        (i, j, k): p[i - 1] + p[j - 1] - p[k - 1]
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         for k in range(1, n + 1)
@@ -148,7 +146,7 @@ def _root_values(forms: Sequence[AffineRational]) -> dict[tuple[int, int, int], 
 
 def relation_exists(p: SpectralInput) -> Optional[tuple[int, int, int]]:
     """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
-    return next((t for t, r in _root_values(_forms(p)).items() if r.is_zero), None)
+    return next((t for t, r in _root_values(_eigenvalues(p)).items() if r == 0), None)
 
 
 def sparsity_pattern(p: SpectralInput) -> set[tuple[int, int, int]]:
@@ -157,9 +155,9 @@ def sparsity_pattern(p: SpectralInput) -> set[tuple[int, int, int]]:
     These are exactly the triples with p_i + p_j - p_k in {0, p_1, ..., p_n};
     all other structure constants must vanish for an Einstein extension.
     """
-    forms = _forms(p)
-    allowed = {AffineRational.zero(), *forms}
-    return {t for t, r in _root_values(forms).items() if r in allowed}
+    values = _eigenvalues(p)
+    allowed = {Fraction(0), *values}
+    return {t for t, r in _root_values(values).items() if r in allowed}
 
 
 @dataclass
@@ -198,7 +196,7 @@ def _relabelled(spec: ExtensionSpec, lam: Fraction, nu: Fraction, type_name: str
     Refuses anything that is not exactly (lam, ..., lam, nu) up to order;
     near-miss types are never coerced.
     """
-    values = spec.exact_eigenvalues()
+    values = spec.spectral
     special = [i for i, v in enumerate(values) if v == nu]
     rest = [i for i, v in enumerate(values) if v == lam]
     if len(special) != 1 or len(rest) != len(values) - 1:

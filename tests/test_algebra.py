@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from einext.algebra import (
     CommutationError,
     DecompositionError,
-    ExtensionSpec,
     OrthogonalDecomposition,
     PatternViolationError,
     StructureError,
@@ -25,7 +24,6 @@ from einext.algebra import (
     qn_split,
     standard_modification,
 )
-from einext.scalars import AffineRational
 
 from oracles import divergence_bruteforce, killing_bruteforce
 from util import random_lie_tensor, random_sparse_tensor
@@ -53,7 +51,7 @@ def test_non_finite_values_rejected():
         with pytest.raises(StructureError):
             StructureTensor(3, {(1, 2, 3): value})
     with pytest.raises(StructureError):
-        ExtensionSpec(StructureTensor(1), (AffineRational.parameter(),), param=float("inf"))
+        make_spec(StructureTensor(1), ["t"], float("inf"))
 
 
 def test_antisymmetric_storage():
@@ -182,14 +180,16 @@ def test_mean_curvature_examples():
     assert np.allclose(mean_curvature(row4_algebra(2.0)), [0.0, 0.0, 1.0])
 
 
+def test_derivation_exponents_are_exact():
+    # 3/10 - 1/10 - 2/10 is 0 exactly; in float64 it is 2.8e-17.
+    check = is_derivation(make_spec(StructureTensor(3, {(1, 2, 3): 1e8}), ["1/10", "2/10", "3/10"]))
+    assert check == (True, 0.0)
+
+
 def test_divergence_examples():
     assert np.allclose(divergence_residual(make_spec(StructureTensor(3), [5, -2, 7])), 0.0)
     assert np.allclose(divergence_residual(make_spec(heisenberg3(), [1, 1, 2])), 0.0)
-    spec = ExtensionSpec(
-        row4_algebra(2.0),
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=2.0,
-    )
+    spec = make_spec(row4_algebra(2.0), [1, "t", 0], 2.0)
     assert np.allclose(divergence_residual(spec), 0.0)
     # e(2) with a non-scalar deformation picks up a divergence defect
     bad = make_spec(StructureTensor(3, {(1, 2, 2): 1.0}), [1, 2, 3])
@@ -215,20 +215,18 @@ def test_spec_validation():
     with pytest.raises(StructureError):
         make_spec(heisenberg3(), [1, 1])
     with pytest.raises(StructureError):
-        ExtensionSpec(heisenberg3(), (AffineRational.parameter(),) * 3)
+        make_spec(heisenberg3(), ["t"] * 3)
+    with pytest.raises(StructureError):
+        make_spec(heisenberg3(), [1, 1, 2], 1)
     spec = make_spec(heisenberg3(), ["1/2", 1, 2.5])
-    assert spec.eigenvalue(1).const == Fraction(1, 2)
+    assert spec.eigenvalue(1) == Fraction(1, 2)
     assert spec.trace() == pytest.approx(4.0)
     assert spec.trace_sq() == pytest.approx(0.25 + 1 + 6.25)
 
 
 def test_spec_exact_eigenvalues_with_param():
-    spec = ExtensionSpec(
-        row4_algebra(0.5),
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=0.5,
-    )
-    assert spec.exact_eigenvalues() == (Fraction(1), Fraction(1, 2), Fraction(0))
+    spec = make_spec(row4_algebra(0.5), [1, "t", 0], 0.5)
+    assert spec.spectral == (Fraction(1), Fraction(1, 2), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +270,23 @@ def test_qn_split_rotation():
 
 def test_qn_split_zero_eigenvalue_routes_through_t():
     mu = row4_algebra(2.0)
-    spec = ExtensionSpec(
-        mu,
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=2.0,
-    )
+    spec = make_spec(mu, [1, "t", 0], 2.0)
     split = qn_split(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
     assert not split.violations
     assert 3 in split.t_ops
     assert np.allclose(split.t_ops[3], np.diag([2.0, -1.0]))
     assert 3 not in split.q_ops
+
+
+def test_qn_split_compares_substituted_eigenvalues():
+    # At t = 1 the eigenvalues (1, t, 0) are (1, 1, 0): the action of e_3
+    # stays inside the eigenvalue-1 space, as it does for [1, 1, 0].
+    mu = StructureTensor(3, {(3, 1, 2): 1.0, (3, 2, 1): 1.0})
+    decomp = OrthogonalDecomposition((3,), (1, 2))
+    for spec in (make_spec(mu, [1, "t", 0], 1), make_spec(mu, [1, 1, 0])):
+        split = qn_split(mu, spec, decomp)
+        assert not split.violations
+        assert np.array_equal(split.t_ops[3], [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_qn_split_zero_tensor():
@@ -329,7 +334,7 @@ def decomposed_tensors(draw):
 @given(decomposed_tensors())
 def test_qn_split_and_twist_invariants(case):
     mu, spec, decomp = case
-    p = spec.exact_eigenvalues()
+    p = spec.spectral
     m = decomp.m_indices
     split = qn_split(mu, spec, decomp)
     for a in decomp.h_indices:
@@ -478,7 +483,7 @@ def test_json_accepts_rational_strings():
     }
     mu, spec, _ = algebra_from_json(data)
     assert mu.get(1, 2, 1) == 1.5
-    assert spec.eigenvalue(1).const == Fraction(1, 2)
+    assert spec.eigenvalue(1) == Fraction(1, 2)
 
 
 def test_json_requires_dim_and_valid_entries():
@@ -489,11 +494,42 @@ def test_json_requires_dim_and_valid_entries():
 
 
 def test_json_parametric_spectral_round_trip():
-    spec = ExtensionSpec(
-        row4_algebra(0.5),
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=0.5,
-    )
+    spec = make_spec(row4_algebra(0.5), [1, "t", 0], 0.5)
     payload = algebra_to_json(spec.algebra, spec)
-    assert payload["param"] == 0.5
-    assert payload["spectral"][1] == "0/1+1/1*t"
+    assert "param" not in payload
+    assert payload["spectral"] == [1, "1/2", 0]
+
+
+def _affine_text(const, slope):
+    sign = "-" if slope < 0 else "+"
+    return f"{const}{sign}{abs(slope)}*t"
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def json_specs(draw):
+    """Frame data with rational eigenvalues, a third of them read from
+    parametric input (affine forms substituted at a rational param)."""
+    n = draw(st.integers(1, 5))
+    triple = st.tuples(*[st.integers(1, n)] * 3).filter(lambda t: t[0] != t[1])
+    value = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+    mu = StructureTensor(n, draw(st.dictionaries(triple, value, max_size=8)))
+    if draw(st.integers(0, 2)):
+        return mu, make_spec(mu, draw(st.lists(rationals, min_size=n, max_size=n)))
+    forms = draw(st.lists(st.tuples(rationals, rationals), min_size=n, max_size=n))
+    texts = [_affine_text(c, s) for c, s in forms]
+    texts[draw(st.integers(0, n - 1))] = "t"
+    param = draw(st.one_of(rationals.map(str), st.floats(-4, 4)))
+    return mu, make_spec(mu, texts, param)
+
+
+@settings(max_examples=50, deadline=None)
+@given(json_specs())
+def test_json_round_trip_property(case):
+    mu, spec = case
+    mu2, spec2, _ = algebra_from_json(json.loads(json.dumps(algebra_to_json(mu, spec))))
+    assert mu2.items() == mu.items()
+    assert spec2.spectral == spec.spectral
+    assert all(type(q) is Fraction for q in spec2.spectral)

@@ -115,13 +115,6 @@ def test_product_of_hyperbolic_blocks_matches_row4():
         )
 
 
-def test_product_parameter_consistency():
-    a = table1(4, 1.0).spec
-    b = table1(4, 2.0).spec
-    with pytest.raises(StructureError):
-        product(a, b)
-
-
 def test_counterexample_p6_diagnostics():
     p = counterexample_p6()
     cert = cone_membership(p)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +126,18 @@ def test_unused_param_is_input_error(capsys):
     assert strict_json(out)["einstein"] is True
 
 
+def test_parametric_input_is_substituted_before_grouping(capsys):
+    # At t = 1 the exponentials of the classes t and 1 coincide, so the
+    # verdict must be that of the substituted eigenvalues.
+    mu = [{"i": 3, "j": 1, "k": 2, "v": 1.0}, {"i": 3, "j": 2, "k": 1, "v": 1.0}]
+    outputs = []
+    for extra in ({"spectral": [1, "t", 0], "param": 1}, {"spectral": [1, 1, 0]}):
+        code, out, err = run_cli(capsys, "verify", "--input", json.dumps({"dim": 3, "mu": mu, **extra}))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_param_takes_rational_strings(capsys):
     row4 = {
         "dim": 3,
@@ -168,6 +181,9 @@ def test_param_takes_rational_strings(capsys):
         # float(true) would read these as 1
         ({"dim": 3, "mu": [], "spectral": [1, "t", 0], "param": True}, "'param'"),
         ({"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": True}], "spectral": [1, 1, 2]}, "bad mu entry"),
+        # bool is a numbers.Rational, so true would read as eigenvalue 1
+        ({"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}], "spectral": [True, 1, 2]}, "'spectral'"),
+        ({"dim": 3, "mu": [], "spectral": [1, "t", 0]}, "'param'"),
     ],
 )
 def test_malformed_shape_is_input_error(capsys, data, field):
@@ -254,8 +270,10 @@ def test_catalog_name_parametric(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["expected_constant"] == pytest.approx(-1.25)
+    assert "param" not in payload["algebra"]
+    assert payload["algebra"]["spectral"] == [1, "1/2", 0]
     mu, spec, _ = algebra_from_json(payload["algebra"])
-    assert spec.param == 0.5
+    assert spec.spectral == (1, Fraction(1, 2), 0)
 
 
 def test_cone_cli(capsys):

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from einext.algebra import ExtensionSpec, StructureTensor, make_spec
-from einext.scalars import AffineRational
+from einext.algebra import StructureTensor, make_spec
+from einext.catalog import entries as catalog_entries
 from einext.spectral import SpectralVector
 from einext.verifier import (
     TypeMismatchError,
@@ -36,6 +40,38 @@ def e2_algebra():
 def test_nan_check_is_violated():
     checks = {"finite": 0.0, "nan": float("nan"), "large": 1.0}
     assert _violated(checks, 1e-9) == ["nan", "large"]
+
+
+@st.composite
+def permuted_specs(draw):
+    """A spec, random or from the catalog, and a relabelling of its frame."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from([entry.spec for entry in catalog_entries()]))
+    else:
+        n = draw(st.integers(2, 5))
+        triple = st.tuples(*[st.integers(1, n)] * 3).filter(lambda t: t[0] != t[1])
+        value = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), st.floats(-2, 2))
+        mu = StructureTensor(n, draw(st.dictionaries(triple, value, max_size=8)))
+        halves = st.integers(-2, 2).map(lambda x: Fraction(x, 2))
+        spec = make_spec(mu, draw(st.lists(halves, min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(1, spec.dim + 1)))
+    return spec, dict(zip(range(1, spec.dim + 1), perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_specs())
+def test_verify_is_invariant_under_frame_permutation(case):
+    spec, perm = case
+    p = [None] * spec.dim
+    for old, new in perm.items():
+        p[new - 1] = spec.eigenvalue(old)
+    report = verify_extension(spec)
+    permuted = verify_extension(make_spec(spec.algebra.permuted(perm), p))
+    assert permuted.einstein == report.einstein
+    assert permuted.residuals.keys() == report.residuals.keys()
+    for name, value in report.residuals.items():
+        other = permuted.residuals[name]
+        assert abs(other - value) <= 1e-12 * max(1.0, abs(value), abs(other)), name
 
 
 def test_verify_heisenberg_passes():
@@ -102,12 +138,8 @@ def test_relation_examples():
 
 
 def test_relation_with_parametric_eigenvalues():
-    spec = ExtensionSpec(
-        StructureTensor(3),
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=0.7,
-    )
-    # p_1 = p_1 + p_3 holds identically in the parameter
+    spec = make_spec(StructureTensor(3), [1, "t", 0], "7/10")
+    # p_1 = p_1 + p_3 holds at every parameter value
     assert relation_exists(spec) == (1, 3, 1)
 
 
@@ -223,11 +255,7 @@ def passing_fixtures():
     yield make_spec(StructureTensor(3), [1, 1, 1])
     yield make_spec(heisenberg3(), [1, 1, 2])
     yield make_spec(e2_algebra(), [1, 1, 1])
-    yield ExtensionSpec(
-        StructureTensor(3, {(3, 1, 1): 0.5, (3, 2, 2): -1.0}, lie=True),
-        (AffineRational.of(1), AffineRational.parameter(), AffineRational.of(0)),
-        param=0.5,
-    )
+    yield make_spec(StructureTensor(3, {(3, 1, 1): 0.5, (3, 2, 2): -1.0}, lie=True), [1, "t", 0], 0.5)
 
 
 def test_passing_specs_satisfy_structural_constraints():
