@@ -1,30 +1,23 @@
 """Exact feasibility of conic combinations via a phase-one simplex.
 
-Decides, in rational arithmetic, whether a target vector is a nonnegative
-combination of a finite set of generators.  Returns either the
-coefficients or a separating (Farkas) witness; both certificates are
-exact and can be re-verified by direct substitution.
-
-The simplex runs on one fraction-free integer tableau ``[A | I | b]`` over
-a common denominator D (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968).  Each
-generator and the target are scaled to integers by the lcm of their
-denominators; a positive column scaling changes no sign of a reduced cost
-and scales every ratio of the ratio test alike, so it changes no pivot.
-The tableau is D times B^-1 [A | I | b] for the current basis B, with
-D = det B > 0 (every pivot entry is positive), so each entry is a minor
-of the scaled input and each Bareiss division is exact.
-
-Bland's rule (smallest improving column, ties in the ratio test to the
-smallest basic index) makes the method terminate on degenerate instances
-and fixes the pivot sequence, hence the certificates.
+Decides whether a target vector is a nonnegative combination of finitely
+many generators, returning the coefficients or a separating (Farkas)
+witness; either certificate can be checked by substitution.  The simplex
+runs on one fraction-free integer tableau ``[A | I | b]`` = D B^-1 [A | I | b]
+over D = det B > 0 (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968), so every
+division is exact.  Each column is scaled to integers by the lcm of its
+denominators, which changes no reduced-cost sign and no ratio order, so no
+pivot.  Bland's rule (smallest improving column, ratio ties to the smallest
+basic index) terminates on degenerate input and fixes the certificates.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
+
+from .scalars import scaled_to_integers
 
 Vector = Sequence[Fraction]
 
@@ -32,32 +25,27 @@ Vector = Sequence[Fraction]
 def cone_decompose(
     generators: Sequence[Vector], target: Vector
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Decide exactly whether ``target`` lies in the cone of ``generators``.
+    """Decide exactly whether ``target`` lies in the cone of ``generators`` (ints or Fractions).
 
     Returns ``(coefficients, None)`` with all coefficients >= 0 and
     ``sum c_j g_j == target``, or ``(None, witness)`` where the witness y
     satisfies ``<y, g_j> <= 0`` for every generator and ``<y, target> > 0``.
     """
-    n = len(target)
-    m = len(generators)
-    for g in generators:
-        if len(g) != n:
-            raise ValueError("generator dimension mismatch")
-
-    b = [Fraction(x) for x in target]
+    n, m = len(target), len(generators)
+    if any(len(g) != n for g in generators):
+        raise ValueError("generator dimension mismatch")
     if m == 0:
-        if all(x == 0 for x in b):
+        if all(x == 0 for x in target):
             return [], None
-        return None, b
+        return None, [Fraction(x) for x in target]
 
     # Integer columns: the generators, then the target.  Row-sign flips make
     # the artificial basis feasible (b >= 0).
-    columns = [[Fraction(x) for x in g] for g in generators] + [b]
-    scales = [math.lcm(*(x.denominator for x in col)) for col in columns]
-    signs = [-1 if x < 0 else 1 for x in b]
+    columns, scales = zip(*map(scaled_to_integers, [*generators, target]))
+    signs = [-1 if x < 0 else 1 for x in columns[m]]
     rows = []
     for i in range(n):
-        row = [signs[i] * (col[i] * s).numerator for col, s in zip(columns, scales)]
+        row = [signs[i] * col[i] for col in columns]
         rows.append(row[:m] + [int(i == k) for k in range(n)] + row[m:])
     # Reduced costs of the phase-one objective (cost 1 on each artificial
     # column) over the artificial basis, as the last row.

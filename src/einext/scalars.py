@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -21,14 +21,16 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Coerce a number or a "num/den" string to an exact Fraction.
 
     Floats convert exactly (every float is a dyadic rational); strings may
-    be integers, decimals, or "num/den".  Non-finite values and booleans
-    are refused.
+    be integers, decimals, or "num/den".  Non-finite values, booleans and
+    a zero denominator are refused.
     """
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
+            num, den = (int(part.strip()) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"{value!r} has a zero denominator")
+            return Fraction(num, den)
         return Fraction(text)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -37,6 +39,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def scaled_to_integers(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """The ints or Fractions times the lcm s > 0 of their denominators, as ints, and s."""
+    s = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
 
 
 def format_rational(q: Fraction) -> str:

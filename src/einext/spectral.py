@@ -1,19 +1,16 @@
-"""Admissible eigenvalue types of rank-one Einstein extensions.
+"""Admissible eigenvalue types of rank-one Einstein extensions, exactly.
 
-Everything in this module is exact rational arithmetic.  The central
-objects are the root triples f_i + f_j - f_k and, for a subspace W spanned
-by roots, the candidate eigenvalue vector: the projection of the all-ones
-vector onto the orthogonal complement of W.  A candidate is an admissible
-type when every entry and the entry sum are nonzero and every root
-orthogonal to it lies in W.  The type walk carries the exact,
-fraction-free projectors of :mod:`einext.ratlinalg`.
-
-Cone membership of the projected all-ones vector is decided by an exact
-phase-one simplex and returns a checkable certificate either way.
+The central objects are the root triples f_i + f_j - f_k and, for a
+subspace W spanned by roots, the candidate: the projection of the all-ones
+vector onto the complement of W.  It is an admissible type when every
+entry and the entry sum are nonzero and every root orthogonal to it lies
+in W.  Cone membership is decided by an exact simplex, with a checkable
+certificate either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +19,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exactlp import cone_decompose
-from .ratlinalg import extend, images, projector_from_key, projector_key
+from .ratlinalg import _exact, distinct, extend, images, narrowest, projector_keys, projectors, reject
+from .scalars import scaled_to_integers
 
 DEFAULT_DIMENSION_CAP = 7
+# Root-image entries per chunk of a level in the type walk: bounds the chunk's arrays.
+_CHUNK_ENTRIES = 2**13
 
 
 class DimensionError(ValueError):
@@ -43,11 +43,7 @@ class RootTriple(NamedTuple):
     k: int
 
     def vector(self, dim: int) -> tuple[int, ...]:
-        vec = [0] * dim
-        vec[self.i - 1] += 1
-        vec[self.j - 1] += 1
-        vec[self.k - 1] -= 1
-        return tuple(vec)
+        return tuple((x == self.i) + (x == self.j) - (x == self.k) for x in range(1, dim + 1))
 
     def __str__(self) -> str:
         return f"({self.i},{self.j}|{self.k})"
@@ -57,13 +53,8 @@ def build_root_set(dim: int) -> list[RootTriple]:
     """All root triples in dimension ``dim``, in lexicographic order."""
     if dim < 2:
         raise DimensionError(f"dimension must be at least 2, got {dim}")
-    return [
-        RootTriple(i, j, k)
-        for i in range(1, dim + 1)
-        for j in range(i + 1, dim + 1)
-        for k in range(1, dim + 1)
-        if k not in (i, j)
-    ]
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    return [RootTriple(i, j, k) for i, j in pairs for k in range(1, dim + 1) if k not in (i, j)]
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class SpectralVector:
 
     @staticmethod
     def of(values: Iterable) -> "SpectralVector":
-        return SpectralVector(tuple(Fraction(v) for v in values))
+        return SpectralVector(tuple(values))
 
     @property
     def dim(self) -> int:
@@ -91,21 +82,10 @@ class SpectralVector:
         The sign is fixed so the entry sum is positive; for zero-sum vectors
         the largest-magnitude value must occur with positive sign.
         """
-        ent = list(self.entries)
-        if all(x == 0 for x in ent):
-            return SpectralVector(tuple(sorted(ent)))
-        scale = Fraction(math.lcm(*(x.denominator for x in ent)))
-        ints = [int(x * scale) for x in ent]
-        g = math.gcd(*(abs(v) for v in ints))
-        ints = [v // g for v in ints]
-        total = sum(ints)
-        if total < 0:
-            ints = [-v for v in ints]
-        elif total == 0:
-            top = max(abs(v) for v in ints)
-            if top not in ints:
-                ints = [-v for v in ints]
-        return SpectralVector(tuple(Fraction(v) for v in sorted(ints)))
+        ints, _ = scaled_to_integers(self.entries)
+        g, total, top = math.gcd(*ints) or 1, sum(ints), max(map(abs, ints))
+        sign = -1 if total < 0 or (total == 0 and top not in ints) else 1
+        return SpectralVector(tuple(sorted(sign * v // g for v in ints)))
 
     def as_ints(self) -> tuple[int, ...]:
         if any(x.denominator != 1 for x in self.entries):
@@ -116,16 +96,20 @@ class SpectralVector:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
 
 
-def _dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+@functools.cache
+def _root_vectors(dim: int) -> dict[RootTriple, tuple[int, ...]]:
+    """The vector of each root triple in dimension ``dim``, built once per dimension."""
+    return {t: t.vector(dim) for t in build_root_set(dim)}
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def perp_roots(p: Sequence[Fraction]) -> list[RootTriple]:
     """The root triples orthogonal to p, tested on p scaled to integers."""
-    p = [Fraction(x) for x in p]
-    scale = math.lcm(*(x.denominator for x in p))
-    q = [x.numerator * (scale // x.denominator) for x in p]
-    return [t for t in build_root_set(len(q)) if q[t.i - 1] + q[t.j - 1] == q[t.k - 1]]
+    q, _ = scaled_to_integers(p)
+    return [t for t in _root_vectors(len(q)) if q[t.i - 1] + q[t.j - 1] == q[t.k - 1]]
 
 
 @dataclass
@@ -144,20 +128,18 @@ class ConeCertificate:
     witness: Optional[tuple[Fraction, ...]] = None
 
     def verify(self) -> bool:
+        """Check the certificate by substitution, on values scaled to integers."""
         n = len(self.target)
         if self.feasible:
             assert self.coefficients is not None
-            total = [Fraction(0)] * n
-            for t, c in self.coefficients.items():
-                if c < 0:
-                    return False
-                vec = t.vector(n)
-                total = [a + c * b for a, b in zip(total, vec)]
-            return tuple(total) == tuple(self.target)
+            # One positive scale turns the target and the coefficients to integers.
+            ints, _ = scaled_to_integers([*self.target, *self.coefficients.values()])
+            vectors = [t.vector(n) for t in self.coefficients]
+            total = [_dot(ints[n:], [v[i] for v in vectors]) for i in range(n)]
+            return min(ints[n:], default=0) >= 0 and total == ints[:n]
         assert self.witness is not None
-        if _dot(self.witness, self.target) <= 0:
-            return False
-        return all(_dot(self.witness, t.vector(n)) <= 0 for t in self.generators)
+        y, target = scaled_to_integers(self.witness)[0], scaled_to_integers(self.target)[0]
+        return _dot(y, target) > 0 and all(_dot(y, t.vector(n)) <= 0 for t in self.generators)
 
     def as_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}
@@ -174,78 +156,75 @@ def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate
     entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
     if any(x == 0 for x in entries):
         raise ValueError("cone membership requires all entries of p to be nonzero")
-    n = len(entries)
-    length_sq = sum((x * x for x in entries), Fraction(0))
-    trace = sum(entries, Fraction(0))
-    target = tuple(length_sq - trace * x for x in entries)
+    # On p scaled to integers q = s p: the target is (|q|^2 - (sum q) q) / s^2.
+    q, s = scaled_to_integers(entries)
+    length_sq, trace = sum(x * x for x in q), sum(q)
+    target = tuple(Fraction(length_sq - trace * x, s * s) for x in q)
     gens = perp_roots(entries)
-    coeffs, witness = cone_decompose([t.vector(n) for t in gens], target)
+    coeffs, witness = cone_decompose([_root_vectors(len(q))[t] for t in gens], target)
     if coeffs is not None:
-        mapping = dict(zip(gens, coeffs))
-        return ConeCertificate(True, target, tuple(gens), coefficients=mapping)
+        return ConeCertificate(True, target, tuple(gens), coefficients=dict(zip(gens, coeffs)))
     return ConeCertificate(False, target, tuple(gens), witness=tuple(witness))
 
 
 def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
-    """Breadth-first walk over the subspaces W spanned by root subsets.
+    """Breadth-first walk, level by level, over the subspaces W spanned by roots.
 
-    The candidate depends only on W: it is the projection of 1_n onto the
-    complement of W, proportional to the row sums of that projector Q / d.
-    Each level holds the subspaces of one rank below n - 1, deduped by the
-    exact projector, so each is visited once.  Roots orthogonal to the
-    candidate lie in W exactly when their images under Q vanish, so the
-    images that give the children also decide maximality.  Hyperplanes are
-    never stored: their candidates are read off the children of the level
-    below, and need no maximality check.
+    The candidate of W is the row sums of its projector Q / d onto the
+    complement.  A level holds the subspaces of one rank below n - 1 as key
+    rows (:mod:`einext.ratlinalg`), deduped by key, and is walked in bounded
+    chunks: one product gives the images of all roots under all projectors
+    of a chunk, which decide maximality and give the children, built in one
+    broadcast.  Hyperplanes are never stored: the level below yields them.
 
-    Only subspaces through the root (1,2|3) are walked, plus the zero one
-    for the scalar type.  S_n permutes the roots (i,j|k) transitively, so
-    every nonzero W spanned by roots is sigma W' for a permutation sigma
-    and a W' spanned by roots through (1,2|3) (extend that root to a basis
-    of W' from its spanning roots, so the walk reaches W').  Permuting
-    indices commutes with the projector and fixes 1_n, so the candidate of
-    sigma W' is the permuted candidate of W'; the admissibility checks and
-    the canonical form are permutation invariant.
+    Only subspaces through the root (1,2|3) are walked, plus the zero one.
+    S_n permutes the roots transitively, so each nonzero W spanned by roots
+    is sigma W' for a permutation sigma and a W' spanned by (1,2|3) and
+    further roots, which the walk adds one by one.  Permuting indices
+    commutes with the projector and fixes 1_n, and the admissibility
+    checks and the canonical form are permutation invariant.
     """
-    roots = np.array([t.vector(dim) for t in build_root_set(dim)], dtype=np.int64)
-    roots = roots.reshape(-1, dim)
+    roots = np.array(list(_root_vectors(dim).values()), dtype=np.int64).reshape(-1, dim)
+    chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
     found: set[tuple[int, ...]] = set()
 
     def add_types(sums: np.ndarray) -> None:
-        # Rows of candidates with every entry and the entry sum nonzero.  The
-        # sum is 1^t Q 1 = d |P 1|^2 > 0, so sorting and dividing by the gcd
-        # gives the canonical form.
-        sums = np.sort(sums[sums.all(axis=1) & (sums.sum(axis=1) != 0)], axis=1)
+        # Rows with every entry nonzero, so the sum 1^t Q 1 = d |P 1|^2 > 0 too:
+        # sorted and divided by the gcd, they are in canonical form.
+        sums = np.sort(sums[sums.all(axis=1)], axis=1)
         sums //= np.gcd.reduce(sums, axis=1)[:, None]
-        found.update(map(tuple, sums.tolist()))
+        found.update(map(tuple, distinct(sums).tolist()))
 
-    level = {projector_key(np.eye(dim, dtype=np.int64), 1)}
+    level = projector_keys(np.eye(dim, dtype=np.int64)[None], [1])
     for rank in range(dim - 1):
-        children: set[tuple] = set()
-        for key in level:
-            Q, d = projector_from_key(key, dim)
+        # Deduped children, and later ones, merged when the later pass half as many.
+        stored, pending = narrowest(level[:0]), []
+        for start in range(0, len(level), chunk):
+            keys = _exact(level[start : start + chunk])
+            Q, _ = projectors(keys, dim)
             U = images(roots, Q)
-            sums = Q.sum(axis=1)
-            if not U[roots @ sums == 0].any():
-                add_types(sums[None, :])
-            # The zero subspace grows only by the start root (1,2|3).
-            numer, denom = extend(Q, d, U[:1] if rank == 0 else U)
-            if rank + 1 < dim - 1:
-                children.update(map(projector_key, numer, denom.tolist()))
+            sums, moved = Q.sum(axis=2), U.any(axis=2)
+            # <r, Q 1> = <Q r, 1>: a root is orthogonal to the candidate when
+            # its image sums to zero, and lies in W when its image vanishes.
+            candidates = [sums[~(moved & (U.sum(axis=2) == 0)).any(axis=1)]]
+            if rank < dim - 2:
+                # The zero subspace grows only by the start root (1,2|3).
+                pending.append(narrowest(distinct(extend(keys, U[:, :1] if rank == 0 else U))))
+                if 2 * sum(map(len, pending)) > len(stored):
+                    stored, pending = distinct(np.concatenate([stored, *pending])), []
             else:
-                # A hyperplane's complement is the line of its candidate, so
-                # every root orthogonal to the candidate lies in it: maximal.
-                add_types(numer.sum(axis=2))
-        level = children
-    return {SpectralVector.of(t).canonical() for t in found}
+                # The hyperplane W + span(r) has as complement the part of W's
+                # orthogonal to u = Q r, so its candidate is P 1 less its part
+                # along u; maximal, as it spans the hyperplane's complement.
+                candidates.append(reject(sums, U).reshape(-1, dim))
+            add_types(np.concatenate(candidates))
+        level = distinct(np.concatenate([stored, *pending]))
+    return {SpectralVector(t) for t in found}
 
 
 def enumerate_types(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> set[SpectralVector]:
     """All admissible eigenvalue types in dimension ``dim``, canonicalized.
 
-    Walks the subspaces spanned by root subsets once each (up to the
-    permutations that move the root (1,2|3)), applies the candidate formula
-    and the admissibility conditions, and dedupes up to index permutation.
     The scalar type (1,...,1) is always present.  The cone condition is a
     separate filter: :func:`cone_membership`, or :func:`enumeration_report`
     for both sets.

@@ -193,6 +193,23 @@ def test_malformed_shape_is_input_error(capsys, data, field):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "--spectral=1/0,1"],
+        ["search", "--spectral", "1/0,1,2"],
+        ["verify", "--input", HEISENBERG_JSON % ('"1/0"', "2")],
+        ["verify", "--input", json.dumps({"dim": 3, "mu": [], "spectral": ["1/0", 1, 2]})],
+        ["verify", "--input", json.dumps({"dim": 3, "mu": [], "spectral": [1, "t", 2], "param": "1/0"})],
+        ["verify", "--input", json.dumps({"dim": 3, "mu": [], "spectral": [1, "1/0*t", 2], "param": 1})],
+    ],
+)
+def test_zero_denominator_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "'1/0'" in err and "Traceback" not in err
+
+
 def test_overflowing_curvature_is_input_error(capsys):
     for command in (["verify"], ["classify", "--type", "1112"]):
         code, out, err = run_cli(capsys, *command, "--input", HEISENBERG_JSON % ("1e200", "2"))

@@ -42,6 +42,11 @@ def test_parse_rational_rejects_garbage():
     for value in (float("inf"), float("-inf"), float("nan"), "inf", "nan"):
         with pytest.raises(ValueError):
             parse_rational(value)
+    for value in ("1/0", " -3 / 0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(value)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_affine("1/0*t")
 
 
 def test_format_rational():

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from einext.spectral import (
     ConeCertificate,
@@ -141,6 +144,24 @@ def test_canonical_is_permutation_invariant_retraction():
         perm = rng.permutation(n)
         shuffled = SpectralVector.of([vals[i] for i in perm])
         assert shuffled.canonical() == canon
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=2, max_size=6),
+    st.randoms(use_true_random=False),
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+)
+def test_canonical_is_idempotent_and_invariant(values, rnd, scale):
+    canon = SpectralVector.of(values).canonical()
+    assert canon.canonical() == canon
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    assert SpectralVector.of(shuffled).canonical() == canon
+    assert SpectralVector.of([scale * v for v in values]).canonical() == canon
 
 
 def test_spectral_vector_requires_two_entries():
@@ -402,3 +423,18 @@ def test_walk_on_python_integers_matches_int64(monkeypatch):
     monkeypatch.setattr(ratlinalg, "_PRODUCT_CAP", 2)
     for dim, types in expected.items():
         assert enumerate_types(dim) == types
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 62))
+@example(4, 12)  # the last level of dim 5 on Python integers, the others on int64
+def test_walk_types_do_not_depend_on_the_int64_caps(types_of, entry_bits, product_bits):
+    # Low caps send the chunks with large entries or products to Python
+    # integers and keep the others on int64; the types must not change.
+    import einext.ratlinalg as ratlinalg
+
+    with mock.patch.object(ratlinalg, "_ENTRY_CAP", 2**entry_bits), mock.patch.object(
+        ratlinalg, "_PRODUCT_CAP", 2**product_bits
+    ):
+        for dim in (3, 4, 5):
+            assert enumerate_types(dim) == types_of(dim)

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from einext.algebra import StructureTensor
-from einext.ratlinalg import _exact, extend, images
+from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
 
 
 def random_sparse_tensor(rng, max_dim: int = 5):
@@ -73,12 +73,13 @@ def complement_projector(
     Vectors are added in order; the flags say which of them were independent
     of the ones before.  Entries may be integers or rationals.
     """
-    Q, d = np.eye(dim, dtype=np.int64), 1
+    key = projector_keys(np.eye(dim, dtype=np.int64)[None], [1])
     independent = []
     for row in _int_rows(vectors, dim):
-        u = images(row[None, :], Q)
+        # A batch of one parent and one image.
+        u = images(row[None, :], projectors(key, dim)[0])
         independent.append(bool(u.any()))
         if independent[-1]:
-            numer, denom = extend(Q, d, u)
-            Q, d = _exact(numer[0]), int(denom[0])
-    return Q, d, independent
+            key = extend(key, u)
+    Q, d = projectors(key, dim)
+    return Q[0], int(d[0]), independent
