@@ -7,9 +7,9 @@ eigenvalues of the diagonal deforming endomorphism.  :func:`make_spec` reads
 them, substituting the value of the one free parameter t into any affine
 form "a+b*t" on the way in, so every later layer compares plain Fractions.
 
-The Lie-theoretic primitives here (Jacobi residual, Killing form, mean
-curvature, divergence condition, derivation test, and the Q/N splitting with
-its twisting) are what the curvature and verification layers build on.
+The Lie-theoretic primitives here (Jacobi residual, divergence condition,
+derivation test, and the Q/N splitting with its twisting) are what the
+curvature and verification layers build on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -98,13 +98,6 @@ class StructureTensor:
         """Nonzero entries with i < j, in sorted index order."""
         return sorted(self._entries.items())
 
-    @property
-    def nnz(self) -> int:
-        return len(self._entries)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self._entries.values()), default=0.0)
-
     def dense(self) -> np.ndarray:
         """Full antisymmetric array T[i-1, j-1, k-1] = mu[i,j|k]."""
         T = np.zeros((self.dim, self.dim, self.dim))
@@ -112,32 +105,6 @@ class StructureTensor:
             T[i - 1, j - 1, k - 1] = v
             T[j - 1, i - 1, k - 1] = -v
         return T
-
-    def ad(self, i: int) -> np.ndarray:
-        """Matrix of ad_{e_i} acting on the frame: ad(i)[k-1, j-1] = mu[i,j|k]."""
-        return self.dense()[i - 1].T
-
-    def restrict(self, indices: Sequence[int]) -> "StructureTensor":
-        """Sub-tensor on the given frame indices, relabelled 1..len(indices)."""
-        order = list(indices)
-        pos = {old: new + 1 for new, old in enumerate(order)}
-        entries = {
-            (pos[i], pos[j], pos[k]): v
-            for (i, j, k), v in self._entries.items()
-            if i in pos and j in pos and k in pos
-        }
-        return StructureTensor(len(order), entries)
-
-    def permuted(self, perm: Mapping[int, int]) -> "StructureTensor":
-        """Relabel frame indices by old -> new. perm must be a bijection of 1..n."""
-        if sorted(perm) != list(range(1, self.dim + 1)) or sorted(
-            perm.values()
-        ) != list(range(1, self.dim + 1)):
-            raise StructureError("permutation must be a bijection of 1..n")
-        entries = {
-            (perm[i], perm[j], perm[k]): v for (i, j, k), v in self._entries.items()
-        }
-        return StructureTensor(self.dim, entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"mu[{i},{j}|{k}]={v:g}" for (i, j, k), v in self.items())
@@ -253,18 +220,6 @@ def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> Deriv
     for (i, j, k), v in spec.algebra.items():
         worst = max(worst, abs(float(p[k - 1] - p[i - 1] - p[j - 1]) * v))
     return DerivationCheck(worst <= tol, worst)
-
-
-def killing_form(mu: StructureTensor) -> np.ndarray:
-    """Killing form B[i,j] = sum_{k,l} mu[j,k|l] mu[i,l|k], symmetrized."""
-    T = mu.dense()
-    B = np.einsum("jkl,ilk->ij", T, T)
-    return (B + B.T) / 2.0
-
-
-def mean_curvature(mu: StructureTensor) -> np.ndarray:
-    """Vector H with H[i] = tr ad_{e_i} = sum_k mu[i,k|k]."""
-    return np.einsum("ikk->i", mu.dense())
 
 
 def _divergence_form(T: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .algebra import ExtensionSpec, StructureTensor, StructureError, make_spec
 from .curvature import ricci_at_identity
-from .spectral import SpectralVector
-from .verifier import VerificationReport, verify_extension
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,15 +27,14 @@ class CatalogEntry:
     expected_constant: Optional[float]
     note: str = ""
 
-    def verify(self, tol: float = 1e-10) -> VerificationReport:
-        return verify_extension(self.spec, tol)
-
 
 def table1(row: int, param: Optional[float] = None) -> CatalogEntry:
     """The four-dimensional extensions, by row.
 
     Rows 1-3 take no parameter; row 4 is the one-parameter solvable family
-    with eigenvalues (1, p, 0) and Einstein constant -(1 + p^2).
+    with eigenvalues (1, p, 0) and Einstein constant -(1 + p^2).  The
+    eigenvalue p is exact: a float reads as the decimal it shows, so
+    ``table1(4, 0.1)`` has p = 1/10 (:func:`einext.scalars.parse_rational`).
     """
     if row in (1, 2, 3) and param is not None:
         raise ValueError(f"row {row} takes no parameter")
@@ -131,11 +128,6 @@ def product(a: ExtensionSpec, b: ExtensionSpec) -> ExtensionSpec:
     for (i, j, k), v in b.algebra.items():
         entries[(i + na, j + na, k + na)] = v
     return ExtensionSpec(StructureTensor(na + b.dim, entries), a.spectral + b.spectral)
-
-
-def counterexample_p6() -> SpectralVector:
-    """Six eigenvalues summing to zero: cone-feasible but inconsistent."""
-    return SpectralVector.of([-3, -2, -1, 1, 2, 3])
 
 
 def entries() -> list[CatalogEntry]:

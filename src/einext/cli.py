@@ -16,6 +16,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import catalog as catalog_mod
 from .algebra import ExtensionSpec, algebra_from_json, algebra_to_json, is_derivation
 from .curvature import extension_ricci
@@ -69,7 +71,7 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 OVERFLOW_MESSAGE = (
     "the curvature overflows float64 (a residual that is not finite); "
-    "scale the structure constants down"
+    "scale the structure constants or eigenvalues down"
 )
 
 
@@ -326,11 +328,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # An overflow raises here instead of warning and carrying an infinity on.
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         print(f"error: {OVERFLOW_MESSAGE}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -47,24 +47,6 @@ class GroupedRicci:
     dim: int
     classes: dict[Fraction, np.ndarray]
 
-    def exponents(self) -> list[Fraction]:
-        return sorted(self.classes)
-
-    def coefficient(self, q: Fraction) -> np.ndarray:
-        return self.classes.get(q, np.zeros((self.dim, self.dim)))
-
-    def constant_class(self) -> np.ndarray:
-        return self.coefficient(ZERO).copy()
-
-    def nonzero_exponent_classes(self) -> dict[Fraction, np.ndarray]:
-        return {q: C for q, C in self.classes.items() if q != 0}
-
-    def evaluate(self, u: float) -> np.ndarray:
-        return _exp_sum(self.classes, u, (self.dim, self.dim))
-
-    def trace_by_class(self) -> dict[Fraction, float]:
-        return {q: float(np.trace(C)) for q, C in self.classes.items()}
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "classes": _by_exponent(self.classes)}
 
@@ -188,15 +170,6 @@ def ricci_at_identity(mu: StructureTensor) -> np.ndarray:
     return _ricci_form(T, T)
 
 
-def connection_coeffs(spec: ExtensionSpec, u: float) -> np.ndarray:
-    """Connection coefficients G[i,j,k] = <nabla_{e_k} e_j, e_i> at time u.
-
-    The Koszul combination of the rescaled constants mu_u.
-    """
-    Tu = _rescaled(spec, u)
-    return 0.5 * (Tu - np.einsum("jki->ijk", Tu) - np.einsum("kij->ijk", Tu))
-
-
 @dataclass
 class CurvatureReport:
     """Grouped curvature data of the deformation and its extension.
@@ -240,7 +213,7 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     """Ricci tensor of the extended metric in grouped form."""
     n = spec.dim
     grouped = ricci_deformation(spec)
-    scal = {q: t for q, t in grouped.trace_by_class().items() if t != 0.0}
+    scal = {q: t for q, C in grouped.classes.items() if (t := float(np.trace(C))) != 0.0}
     trace_d = spec.trace()
     pv = spec.eigenvalues()
 

@@ -20,9 +20,10 @@ RationalLike = Union[int, float, str, Fraction]
 def parse_rational(value: RationalLike) -> Fraction:
     """Coerce a number or a "num/den" string to an exact Fraction.
 
-    Floats convert exactly (every float is a dyadic rational); strings may
-    be integers, decimals, or "num/den".  Non-finite values, booleans and
-    a zero denominator are refused.
+    A float reads as the decimal of its shortest repr, so 0.1 is 1/10 and
+    not the dyadic rational nearest to it; that decimal rounds back to the
+    same float.  Strings may be integers, decimals, or "num/den".
+    Non-finite values, booleans and a zero denominator are refused.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -35,7 +36,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{value!r} is not a finite rational number")
-        return Fraction(value)
+        return Fraction(repr(float(value)))  # float(): numpy 2 spells np.float64 in its repr
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")

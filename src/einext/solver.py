@@ -32,7 +32,7 @@ from .algebra import (
     make_spec,
 )
 from .curvature import _exponent_layout, _grouped_terms, _ricci_form
-from .spectral import SpectralVector
+from .scalars import parse_rational
 from .verifier import sparsity_pattern
 
 Triple = tuple[int, int, int]
@@ -71,9 +71,7 @@ class SearchProblem:
     jacobi_weight: float = 10.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "spectral", tuple(Fraction(x) for x in self.spectral)
-        )
+        object.__setattr__(self, "spectral", tuple(map(parse_rational, self.spectral)))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 0:
@@ -139,26 +137,6 @@ def _stack_residual(
     rows.append(divergence_residual(spec))
     rows.append(jacobi_weight * jacobi_components(spec.algebra))
     return np.concatenate(rows)
-
-
-def residual_vector(
-    mu: StructureTensor,
-    spectral: "SpectralVector | Sequence[Fraction]",
-    jacobi_weight: float = 1.0,
-) -> np.ndarray:
-    """Einstein residual of a tensor for a rational eigenvalue type.
-
-    Concatenates the grouped Ricci deviations (nonzero-exponent classes
-    entrywise, constant class minus target), the divergence components, and
-    the weighted Jacobi components, in deterministic order.
-    """
-    values = (
-        spectral.entries if isinstance(spectral, SpectralVector) else spectral
-    )
-    spec = make_spec(mu, values)
-    classes = _grouped_terms(spec)
-    keys = sorted(set(classes) | {Fraction(0)})
-    return _stack_residual(spec, keys, jacobi_weight)
 
 
 class _QuadraticModel:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exactlp import cone_decompose
 from .ratlinalg import _exact, distinct, extend, images, narrowest, projector_keys, projectors, reject
-from .scalars import scaled_to_integers
+from .scalars import parse_rational, scaled_to_integers
 
 DEFAULT_DIMENSION_CAP = 7
 # Root-image entries per chunk of a level in the type walk: bounds the chunk's arrays.
@@ -66,7 +66,7 @@ class SpectralVector:
     def __post_init__(self) -> None:
         if len(self.entries) < 2:
             raise DimensionError("spectral vector needs at least 2 entries")
-        object.__setattr__(self, "entries", tuple(Fraction(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
 
     @staticmethod
     def of(values: Iterable) -> "SpectralVector":
@@ -86,11 +86,6 @@ class SpectralVector:
         g, total, top = math.gcd(*ints) or 1, sum(ints), max(map(abs, ints))
         sign = -1 if total < 0 or (total == 0 and top not in ints) else 1
         return SpectralVector(tuple(sorted(sign * v // g for v in ints)))
-
-    def as_ints(self) -> tuple[int, ...]:
-        if any(x.denominator != 1 for x in self.entries):
-            raise ValueError("entries are not integers; canonicalize first")
-        return tuple(x.numerator for x in self.entries)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
@@ -153,7 +148,7 @@ class ConeCertificate:
 def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate:
     """Decide exactly whether |p|^2 1_n - (sum p) p is a nonnegative
     combination of the roots orthogonal to p."""
-    entries = p.entries if isinstance(p, SpectralVector) else tuple(Fraction(x) for x in p)
+    entries = p.entries if isinstance(p, SpectralVector) else tuple(map(parse_rational, p))
     if any(x == 0 for x in entries):
         raise ValueError("cone membership requires all entries of p to be nonzero")
     # On p scaled to integers q = s p: the target is (|q|^2 - (sum q) q) / s^2.

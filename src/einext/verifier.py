@@ -11,22 +11,20 @@ The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
 (1,...,1,2).  Each reads slices of the dense constants, relabelled so the
 distinguished direction comes last, and reports through one builder.
-``relation_exists`` and ``sparsity_pattern`` filter one table of
-p_i + p_j - p_k.
+``sparsity_pattern`` filters the table of p_i + p_j - p_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import ExtensionSpec, divergence_residual
 from .curvature import _ricci_form, ricci_deformation, ricci_deformation_at
-from .scalars import format_rational, parse_rational
-from .spectral import SpectralVector
+from .scalars import format_rational
 
 DEFAULT_TOL = 1e-9
 U_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -34,10 +32,6 @@ U_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 class TypeMismatchError(ValueError):
     """Spec eigenvalues do not match the requested classifier type."""
-
-
-class VerificationPreconditionError(ValueError):
-    """Operation called on a spec that fails its verification precondition."""
 
 
 @dataclass
@@ -52,9 +46,6 @@ class VerificationReport:
 
     def __bool__(self) -> bool:
         return self.einstein
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
 
     def to_json(self) -> dict:
         return {
@@ -82,14 +73,15 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     nonzero-exponent Ricci class, "target" for the constant class against
     (tr D) diag(p) - tr(D^2) id, and "u_grid" for the direct cross-check.
     """
-    grouped = ricci_deformation(spec)
+    classes = ricci_deformation(spec).classes
     target = spec.einstein_target()
 
     residuals: dict[str, float] = {}
     residuals["divergence"] = _maxabs(divergence_residual(spec))
-    for q, C in sorted(grouped.nonzero_exponent_classes().items()):
-        residuals[f"exponent {format_rational(q)}"] = _maxabs(C)
-    residuals["target"] = _maxabs(grouped.constant_class() - target)
+    for q, C in sorted(classes.items()):
+        if q != 0:
+            residuals[f"exponent {format_rational(q)}"] = _maxabs(C)
+    residuals["target"] = _maxabs(classes.get(0, 0.0) - target)
     residuals["u_grid"] = max(
         _maxabs(ricci_deformation_at(spec, u) - target) for u in U_GRID
     )
@@ -105,34 +97,6 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     )
 
 
-def scalar_case_check(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> bool:
-    """On a verified spec: "eigenvalues all equal" iff "undeformed Ricci flat".
-
-    Returns the truth of that biconditional for this instance; raises when
-    called on a spec that does not verify.
-    """
-    report = verify_extension(spec, tol)
-    if not report.einstein:
-        raise VerificationPreconditionError(
-            "scalar_case_check requires a spec that passes verification"
-        )
-    p = spec.spectral
-    scalar = all(x == p[0] for x in p)
-    flat = _maxabs(ricci_deformation(spec).evaluate(0.0)) <= tol
-    return scalar == flat
-
-
-SpectralInput = Union[SpectralVector, ExtensionSpec, Sequence]
-
-
-def _eigenvalues(p: SpectralInput) -> tuple[Fraction, ...]:
-    if isinstance(p, ExtensionSpec):
-        return p.spectral
-    if isinstance(p, SpectralVector):
-        return p.entries
-    return tuple(parse_rational(x) for x in p)
-
-
 def _root_values(p: Sequence[Fraction]) -> dict[tuple[int, int, int], Fraction]:
     """p_i + p_j - p_k for every (i, j, k) with i < j, in lexicographic order."""
     n = len(p)
@@ -144,20 +108,14 @@ def _root_values(p: Sequence[Fraction]) -> dict[tuple[int, int, int], Fraction]:
     }
 
 
-def relation_exists(p: SpectralInput) -> Optional[tuple[int, int, int]]:
-    """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
-    return next((t for t, r in _root_values(_eigenvalues(p)).items() if r == 0), None)
-
-
-def sparsity_pattern(p: SpectralInput) -> set[tuple[int, int, int]]:
+def sparsity_pattern(p: Sequence[Fraction]) -> set[tuple[int, int, int]]:
     """Triples (i, j, k), i < j, whose bracket entry may be nonzero.
 
     These are exactly the triples with p_i + p_j - p_k in {0, p_1, ..., p_n};
     all other structure constants must vanish for an Einstein extension.
     """
-    values = _eigenvalues(p)
-    allowed = {Fraction(0), *values}
-    return {t for t, r in _root_values(values).items() if r in allowed}
+    allowed = {Fraction(0), *p}
+    return {t for t, r in _root_values(p).items() if r in allowed}
 
 
 @dataclass

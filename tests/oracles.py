@@ -87,7 +87,7 @@ def scalar_classes(spec) -> dict:
             out[q] = out.get(q, 0.0) + value
 
     for k in range(n):
-        ad = mu.ad(k + 1)
+        ad = T[k].T
         add(p[k], -(np.trace(ad) ** 2 + 0.5 * np.trace(ad @ ad)))
     for i in range(n):
         for k in range(n):
@@ -127,15 +127,6 @@ def class_layout(spectral, pattern) -> list:
     return sorted(keys)
 
 
-def killing_bruteforce(mu) -> np.ndarray:
-    """Killing form as the trace form of the adjoint matrices."""
-    n = mu.dim
-    ads = [mu.ad(i) for i in range(1, n + 1)]
-    return np.array(
-        [[np.trace(ads[i] @ ads[j]) for j in range(n)] for i in range(n)]
-    )
-
-
 def divergence_bruteforce(spec) -> np.ndarray:
     """Tr(ad_{D e_i} - ad_{e_i} D) for every frame vector."""
     mu = spec.algebra
@@ -144,7 +135,7 @@ def divergence_bruteforce(spec) -> np.ndarray:
     d_mat = np.diag(p)
     out = np.zeros(n)
     for i in range(1, n + 1):
-        ad_i = mu.ad(i)
+        ad_i = mu.dense()[i - 1].T
         out[i - 1] = np.trace(p[i - 1] * ad_i - ad_i @ d_mat)
     return out
 

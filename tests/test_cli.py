@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einext.algebra import algebra_from_json
 from einext.cli import main
@@ -218,6 +223,16 @@ def test_overflowing_curvature_is_input_error(capsys):
         assert "overflows float64" in err and "not finite" in err
 
 
+def test_overflowing_eigenvalue_is_input_error(capsys):
+    # tr(D^2) overflows float64: an error exit, not a numpy warning.
+    text = json.dumps({"dim": 1, "mu": [], "spectral": [1.3407807929942597e154]})
+    for command in (["verify"], ["curvature"]):
+        code, out, err = run_cli(capsys, *command, "--input", text)
+        assert code == 2
+        assert out == ""
+        assert "overflows float64" in err
+
+
 def test_overflowing_time_names_u(capsys):
     code, out, err = run_cli(
         capsys, "curvature", "--input", HEISENBERG_JSON % ("1.0", "1"), "--u", "-1000"
@@ -291,6 +306,115 @@ def test_catalog_name_parametric(capsys):
     assert payload["algebra"]["spectral"] == [1, "1/2", 0]
     mu, spec, _ = algebra_from_json(payload["algebra"])
     assert spec.spectral == (1, Fraction(1, 2), 0)
+
+
+def test_catalog_name_decimal_parameter_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--name", "table1:4:0.1")
+    assert code == 0
+    assert json.loads(out)["algebra"]["spectral"] == [1, "1/10", 0]
+
+
+def filiform(spectral):
+    """Filiform spec of type (1,2,3,4), scaled by 1/10, with the given eigenvalues."""
+    v = math.sqrt(20) / 10
+    mu = [{"i": 1, "j": 2, "k": 3, "v": v}, {"i": 1, "j": 3, "k": 4, "v": -v}]
+    return json.dumps({"dim": 4, "mu": mu, "spectral": spectral})
+
+
+def test_decimal_eigenvalues_verify_as_written(capsys):
+    # As dyadic rationals 0.1 + 0.2 != 0.3, which split off two spurious
+    # exponent classes of +-1/36028797018963968 and failed the spec.
+    decimal = run_cli(capsys, "verify", "--input", filiform([0.1, 0.2, 0.3, 0.4]))
+    exact = run_cli(capsys, "verify", "--input", filiform(["1/10", "2/10", "3/10", "4/10"]))
+    assert decimal == exact
+    code, out, _ = decimal
+    assert code == 0
+    assert json.loads(out)["einstein_constant"] == pytest.approx(-0.3)
+
+
+_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 7),
+    st.floats(),
+    st.sampled_from(["1/2", "1/0", "x", "", "t", "1+t", "2/0*t", "1e400", [], {}]),
+)
+
+
+_VALUE = st.one_of(st.sampled_from([1, -2, 0.5, "1/2", "-3/4", 0.1]), st.floats(-100, 100))
+_EIGENVALUE = st.sampled_from([0, 1, 2, -1, "1/2", 0.5, 0.1, "1/2*t"])
+
+
+def _well_formed(n):
+    """The entries (i < j) and the eigenvalues of a well-formed spec of dimension n."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    entries = st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, n), _VALUE), max_size=4)
+    return st.tuples(entries if pairs else st.just([]), st.lists(_EIGENVALUE, min_size=n, max_size=n))
+
+
+# Built once: a strategy built inside the draw costs more than the CLI call.
+_WELL_FORMED = {n: _well_formed(n) for n in range(1, 6)}
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["dim", "mu", "spectral", "param", "decomposition", "constant_structure",
+                         "entry", "eigenvalue"]),
+        _HOSTILE,
+        st.integers(0, 4),
+        st.booleans(),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def hostile_algebras(draw):
+    """Algebra JSON text with dim <= 5: a well-formed spec with up to two
+    fields, entries or eigenvalues replaced by hostile values, or dropped,
+    and one time in ten truncated."""
+    n = draw(st.integers(1, 5))
+    entries, spectral = draw(_WELL_FORMED[n])
+    data = {"dim": n, "mu": [{"i": i, "j": j, "k": k, "v": v} for (i, j), k, v in entries], "spectral": spectral}
+    if "1/2*t" in spectral:
+        data["param"] = 0.25
+    for target, bad, pick, replace in draw(_EDITS):
+        mu, spectral = data.get("mu"), data.get("spectral")
+        if target == "entry":
+            if isinstance(mu, list) and mu:
+                item, key = mu[pick % len(mu)], "ijkv"[pick % 4]
+                if replace:
+                    item[key] = bad
+                else:
+                    item.pop(key, None)
+        elif target == "eigenvalue":
+            if isinstance(spectral, list):
+                spectral[pick % n] = bad
+        elif target == "decomposition":
+            data[target] = {"h": [bad], "m": list(range(1, n + 1))}
+        elif replace:
+            data[target] = bad
+        else:
+            data.pop(target, None)
+    text = json.dumps(data)
+    truncate, cut = draw(st.tuples(st.integers(0, 9), st.integers(0, len(text))))
+    return text[:cut] if truncate == 9 else text
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hostile_algebras(),
+    st.sampled_from(
+        [["verify"], ["classify", "--type", "0001"], ["classify", "--type", "1110"],
+         ["classify", "--type", "1112"], ["curvature"], ["curvature", "--u", "0.5"]]
+    ),
+)
+def test_hostile_algebra_json_exits_cleanly(text, command):
+    # A documented exit code, and stdout is either empty or strict JSON.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--input", text])
+    assert code in (0, 2, 3)
+    if out.getvalue():
+        strict_json(out.getvalue())
 
 
 def test_cone_cli(capsys):

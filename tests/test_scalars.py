@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from einext.algebra import StructureTensor, make_spec
 from einext.curvature import extension_ricci
@@ -47,6 +49,21 @@ def test_parse_rational_rejects_garbage():
             parse_rational(value)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_affine("1/0*t")
+
+
+def test_float_reads_as_its_decimal():
+    # Not 3602879701896397/36028797018963968, the dyadic value of the float.
+    assert parse_rational(0.1) == Fraction(1, 10)
+    assert parse_rational(0.1) + parse_rational(0.2) == parse_rational(0.3)
+    assert parse_rational(-0.0) == 0 and parse_rational(1e-300) == Fraction(1, 10**300)
+
+
+@given(st.integers(-(10**15) + 1, 10**15 - 1), st.integers(-300, 300))
+def test_decimals_up_to_15_digits_are_exact(digits, exponent):
+    # Decimals of at most 15 significant digits lie more than an ulp apart,
+    # so the float nearest to one still reads as that decimal.
+    value = Fraction(digits) * Fraction(10) ** exponent
+    assert parse_rational(float(value)) == value
 
 
 def test_format_rational():

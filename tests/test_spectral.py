@@ -346,7 +346,7 @@ def test_cone_filtered_counts_and_witnesses(types_of, dim, count):
     assert all(cert.verify() for cert in certs.values())
     assert sum(cert.feasible for cert in certs.values()) == count
     rejected = {
-        p.as_ints(): tuple(str(x) for x in cert.witness)
+        tuple(int(x) for x in p.entries): tuple(str(x) for x in cert.witness)
         for p, cert in certs.items()
         if not cert.feasible
     }
@@ -370,7 +370,8 @@ def test_enumerate_cap():
 def test_emitted_types_invariants():
     for dim in (3, 4):
         for p in enumerate_types(dim):
-            ints = p.as_ints()
+            assert all(x.denominator == 1 for x in p.entries)
+            ints = [x.numerator for x in p.entries]
             assert all(v != 0 for v in ints)
             assert sum(ints) > 0
             assert np.gcd.reduce([abs(v) for v in ints]) == 1
@@ -401,7 +402,7 @@ def test_nonscalar_types_admit_sum_relation():
     # every emitted non-scalar type has p_k = p_i + p_j with i != j
     for dim in (3, 4, 5):
         for p in enumerate_types(dim):
-            ints = p.as_ints()
+            ints = [x.numerator for x in p.entries]
             if len(set(ints)) == 1:
                 continue
             found = any(

@@ -1,27 +1,26 @@
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import StructureTensor, make_spec
+from einext.algebra import StructureTensor, algebra_from_json, make_spec
 from einext.catalog import entries as catalog_entries
-from einext.spectral import SpectralVector
+from einext.curvature import ricci_at_identity
 from einext.verifier import (
     TypeMismatchError,
-    VerificationPreconditionError,
     classify_type_0001,
     classify_type_1110,
     classify_type_1112,
-    relation_exists,
-    scalar_case_check,
     sparsity_pattern,
     _violated,
     verify_extension,
 )
 
-from util import random_sparse_tensor
+from util import permuted, random_sparse_tensor, relation_exists
 
 
 def heisenberg3(strength=2.0):
@@ -66,11 +65,11 @@ def test_verify_is_invariant_under_frame_permutation(case):
     for old, new in perm.items():
         p[new - 1] = spec.eigenvalue(old)
     report = verify_extension(spec)
-    permuted = verify_extension(make_spec(spec.algebra.permuted(perm), p))
-    assert permuted.einstein == report.einstein
-    assert permuted.residuals.keys() == report.residuals.keys()
+    relabelled = verify_extension(make_spec(permuted(spec.algebra, perm), p))
+    assert relabelled.einstein == report.einstein
+    assert relabelled.residuals.keys() == report.residuals.keys()
     for name, value in report.residuals.items():
-        other = permuted.residuals[name]
+        other = relabelled.residuals[name]
         assert abs(other - value) <= 1e-12 * max(1.0, abs(value), abs(other)), name
 
 
@@ -78,7 +77,7 @@ def test_verify_heisenberg_passes():
     report = verify_extension(make_spec(heisenberg3(), [1, 1, 2]), 1e-10)
     assert report.einstein
     assert report.einstein_constant == pytest.approx(-6.0)
-    assert report.max_residual() <= 1e-10
+    assert max(report.residuals.values()) <= 1e-10
     assert not report.violated_conditions
 
 
@@ -113,16 +112,17 @@ def test_verify_grouped_and_grid_agree_on_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# scalar_case_check
+# the scalar case: on a verified spec, equal eigenvalues iff Ricci flat
 # ---------------------------------------------------------------------------
 
 
 def test_scalar_case_examples():
-    assert scalar_case_check(make_spec(StructureTensor(3), [1, 1, 1]))
-    assert scalar_case_check(make_spec(e2_algebra(), [1, 1, 1]))
-    assert scalar_case_check(make_spec(heisenberg3(), [1, 1, 2]))
-    with pytest.raises(VerificationPreconditionError):
-        scalar_case_check(make_spec(heisenberg3(1.0), [1, 1, 2]))
+    for mu, p in ((StructureTensor(3), [1, 1, 1]), (e2_algebra(), [1, 1, 1]), (heisenberg3(), [1, 1, 2])):
+        assert verify_extension(make_spec(mu, p)).einstein
+        scalar = len(set(p)) == 1
+        flat = np.abs(ricci_at_identity(mu)).max() <= 1e-9
+        assert scalar == flat
+    assert not verify_extension(make_spec(heisenberg3(1.0), [1, 1, 2])).einstein
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +131,28 @@ def test_scalar_case_examples():
 
 
 def test_relation_examples():
-    assert relation_exists(SpectralVector.of([1, 1, 2])) == (1, 2, 3)
-    assert relation_exists(SpectralVector.of([1, 1, 1])) is None
-    assert relation_exists(SpectralVector.of([1, 2, 3, 4])) == (1, 2, 3)
+    assert relation_exists([1, 1, 2]) == (1, 2, 3)
+    assert relation_exists([1, 1, 1]) is None
+    assert relation_exists([1, 2, 3, 4]) == (1, 2, 3)
     assert relation_exists([0, 0, 1]) == (1, 2, 1)
 
 
 def test_relation_with_parametric_eigenvalues():
     spec = make_spec(StructureTensor(3), [1, "t", 0], "7/10")
     # p_1 = p_1 + p_3 holds at every parameter value
-    assert relation_exists(spec) == (1, 3, 1)
+    assert relation_exists(spec.spectral) == (1, 3, 1)
 
 
 def test_sparsity_pattern_examples():
     full = {
         (i, j, k) for i in range(1, 4) for j in range(i + 1, 4) for k in range(1, 4)
     }
-    assert sparsity_pattern(SpectralVector.of([1, 1, 1])) == full
-    assert sparsity_pattern(SpectralVector.of([1, 1, 2])) == full
+    assert sparsity_pattern([1, 1, 1]) == full
+    assert sparsity_pattern([1, 1, 2]) == full
     # dimension 2 leaves only k in {i, j}
-    assert sparsity_pattern(SpectralVector.of([1, 3])) == {(1, 2, 1), (1, 2, 2)}
+    assert sparsity_pattern([1, 3]) == {(1, 2, 1), (1, 2, 2)}
     # type (0, 0, 1) rules out the central bracket
-    pat = sparsity_pattern(SpectralVector.of([0, 0, 1]))
+    pat = sparsity_pattern([0, 0, 1])
     assert (1, 2, 3) not in pat
     assert (1, 3, 3) in pat
 
@@ -162,7 +162,7 @@ def test_sparsity_pattern_bruteforce_scan():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         p = [int(x) for x in rng.integers(-3, 4, size=n)]
-        pat = sparsity_pattern(SpectralVector.of(p))
+        pat = sparsity_pattern(p)
         allowed = set(p) | {0}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -265,8 +265,37 @@ def test_passing_specs_satisfy_structural_constraints():
         forms = spec.spectral
         scalar = all(f == forms[0] for f in forms)
         if not scalar:
-            assert relation_exists(spec) is not None
-        pattern = sparsity_pattern(spec)
+            assert relation_exists(spec.spectral) is not None
+        pattern = sparsity_pattern(spec.spectral)
         for (i, j, k), v in spec.algebra.items():
             if abs(v) > 1e-10:
                 assert (i, j, k) in pattern
+
+
+FILIFORM = make_spec(
+    StructureTensor(4, {(1, 2, 3): math.sqrt(20), (1, 3, 4): -math.sqrt(20)}, lie=True), [1, 2, 3, 4]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([FILIFORM] + [entry.spec for entry in catalog_entries()]),
+    st.integers(-300, 300).filter(bool).map(lambda k: Fraction(k, 100)),
+)
+@example(FILIFORM, Fraction(1, 10))
+def test_scaling_keeps_einstein_with_constant_times_c_squared(spec, c):
+    # Scaling mu and p by c scales the extended metric by 1/c^2 (for c < 0
+    # after flipping the frame and the extension direction), so the Einstein
+    # constant scales by c^2.  The scaled spec is read back from JSON with
+    # the eigenvalues as decimal floats.
+    data = {
+        "dim": spec.dim,
+        "mu": [{"i": i, "j": j, "k": k, "v": float(c) * v} for (i, j, k), v in spec.algebra.items()],
+        "spectral": [float(c * x) for x in spec.spectral],
+    }
+    _, scaled, _ = algebra_from_json(json.loads(json.dumps(data)))
+    assert scaled.spectral == tuple(c * x for x in spec.spectral)
+    report = verify_extension(scaled)
+    assert report.einstein, report.violated_conditions
+    expected = float(c * c) * verify_extension(spec).einstein_constant
+    assert report.einstein_constant == pytest.approx(expected, rel=1e-12, abs=1e-15)

@@ -1,5 +1,7 @@
-"""Shared samplers for the randomized suites, and the exact projector onto
-the complement of a span that the projector tests build on."""
+"""Shared samplers for the randomized suites, the exact projector onto the
+complement of a span that the projector tests build on, and small helpers
+over the library that only tests need: relabelling a frame, the first
+relation p_k = p_i + p_j, and the solver's residual of a given tensor."""
 
 from __future__ import annotations
 
@@ -9,8 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from einext.algebra import StructureTensor
+from einext.algebra import StructureTensor, make_spec
+from einext.curvature import _grouped_terms
 from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
+from einext.solver import _stack_residual
+from einext.verifier import _root_values
 
 
 def random_sparse_tensor(rng, max_dim: int = 5):
@@ -83,3 +88,21 @@ def complement_projector(
             key = extend(key, u)
     Q, d = projectors(key, dim)
     return Q[0], int(d[0]), independent
+
+
+def permuted(mu: StructureTensor, perm: dict) -> StructureTensor:
+    """Relabel frame indices by old -> new; perm is a bijection of 1..n."""
+    return StructureTensor(mu.dim, {(perm[i], perm[j], perm[k]): v for (i, j, k), v in mu.items()})
+
+
+def relation_exists(p: Sequence[Fraction]):
+    """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
+    return next((t for t, r in _root_values(p).items() if r == 0), None)
+
+
+def residual_vector(mu: StructureTensor, spectral, jacobi_weight: float = 1.0) -> np.ndarray:
+    """The solver's stacked residual of mu for the eigenvalues: the constant
+    class and every class mu touches, the divergence and the weighted Jacobi rows."""
+    spec = make_spec(mu, spectral)
+    keys = sorted(set(_grouped_terms(spec)) | {Fraction(0)})
+    return _stack_residual(spec, keys, jacobi_weight)
