@@ -1,11 +1,13 @@
 """Metric Lie algebras and homogeneous frame data via structure constants.
 
-The basic object is the sparse tensor of constants mu[i,j|k] = <[e_i, e_j], e_k>
-in an orthonormal frame (antisymmetric in i, j; indices 1-based).  An
+The basic object is the tensor of constants mu[i,j|k] = <[e_i, e_j], e_k>
+in an orthonormal frame (antisymmetric in i, j; indices 1-based), stored
+once as its dense read-only array, which every later layer reads.  An
 :class:`ExtensionSpec` pairs such a tensor with the exact rational
-eigenvalues of the diagonal deforming endomorphism.  :func:`make_spec` reads
-them, substituting the value of the one free parameter t into any affine
-form "a+b*t" on the way in, so every later layer compares plain Fractions.
+eigenvalues of the diagonal deforming endomorphism and their float image,
+also formed once.  :func:`make_spec` reads the eigenvalues, substituting the
+value of the one free parameter t into any affine form "a+b*t" on the way
+in, so every later layer compares plain Fractions.
 
 The Lie-theoretic primitives here (Jacobi residual, divergence condition,
 derivation test, and the Q/N splitting with its twisting) are what the
@@ -43,23 +45,16 @@ class CommutationError(StructureError):
     """Operator families fail to commute within tolerance."""
 
 
-def _norm_key(i: int, j: int, k: int, value: float) -> tuple[tuple[int, int, int], float]:
-    if i == j:
-        raise StructureError(f"mu[{i},{j}|{k}] must vanish (antisymmetry)")
-    if i < j:
-        return (i, j, k), value
-    return (j, i, k), -value
-
-
 class StructureTensor:
-    """Sparse structure constants of an n-dimensional orthonormal frame.
+    """Structure constants of an n-dimensional orthonormal frame.
 
-    Entries are stored once with i < j; access through :meth:`get` applies
-    the antisymmetry.  Set ``lie=True`` to assert the Jacobi identity at
+    The one store is the dense antisymmetric array T[i-1, j-1, k-1] =
+    mu[i,j|k], read-only once built; an entry given as (j, i, k) adds its
+    negative to mu[i,j|k].  Set ``lie=True`` to assert the Jacobi identity at
     construction (frame data that is not a Lie algebra skips the check).
     """
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_T")
 
     def __init__(
         self,
@@ -71,40 +66,35 @@ class StructureTensor:
         if dim < 1:
             raise StructureError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        store: dict[tuple[int, int, int], float] = {}
+        T = np.zeros((dim, dim, dim))
         for (i, j, k), value in (entries or {}).items():
             for idx in (i, j, k):
                 if not 1 <= idx <= dim:
                     raise StructureError(f"index {idx} outside 1..{dim}")
-            key, v = _norm_key(i, j, k, float(value))
+            v = float(value)
+            if i == j:
+                raise StructureError(f"mu[{i},{j}|{k}] must vanish (antisymmetry)")
             if not math.isfinite(v):
                 raise StructureError(f"mu[{i},{j}|{k}] = {v} is not finite")
-            if v != 0.0:
-                store[key] = store.get(key, 0.0) + v
-        self._entries = {k: v for k, v in store.items() if v != 0.0}
+            T[i - 1, j - 1, k - 1] += v
+            T[j - 1, i - 1, k - 1] -= v
+        T.flags.writeable = False
+        self._T = T
         if lie:
             res = jacobi_residual(self)
             if res > DEFAULT_JACOBI_TOL:
                 raise StructureError(f"Jacobi identity violated (residual {res:.3e})")
 
-    def get(self, i: int, j: int, k: int) -> float:
-        if i == j:
-            return 0.0
-        if i < j:
-            return self._entries.get((i, j, k), 0.0)
-        return -self._entries.get((j, i, k), 0.0)
-
     def items(self) -> list[tuple[tuple[int, int, int], float]]:
-        """Nonzero entries with i < j, in sorted index order."""
-        return sorted(self._entries.items())
+        """Nonzero entries with i < j, in sorted index order, as Python numbers."""
+        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool), 1)[:, :, None]
+        index = np.nonzero(upper & (self._T != 0.0))
+        triples = zip(*(1 + np.array(index)).tolist())
+        return list(zip(triples, self._T[index].tolist()))
 
     def dense(self) -> np.ndarray:
-        """Full antisymmetric array T[i-1, j-1, k-1] = mu[i,j|k]."""
-        T = np.zeros((self.dim, self.dim, self.dim))
-        for (i, j, k), v in self._entries.items():
-            T[i - 1, j - 1, k - 1] = v
-            T[j - 1, i - 1, k - 1] = -v
-        return T
+        """The stored read-only array T[i-1, j-1, k-1] = mu[i,j|k]."""
+        return self._T
 
     def __repr__(self) -> str:
         body = ", ".join(f"mu[{i},{j}|{k}]={v:g}" for (i, j, k), v in self.items())
@@ -121,6 +111,7 @@ class ExtensionSpec:
 
     algebra: StructureTensor
     spectral: tuple[Fraction, ...]
+    _p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spectral", tuple(self.spectral))
@@ -128,6 +119,9 @@ class ExtensionSpec:
             raise StructureError(
                 f"{len(self.spectral)} eigenvalues for dimension {self.algebra.dim}"
             )
+        p = np.array([float(x) for x in self.spectral])
+        p.flags.writeable = False
+        object.__setattr__(self, "_p", p)
 
     @property
     def dim(self) -> int:
@@ -137,15 +131,14 @@ class ExtensionSpec:
         return self.spectral[i - 1]
 
     def eigenvalues(self) -> np.ndarray:
-        """The float image of the exact eigenvalues."""
-        return np.array([float(x) for x in self.spectral])
+        """The float image of the exact eigenvalues, formed once, read-only."""
+        return self._p
 
     def trace(self) -> float:
-        return float(self.eigenvalues().sum())
+        return float(self._p.sum())
 
     def trace_sq(self) -> float:
-        p = self.eigenvalues()
-        return float((p * p).sum())
+        return float((self._p * self._p).sum())
 
     def einstein_target(self) -> np.ndarray:
         """(tr D) diag(p) - tr(D^2) id, the constant Ricci class of an Einstein extension."""

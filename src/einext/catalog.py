@@ -57,7 +57,7 @@ def table1(row: int, param: Optional[float] = None) -> CatalogEntry:
         mu = StructureTensor(3, {(3, 1, 1): p, (3, 2, 2): -1.0}, lie=True)
         spec = make_spec(mu, [1, p, 0])
         return CatalogEntry(
-            f"table1:4:{p:g}",
+            f"table1:4:{repr(p).removesuffix('.0')}",  # the shortest repr reads back as p
             spec,
             True,
             -(1.0 + p * p),

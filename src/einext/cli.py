@@ -31,6 +31,7 @@ from .spectral import (
     enumeration_report,
 )
 from .verifier import (
+    DEFAULT_TOL,
     classify_type_0001,
     classify_type_1110,
     classify_type_1112,
@@ -56,12 +57,12 @@ def _require_finite(name: str, value: float, nonnegative: bool = False) -> float
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    """``--tol``, else ``EINEXT_TOL``, else 1e-9."""
+    """``--tol``, else ``EINEXT_TOL``, else ``verifier.DEFAULT_TOL``."""
     if args.tol is not None:
         return _require_finite("--tol", args.tol, nonnegative=True)
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         value = float(raw)
     except ValueError as exc:
@@ -112,10 +113,7 @@ def _read_json_input(raw: str) -> dict:
 
 def _load_spec(args: argparse.Namespace) -> ExtensionSpec:
     if getattr(args, "catalog", None):
-        try:
-            return catalog_mod.lookup(args.catalog).spec
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+        return catalog_mod.lookup(args.catalog).spec
     if getattr(args, "input", None):
         data = _read_json_input(args.input)
         mu, spec, _ = algebra_from_json(data)
@@ -204,14 +202,7 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.name:
-        try:
-            entry = catalog_mod.lookup(args.name)
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
-        entries = [entry]
-    else:
-        entries = catalog_mod.entries()
+    entries = [catalog_mod.lookup(args.name)] if args.name else catalog_mod.entries()
     payload = [
         {
             "name": entry.name,
@@ -227,11 +218,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone(args: argparse.Namespace) -> int:
-    values = _parse_spectral(args.spectral)
-    try:
-        cert = cone_membership(SpectralVector.of(values))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cert = cone_membership(SpectralVector.of(_parse_spectral(args.spectral)))
     _emit(cert.as_dict(), args.pretty)
     return EXIT_OK if cert.feasible else EXIT_FAIL
 
@@ -239,17 +226,14 @@ def _cmd_cone(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     spectral = _parse_spectral(args.spectral)
     pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
-    try:
-        problem = SearchProblem(
-            spectral=spectral,
-            pattern=pattern,
-            restarts=args.restarts,
-            seed=args.seed,
-            tolerance=args.tol,
-            jacobi_weight=args.jacobi_weight,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    problem = SearchProblem(
+        spectral=spectral,
+        pattern=pattern,
+        restarts=args.restarts,
+        seed=args.seed,
+        tolerance=args.tol,
+        jacobi_weight=args.jacobi_weight,
+    )
     result = search(problem)
     _emit(result.to_json(), args.pretty)
     return EXIT_OK if result.converged else EXIT_FAIL
@@ -310,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search structure constants for a type", parents=[common])
     p_search.add_argument("--spectral", required=True, help="comma-separated rationals, e.g. 1,1,2")
-    p_search.add_argument("--restarts", type=int, default=8)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--tol", type=float, default=1e-10)
+    p_search.add_argument("--restarts", type=int, default=SearchProblem.restarts)
+    p_search.add_argument("--seed", type=int, default=SearchProblem.seed)
+    p_search.add_argument("--tol", type=float, default=SearchProblem.tolerance)
     p_search.add_argument("--pattern", choices=("auto", "full"), default="auto")
-    p_search.add_argument("--jacobi-weight", type=float, default=10.0)
+    p_search.add_argument("--jacobi-weight", type=float, default=SearchProblem.jacobi_weight)
     p_search.set_defaults(func=_cmd_search)
 
     return parser
@@ -331,7 +315,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # An overflow raises here instead of warning and carrying an infinity on.
         with np.errstate(over="raise"):
             return args.func(args)
-    except (InputError, ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError, MemoryError) as exc:
+        # MemoryError: a "dim" too large to allocate its dense constants.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OverflowError, FloatingPointError):

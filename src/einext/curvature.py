@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ExtensionSpec, StructureTensor, divergence_residual
-from .scalars import format_rational
+from .scalars import format_rational, scaled_to_integers
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -78,24 +78,23 @@ def _exponent_layout(
     e = p_k - p_i - p_j in order of first appearance; the classes, the
     constant class and every -(e + f)/2, sorted; and ``pair_class[e, f]``,
     the index of the class -(e + f)/2 of two pieces, formed once per pair.
-    Scaled by twice the lcm of the denominators, every eigenvalue, exponent
-    and class is a Python int.
+    Scaled by the lcm s of the denominators, every eigenvalue and exponent
+    is a Python int, and so is every class scaled by 2 s.
     """
-    scale = 2 * math.lcm(*[x.denominator for x in spectral])
-    c = [x.numerator * (scale // x.denominator) for x in spectral]
+    c, s = scaled_to_integers(spectral)
     exponents = [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples]
     piece_of: dict[int, int] = {}
     piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in exponents], dtype=np.intp)
     exps = list(piece_of)
     pair = {
-        (a, b): -(exps[a] + exps[b]) // 2 for a in range(len(exps)) for b in range(a, len(exps))
+        (a, b): -(exps[a] + exps[b]) for a in range(len(exps)) for b in range(a, len(exps))
     }
     keys = sorted(set(pair.values()) | {0})
     index = {q: m for m, q in enumerate(keys)}
     pair_class = np.zeros((len(exps), len(exps)), dtype=np.intp)
     for (a, b), q in pair.items():
         pair_class[a, b] = pair_class[b, a] = index[q]
-    classes = [Fraction(q, scale) for q in keys]
+    classes = [Fraction(q, 2 * s) for q in keys]
     return piece, classes, pair_class
 
 
@@ -145,7 +144,7 @@ def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
 def _rescaled(spec: ExtensionSpec, u: float) -> np.ndarray:
     """Structure constants of the deformed frame at time u:
     mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k]."""
-    T = spec.algebra.dense()
+    T = spec.algebra.dense().copy()
     p = spec.eigenvalues()
     nz = T != 0.0
     exponent = p[None, None, :] - p[:, None, None] - p[None, :, None]

@@ -44,7 +44,10 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 def scaled_to_integers(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
     """The ints or Fractions times the lcm s > 0 of their denominators, as ints, and s."""
-    s = math.lcm(*(x.denominator for x in values))
+    # A list, not a generator: CPython builds the argument tuple of *generator
+    # by resizing, which parks one tuple per call in the free list of its
+    # final size, up to 2000 a size, and peak RSS grows with the calls.
+    s = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (s // x.denominator) for x in values], s
 
 

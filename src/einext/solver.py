@@ -37,6 +37,10 @@ from .verifier import sparsity_pattern
 
 Triple = tuple[int, int, int]
 
+# Box of every pattern variable, and the Levenberg-Marquardt steps per restart.
+BOUNDS = (-10.0, 10.0)
+MAX_ITERATIONS = 200
+
 
 def _normalize_pattern(pattern: Sequence[Triple], dim: int) -> tuple[Triple, ...]:
     seen = set()
@@ -63,10 +67,8 @@ class SearchProblem:
 
     spectral: tuple[Fraction, ...]
     pattern: Optional[tuple[Triple, ...]] = None
-    bounds: tuple[float, float] = (-10.0, 10.0)
     restarts: int = 8
     seed: int = 0
-    max_iterations: int = 200
     tolerance: float = 1e-10
     jacobi_weight: float = 10.0
 
@@ -74,14 +76,10 @@ class SearchProblem:
         object.__setattr__(self, "spectral", tuple(map(parse_rational, self.spectral)))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
         for name in ("tolerance", "jacobi_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if not (all(map(math.isfinite, self.bounds)) and self.bounds[0] < self.bounds[1]):
-            raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds!r}")
         pattern = sparsity_pattern(self.spectral) if self.pattern is None else self.pattern
         object.__setattr__(self, "pattern", _normalize_pattern(pattern, self.dim))
 
@@ -212,21 +210,15 @@ class _QuadraticModel:
         return jac.reshape(self.size, self.nvars + 1)[:, :-1]
 
 
-def _levenberg_marquardt(
-    fun,
-    x0: np.ndarray,
-    bounds: tuple[float, float],
-    max_iterations: int,
-    gtol: float = 1e-12,
-) -> tuple[np.ndarray, list[float]]:
-    lo, hi = bounds
+def _levenberg_marquardt(fun, x0: np.ndarray, gtol: float = 1e-12) -> tuple[np.ndarray, list[float]]:
+    lo, hi = BOUNDS
     x = np.clip(x0, lo, hi)
     r = fun(x)
     objective = 0.5 * float(r @ r)
     trace = [objective]
     damping = 1e-3
     eye = np.eye(x.size)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         jac = fun.jacobian(x)
         grad = jac.T @ r
         if float(np.abs(grad).max(initial=0.0)) <= gtol:
@@ -274,9 +266,7 @@ def search(problem: SearchProblem) -> SearchResult:
     # Without variables every restart is the same single point.
     for restart in range(problem.restarts if fun.nvars else 1):
         x0 = rng.uniform(-3.0, 3.0, size=fun.nvars)
-        x, trace = _levenberg_marquardt(
-            fun, x0, problem.bounds, problem.max_iterations
-        )
+        x, trace = _levenberg_marquardt(fun, x0)
         objective = trace[-1]
         summaries.append(
             {

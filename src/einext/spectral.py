@@ -11,7 +11,6 @@ certificate either way.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -75,17 +74,6 @@ class SpectralVector:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def canonical(self) -> "SpectralVector":
-        """Sorted nondecreasing, coprime integer entries, normalized sign.
-
-        The sign is fixed so the entry sum is positive; for zero-sum vectors
-        the largest-magnitude value must occur with positive sign.
-        """
-        ints, _ = scaled_to_integers(self.entries)
-        g, total, top = math.gcd(*ints) or 1, sum(ints), max(map(abs, ints))
-        sign = -1 if total < 0 or (total == 0 and top not in ints) else 1
-        return SpectralVector(tuple(sorted(sign * v // g for v in ints)))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"

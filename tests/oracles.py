@@ -22,13 +22,12 @@ import numpy as np
 def koszul_connection(mu) -> np.ndarray:
     """nabla[c][b][a] = <nabla_{e_c} e_b, e_a> from the Koszul formula."""
     n = mu.dim
+    T = mu.dense()
     out = np.zeros((n, n, n))
-    for c in range(1, n + 1):
-        for b in range(1, n + 1):
-            for a in range(1, n + 1):
-                out[c - 1, b - 1, a - 1] = 0.5 * (
-                    mu.get(c, b, a) - mu.get(b, a, c) + mu.get(a, c, b)
-                )
+    for c in range(n):
+        for b in range(n):
+            for a in range(n):
+                out[c, b, a] = 0.5 * (T[c, b, a] - T[b, a, c] + T[a, c, b])
     return out
 
 
@@ -46,7 +45,7 @@ def koszul_ricci(mu) -> np.ndarray:
         return out
 
     def bracket(x: int, y: int) -> np.ndarray:
-        return np.array([mu.get(x + 1, y + 1, k + 1) for k in range(n)])
+        return np.array([mu.dense()[x, y, k] for k in range(n)])
 
     ric = np.zeros((n, n))
     for i in range(n):

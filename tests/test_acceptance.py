@@ -135,7 +135,7 @@ def test_criterion_7_solver_recovery():
     assert elapsed < 5.0
     assert result.converged
     assert result.residual < 1e-8
-    assert abs(abs(result.best_mu.get(1, 2, 3)) - 2.0) <= 1e-6
+    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
 
 
 @report(8, "grouped curvature matches the direct and Koszul oracles")

@@ -54,10 +54,21 @@ def test_non_finite_values_rejected():
 
 def test_antisymmetric_storage():
     mu = StructureTensor(3, {(2, 1, 3): 5.0})
-    assert mu.get(1, 2, 3) == -5.0
-    assert mu.get(2, 1, 3) == 5.0
-    assert mu.get(1, 1, 3) == 0.0
-    assert len(mu.items()) == 1
+    T = mu.dense()
+    assert T[0, 1, 2] == -5.0
+    assert T[1, 0, 2] == 5.0
+    assert T[0, 0, 2] == 0.0
+    assert mu.items() == [((1, 2, 3), -5.0)]
+
+
+def test_constants_and_eigenvalues_are_stored_once_read_only():
+    spec = make_spec(heisenberg3(), [1, 1, 2])
+    mu = spec.algebra
+    assert mu.dense() is mu.dense()
+    assert spec.eigenvalues() is spec.eigenvalues()
+    for stored in (mu.dense(), spec.eigenvalues()):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
 
 
 def test_entries_cancel_and_drop():
@@ -217,7 +228,7 @@ def test_qn_split_rotation():
     assert np.allclose(q3, [[0.0, -1.0], [1.0, 0.0]])
     assert np.allclose(split.n_ops[3], 0.0)
     # reconstruction: Q + N equals the restricted action
-    action = np.array([[mu.get(3, l, k) for l in (1, 2)] for k in (1, 2)])
+    action = np.array([[mu.dense()[2, l - 1, k - 1] for l in (1, 2)] for k in (1, 2)])
     assert np.abs(q3 + split.n_ops[3] - action).max() == 0.0
 
 
@@ -291,7 +302,7 @@ def test_qn_split_and_twist_invariants(case):
     m = decomp.m_indices
     split = qn_split(mu, spec, decomp)
     for a in decomp.h_indices:
-        action = np.array([[mu.get(a, l, k) for l in m] for k in m])
+        action = np.array([[mu.dense()[a - 1, l - 1, k - 1] for l in m] for k in m])
         crosses = np.array([[p[k - 1] != p[l - 1] for l in m] for k in m])
         violations = np.zeros_like(action)
         for b, k, l, v, _ in split.violations:
@@ -435,7 +446,7 @@ def test_json_accepts_rational_strings():
         "spectral": ["1/2", 1],
     }
     mu, spec, _ = algebra_from_json(data)
-    assert mu.get(1, 2, 1) == 1.5
+    assert mu.dense()[0, 1, 0] == 1.5
     assert spec.eigenvalue(1) == Fraction(1, 2)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einext.algebra import StructureError, StructureTensor, is_derivation, make_spec
 from einext.catalog import (
@@ -135,3 +137,15 @@ def test_lookup_and_entries():
         report = verify_extension(entry.spec, 1e-10)
         assert report.einstein == entry.expected_pass
         assert report.einstein_constant == pytest.approx(entry.expected_constant)
+
+
+def test_row4_names_keep_their_short_forms():
+    assert [table1(4, p).name for p in (1.0, 0.5, 0.0)] == ["table1:4:1", "table1:4:0.5", "table1:4:0"]
+    assert table1(4, 0.123456789).name == "table1:4:0.123456789"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6, allow_nan=False))
+def test_row4_name_looks_up_the_same_eigenvalues(p):
+    entry = table1(4, p)
+    assert lookup(entry.name).spec.spectral == entry.spec.spectral

@@ -233,6 +233,13 @@ def test_overflowing_eigenvalue_is_input_error(capsys):
         assert "overflows float64" in err
 
 
+def test_dimension_too_large_for_memory_is_input_error(capsys):
+    # 10^15 float64 constants: the allocation fails at once, before any is touched.
+    code, out, err = run_cli(capsys, "verify", "--input", '{"dim": 100000, "spectral": []}')
+    assert (code, out) == (2, "")
+    assert "Unable to allocate" in err
+
+
 def test_overflowing_time_names_u(capsys):
     code, out, err = run_cli(
         capsys, "curvature", "--input", HEISENBERG_JSON % ("1.0", "1"), "--u", "-1000"

@@ -58,10 +58,11 @@ def test_float_reads_as_its_decimal():
     assert parse_rational(-0.0) == 0 and parse_rational(1e-300) == Fraction(1, 10**300)
 
 
-@given(st.integers(-(10**15) + 1, 10**15 - 1), st.integers(-300, 300))
+@given(st.integers(-(10**15) + 1, 10**15 - 1), st.integers(-300, 293))
 def test_decimals_up_to_15_digits_are_exact(digits, exponent):
     # Decimals of at most 15 significant digits lie more than an ulp apart,
-    # so the float nearest to one still reads as that decimal.
+    # so the float nearest to one still reads as that decimal.  The exponent
+    # range keeps every drawn value a normal float, below 10**308.
     value = Fraction(digits) * Fraction(10) ** exponent
     assert parse_rational(float(value)) == value
 

@@ -64,7 +64,7 @@ def test_search_recovers_heisenberg():
     assert elapsed < 5.0
     assert result.converged
     assert result.residual < 1e-8
-    assert abs(abs(result.best_mu.get(1, 2, 3)) - 2.0) <= 1e-6
+    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
 
 
 def test_search_scalar_type_trivial():
@@ -134,7 +134,7 @@ def test_full_pattern_search_still_finds_heisenberg():
     )
     result = search(problem)
     assert result.converged
-    assert abs(abs(result.best_mu.get(1, 2, 3)) - 2.0) <= 1e-6
+    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
 
 
 def assembled(spectral, pattern=None, jacobi_weight=10.0):
@@ -246,10 +246,6 @@ def test_problem_validation():
         ("tolerance", -1.0),
         ("jacobi_weight", float("inf")),
         ("jacobi_weight", float("nan")),
-        ("bounds", (float("-inf"), 1.0)),
-        ("bounds", (1.0, 1.0)),
-        ("bounds", (0.0, float("nan"))),
-        ("max_iterations", -1),
     ]:
         with pytest.raises(ValueError, match=field):
             SearchProblem(spectral=F(1, 1, 2), **{field: bad})

@@ -20,7 +20,7 @@ from einext.spectral import (
 )
 
 from oracles import admissibility_defects
-from util import complement_projector
+from util import canonical, complement_projector
 
 KNOWN_DIM4_TYPES = {
     (1, 1, 1, 1),
@@ -99,13 +99,13 @@ def test_candidate_single_column_n3():
     roots = perp_roots([1, 1, 2])
     assert roots == [RootTriple(1, 2, 3)]
     assert candidate(roots, 3) == (Fraction(2, 3), Fraction(2, 3), Fraction(4, 3))
-    assert SpectralVector(candidate(roots, 3)).canonical().entries == (1, 1, 2)
+    assert canonical(SpectralVector(candidate(roots, 3))).entries == (1, 1, 2)
 
 
 def test_candidate_empty_matrix():
     assert perp_roots([1] * 5) == []
     assert candidate([], 5) == tuple([Fraction(1)] * 5)
-    assert SpectralVector(candidate([], 5)).canonical().entries == (1, 1, 1, 1, 1)
+    assert canonical(SpectralVector(candidate([], 5))).entries == (1, 1, 1, 1, 1)
 
 
 def test_candidate_two_columns_n4():
@@ -118,17 +118,17 @@ def test_candidate_two_columns_n4():
             Fraction(6, 5),
             Fraction(6, 5),
         )
-        assert SpectralVector(candidate(order, 4)).canonical().entries == (1, 1, 2, 2)
+        assert canonical(SpectralVector(candidate(order, 4))).entries == (1, 1, 2, 2)
 
 
 def test_canonical_form_rules():
-    assert SpectralVector.of([Fraction(2, 3), Fraction(4, 3), Fraction(2, 3)]).canonical().entries == (1, 1, 2)
-    assert SpectralVector.of([-1, -1, -2]).canonical().entries == (1, 1, 2)
+    assert canonical(SpectralVector.of([Fraction(2, 3), Fraction(4, 3), Fraction(2, 3)])).entries == (1, 1, 2)
+    assert canonical(SpectralVector.of([-1, -1, -2])).entries == (1, 1, 2)
     # zero sum: the largest-magnitude entry must be positive
-    assert SpectralVector.of([3, -3, 1, -1]).canonical().entries == (-3, -1, 1, 3)
-    assert SpectralVector.of([-3, 3, -1, 1]).canonical().entries == (-3, -1, 1, 3)
-    assert SpectralVector.of([2, -1, -1]).canonical().entries == (-1, -1, 2)
-    assert SpectralVector.of([4, 2, 6]).canonical().entries == (1, 2, 3)
+    assert canonical(SpectralVector.of([3, -3, 1, -1])).entries == (-3, -1, 1, 3)
+    assert canonical(SpectralVector.of([-3, 3, -1, 1])).entries == (-3, -1, 1, 3)
+    assert canonical(SpectralVector.of([2, -1, -1])).entries == (-1, -1, 2)
+    assert canonical(SpectralVector.of([4, 2, 6])).entries == (1, 2, 3)
 
 
 def test_canonical_is_permutation_invariant_retraction():
@@ -139,11 +139,11 @@ def test_canonical_is_permutation_invariant_retraction():
         if all(v == 0 for v in vals):
             continue
         p = SpectralVector.of(vals)
-        canon = p.canonical()
-        assert canon.canonical() == canon
+        canon = canonical(p)
+        assert canonical(canon) == canon
         perm = rng.permutation(n)
         shuffled = SpectralVector.of([vals[i] for i in perm])
-        assert shuffled.canonical() == canon
+        assert canonical(shuffled) == canon
 
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -156,12 +156,12 @@ small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
 )
 def test_canonical_is_idempotent_and_invariant(values, rnd, scale):
-    canon = SpectralVector.of(values).canonical()
-    assert canon.canonical() == canon
+    canon = canonical(SpectralVector.of(values))
+    assert canonical(canon) == canon
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    assert SpectralVector.of(shuffled).canonical() == canon
-    assert SpectralVector.of([scale * v for v in values]).canonical() == canon
+    assert canonical(SpectralVector.of(shuffled)) == canon
+    assert canonical(SpectralVector.of([scale * v for v in values])) == canon
 
 
 def test_spectral_vector_requires_two_entries():
@@ -332,6 +332,11 @@ def test_type_counts(types_of, dim, count):
     assert len(types_of(dim)) == count
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_emitted_types_are_canonical(types_of, dim):
+    assert [p for p in types_of(dim) if canonical(p) != p] == []
+
+
 # Every type the cone condition rejects up to dimension 6, with its witness.
 CONE_REJECTED = {
     (-4, -1, 2, 3, 4, 5): ("1", "-1/2", "1", "-3/2", "-1", "-1/2"),
@@ -390,7 +395,7 @@ def test_well_definedness_of_defining_subsets():
         roots = perp_roots(p.entries)
         for _ in range(3):
             shuffled = [roots[i] for i in rng.permutation(len(roots))]
-            assert SpectralVector(candidate(shuffled, 4)).canonical() == p
+            assert canonical(SpectralVector(candidate(shuffled, 4))) == p
 
 
 def test_scalar_type_always_present():

@@ -1,7 +1,8 @@
 """Shared samplers for the randomized suites, the exact projector onto the
 complement of a span that the projector tests build on, and small helpers
-over the library that only tests need: relabelling a frame, the first
-relation p_k = p_i + p_j, and the solver's residual of a given tensor."""
+over the library that only tests need: the canonical form of a type,
+relabelling a frame, the first relation p_k = p_i + p_j, and the solver's
+residual of a given tensor."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ import numpy as np
 from einext.algebra import StructureTensor, make_spec
 from einext.curvature import _grouped_terms
 from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
+from einext.scalars import scaled_to_integers
 from einext.solver import _stack_residual
+from einext.spectral import SpectralVector
 from einext.verifier import _root_values
 
 
@@ -88,6 +91,18 @@ def complement_projector(
             key = extend(key, u)
     Q, d = projectors(key, dim)
     return Q[0], int(d[0]), independent
+
+
+def canonical(p: SpectralVector) -> SpectralVector:
+    """Sorted nondecreasing, coprime integer entries, normalized sign.
+
+    The sign is fixed so the entry sum is positive; for zero-sum vectors
+    the largest-magnitude value must occur with positive sign.
+    """
+    ints, _ = scaled_to_integers(p.entries)
+    g, total, top = math.gcd(*ints) or 1, sum(ints), max(map(abs, ints))
+    sign = -1 if total < 0 or (total == 0 and top not in ints) else 1
+    return SpectralVector(tuple(sorted(sign * v // g for v in ints)))
 
 
 def permuted(mu: StructureTensor, perm: dict) -> StructureTensor:
