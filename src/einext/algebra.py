@@ -9,9 +9,11 @@ also formed once.  :func:`make_spec` reads the eigenvalues, substituting the
 value of the one free parameter t into any affine form "a+b*t" on the way
 in, so every later layer compares plain Fractions.
 
-The Lie-theoretic primitives here (Jacobi residual, divergence condition,
-derivation test, and the Q/N splitting with its twisting) are what the
-curvature and verification layers build on.
+The weight p_k - p_i - p_j with which D acts on mu[i,j|k] is computed
+exactly in one place, :func:`exponents`.  The Lie-theoretic primitives here
+(Jacobi residual, divergence condition, derivation test, and the Q/N
+splitting with its twisting) are what the curvature and verification
+layers build on.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .scalars import RationalLike, format_rational, parse_affine, parse_rational
+from .scalars import RationalLike, format_rational, parse_affine, parse_rational, scaled_to_integers
 
 DEFAULT_JACOBI_TOL = 1e-10
 
@@ -164,14 +166,27 @@ def make_spec(
     if param is None:
         if parametric:
             raise StructureError("parametric eigenvalues need a 'param' value")
-        return ExtensionSpec(algebra, tuple(const for const, _ in forms))
+        return ExtensionSpec(algebra, tuple([const for const, _ in forms]))
     if not parametric:
         raise StructureError("'param' given but no eigenvalue depends on t")
     try:
         t = parse_rational(param)
     except (TypeError, ValueError) as exc:
         raise StructureError(f"'param' must be a finite number or \"num/den\", got {param!r}") from exc
-    return ExtensionSpec(algebra, tuple(const + slope * t for const, slope in forms))
+    return ExtensionSpec(algebra, tuple([const + slope * t for const, slope in forms]))
+
+
+def full_pattern(dim: int) -> tuple[tuple[int, int, int], ...]:
+    """Every structurally possible triple (i < j, any k), in lexicographic order."""
+    r = range(1, dim + 1)
+    return tuple((i, j, k) for i in r for j in r if i < j for k in r)
+
+
+def exponents(spectral: Sequence[Fraction], triples: Iterable[tuple[int, int, int]]) -> tuple[list[int], int]:
+    """The weight e = p_k - p_i - p_j of each mu[i,j|k] times the lcm s > 0
+    of the eigenvalue denominators, exactly, as a Python int; and s."""
+    c, s = scaled_to_integers(spectral)
+    return [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples], s
 
 
 def _jacobi_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -208,10 +223,9 @@ class DerivationCheck(NamedTuple):
 
 def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> DerivationCheck:
     """Whether D is a derivation: (p_k - p_i - p_j) mu[i,j|k] = 0 for all triples."""
-    p = spec.spectral
-    worst = 0.0
-    for (i, j, k), v in spec.algebra.items():
-        worst = max(worst, abs(float(p[k - 1] - p[i - 1] - p[j - 1]) * v))
+    items = spec.algebra.items()
+    e, s = exponents(spec.spectral, [t for t, _ in items])
+    worst = max((abs(float(Fraction(x, s)) * v) for x, (_, v) in zip(e, items)), default=0.0)
     return DerivationCheck(worst <= tol, worst)
 
 
@@ -236,12 +250,14 @@ class OrthogonalDecomposition:
         object.__setattr__(self, "h_indices", tuple(sorted(self.h_indices)))
         object.__setattr__(self, "m_indices", tuple(sorted(self.m_indices)))
 
+    def check_partition(self, n: int) -> None:
+        """Check that h and m partition 1..n."""
+        if sorted(self.h_indices + self.m_indices) != list(range(1, n + 1)):
+            raise DecompositionError(f"decomposition 'h' and 'm' must partition 1..{n}")
+
     def validate(self, mu: StructureTensor, tol: float = DEFAULT_JACOBI_TOL) -> None:
         """Check the partition and the abelian/ideal axioms."""
-        n = mu.dim
-        combined = sorted(self.h_indices + self.m_indices)
-        if combined != list(range(1, n + 1)):
-            raise DecompositionError("h and m must partition 1..n")
+        self.check_partition(mu.dim)
         h = set(self.h_indices)
         m = set(self.m_indices)
         for (i, j, k), v in mu.items():
@@ -317,10 +333,12 @@ def standard_modification(
 ) -> StructureTensor:
     """Twist away the block-diagonal skew action so D becomes a derivation.
 
-    Keeps the ideal brackets and the zero-eigenvalue actions, and replaces
-    each nonzero-eigenvalue action by its shifting part.  Requires a genuine
-    Lie algebra whose split has no pattern violations, skew block-diagonal
-    parts, and pairwise commuting operator families; refuses otherwise.
+    Keeps the exponent-zero piece, the entries with p_k - p_i - p_j = 0
+    (:func:`exponents`), on which D is a derivation: the ideal brackets, the
+    zero-eigenvalue actions and the shifting part of each nonzero-eigenvalue
+    action.  Requires a genuine Lie algebra whose split has no pattern
+    violations, skew block-diagonal parts, and pairwise commuting operator
+    families; refuses otherwise.
 
     Only the algebraic outputs are validated (Jacobi identity and the
     derivation property); that the modified group carries an isometric
@@ -329,10 +347,11 @@ def standard_modification(
     res = jacobi_residual(mu)
     if res > tol:
         raise StructureError(f"input is not a Lie algebra (Jacobi residual {res:.3e})")
-    p = {i: spec.eigenvalue(i) for i in range(1, mu.dim + 1)}
-    h, m = set(decomp.h_indices), set(decomp.m_indices)
-    for (i, j, k), v in mu.items():
-        if {i, j, k} <= m and abs(v) > tol and p[k] != p[i] + p[j]:
+    items = mu.items()
+    e, _ = exponents(spec.spectral, [t for t, _ in items])
+    m = set(decomp.m_indices)
+    for ((i, j, k), v), x in zip(items, e):
+        if {i, j, k} <= m and abs(v) > tol and x != 0:
             raise PatternViolationError(
                 f"ideal bracket mu[{i},{j}|{k}] = {v:g} is not an eigenvector "
                 "of the deformation; the twisting does not apply"
@@ -360,15 +379,7 @@ def standard_modification(
                 f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
             )
 
-    # The survivors: brackets inside the ideal, and each bracket [e_a, e_l]
-    # (a in h, l, k in m) that a zero eigenvalue keeps or that shifts by p_a.
-    entries = {}
-    for (i, j, k), v in mu.items():
-        a, l = (i, j) if i in h else (j, i)
-        kept = a not in h or (k not in h and (p[a] == 0 or p[k] == p[l] + p[a]))
-        if l not in h and kept:
-            entries[(i, j, k)] = v
-    out = StructureTensor(mu.dim, entries)
+    out = StructureTensor(mu.dim, {t: v for (t, v), x in zip(items, e) if x == 0})
 
     res = jacobi_residual(out)
     if res > tol:
@@ -404,8 +415,9 @@ def algebra_from_json(data: Mapping) -> tuple[StructureTensor, Optional[Extensio
     "num/den", and eigenvalues also affine forms "a+b*t", which
     :func:`make_spec` substitutes at "param".  A "param" value is accepted
     exactly when some eigenvalue depends on t.  Only homogeneous data is
-    supported, so "constant_structure" may only be true.
-    Any other shape raises :class:`StructureError`.
+    supported, so "constant_structure" may only be true.  A decomposition
+    whose "h" and "m" do not partition 1..dim raises
+    :class:`DecompositionError`; any other shape :class:`StructureError`.
     """
     try:
         return _parse_algebra_json(data)
@@ -448,6 +460,7 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
             tuple(_require_int(x, "decomposition 'h' entry") for x in d.get("h", ())),
             tuple(_require_int(x, "decomposition 'm' entry") for x in d.get("m", ())),
         )
+        decomp.check_partition(dim)
     return mu, spec, decomp
 
 

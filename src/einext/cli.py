@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import catalog as catalog_mod
-from .algebra import ExtensionSpec, algebra_from_json, algebra_to_json, is_derivation
+from .algebra import ExtensionSpec, algebra_from_json, algebra_to_json, full_pattern, is_derivation
 from .curvature import extension_ricci
 from .scalars import parse_rational
-from .solver import SearchProblem, full_pattern, search
+from .solver import SearchProblem, search
 from .spectral import (
     DEFAULT_DIMENSION_CAP,
     SpectralVector,

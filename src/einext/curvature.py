@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ExtensionSpec, StructureTensor, divergence_residual
-from .scalars import format_rational, scaled_to_integers
+from .algebra import ExtensionSpec, StructureTensor, divergence_residual, exponents
+from .scalars import format_rational
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -78,13 +78,12 @@ def _exponent_layout(
     e = p_k - p_i - p_j in order of first appearance; the classes, the
     constant class and every -(e + f)/2, sorted; and ``pair_class[e, f]``,
     the index of the class -(e + f)/2 of two pieces, formed once per pair.
-    Scaled by the lcm s of the denominators, every eigenvalue and exponent
-    is a Python int, and so is every class scaled by 2 s.
+    The exponents come from ``algebra.exponents`` as Python ints scaled by
+    the lcm s of the denominators, so every class scaled by 2 s is an int too.
     """
-    c, s = scaled_to_integers(spectral)
-    exponents = [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples]
+    weights, s = exponents(spectral, triples)
     piece_of: dict[int, int] = {}
-    piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in exponents], dtype=np.intp)
+    piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in weights], dtype=np.intp)
     exps = list(piece_of)
     pair = {
         (a, b): -(exps[a] + exps[b]) for a in range(len(exps)) for b in range(a, len(exps))

@@ -27,7 +27,9 @@ from .algebra import (
     StructureTensor,
     _divergence_form,
     _jacobi_form,
+    algebra_to_json,
     divergence_residual,
+    full_pattern,
     jacobi_components,
     make_spec,
 )
@@ -49,16 +51,6 @@ def _normalize_pattern(pattern: Sequence[Triple], dim: int) -> tuple[Triple, ...
             raise ValueError(f"bad pattern triple ({i},{j}|{k})")
         seen.add((i, j, k) if i < j else (j, i, k))
     return tuple(sorted(seen))
-
-
-def full_pattern(dim: int) -> tuple[Triple, ...]:
-    """Every structurally possible triple (i < j, any k)."""
-    return tuple(
-        (i, j, k)
-        for i in range(1, dim + 1)
-        for j in range(i + 1, dim + 1)
-        for k in range(1, dim + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -108,10 +100,7 @@ class SearchResult:
         return {
             "converged": self.converged,
             "residual": self.residual,
-            "mu": [
-                {"i": i, "j": j, "k": k, "v": v}
-                for (i, j, k), v in self.best_mu.items()
-            ],
+            "mu": algebra_to_json(self.best_mu)["mu"],
             "pattern": [list(t) for t in self.pattern],
             "restarts": self.restart_summaries,
         }

@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .algebra import exponents
 from .exactlp import cone_decompose
 from .ratlinalg import _exact, distinct, extend, images, narrowest, projector_keys, projectors, reject
 from .scalars import parse_rational, scaled_to_integers
@@ -90,9 +91,9 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def perp_roots(p: Sequence[Fraction]) -> list[RootTriple]:
-    """The root triples orthogonal to p, tested on p scaled to integers."""
-    q, _ = scaled_to_integers(p)
-    return [t for t in _root_vectors(len(q)) if q[t.i - 1] + q[t.j - 1] == q[t.k - 1]]
+    """The root triples orthogonal to p: those whose weight p_k - p_i - p_j is 0."""
+    roots = _root_vectors(len(p))
+    return [t for t, e in zip(roots, exponents(p, roots)[0]) if e == 0]
 
 
 @dataclass
@@ -217,7 +218,7 @@ def enumerate_types(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> set[SpectralV
     if dim > cap:
         raise DimensionCapError(
             f"dimension {dim} exceeds the enumeration cap {cap}; "
-            f"pass cap={dim} explicitly to override"
+            f"pass cap={dim} (--cap {dim} on the command line) explicitly to override"
         )
     return _enumerate_unfiltered(dim)
 

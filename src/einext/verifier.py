@@ -11,7 +11,8 @@ The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
 (1,...,1,2).  Each reads slices of the dense constants, relabelled so the
 distinguished direction comes last, and reports through one builder.
-``sparsity_pattern`` filters the table of p_i + p_j - p_k.
+``sparsity_pattern`` keeps the triples whose exact weight p_k - p_i - p_j
+(``algebra.exponents``) is 0 or minus an eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ExtensionSpec, divergence_residual
+from .algebra import ExtensionSpec, divergence_residual, exponents, full_pattern
 from .curvature import _ricci_form, ricci_deformation, ricci_deformation_at
 from .scalars import format_rational
 
@@ -97,25 +98,16 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     )
 
 
-def _root_values(p: Sequence[Fraction]) -> dict[tuple[int, int, int], Fraction]:
-    """p_i + p_j - p_k for every (i, j, k) with i < j, in lexicographic order."""
-    n = len(p)
-    return {
-        (i, j, k): p[i - 1] + p[j - 1] - p[k - 1]
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(1, n + 1)
-    }
-
-
 def sparsity_pattern(p: Sequence[Fraction]) -> set[tuple[int, int, int]]:
     """Triples (i, j, k), i < j, whose bracket entry may be nonzero.
 
     These are exactly the triples with p_i + p_j - p_k in {0, p_1, ..., p_n};
     all other structure constants must vanish for an Einstein extension.
     """
-    allowed = {Fraction(0), *p}
-    return {t for t, r in _root_values(p).items() if r in allowed}
+    triples = full_pattern(len(p))
+    e, s = exponents(p, triples)
+    allowed = {0, *(s * x for x in p)}
+    return {t for t, x in zip(triples, e) if -x in allowed}
 
 
 @dataclass

@@ -335,6 +335,9 @@ def test_qn_split_and_twist_invariants(case):
     for key in set(got) | set(expected):
         if got.get(key) != expected.get(key):
             assert key not in got and abs(expected[key]) <= 1e-10
+    # Exactly the exponent-zero piece, the entries with p_k = p_i + p_j.
+    exponent_zero = [((i, j, k), v) for (i, j, k), v in mu.items() if p[k - 1] == p[i - 1] + p[j - 1]]
+    assert out.items() == exponent_zero
 
 
 def test_standard_modification_removes_rotation():
@@ -398,6 +401,16 @@ def test_standard_modification_refuses_bad_ideal_grading():
     good = make_spec(mu, [1, 1, 2])
     out = standard_modification(mu, good, OrthogonalDecomposition((), (1, 2, 3)))
     assert out.items() == mu.items()
+
+
+def test_standard_modification_drops_sub_tolerance_entries_off_exponent_zero():
+    # The entry is within the tolerance, so the grading check lets it pass,
+    # but its weight 5 - 1 - 1 = 3 lifts 5e-11 to a 1.5e-10 derivation defect.
+    mu = StructureTensor(3, {(1, 2, 3): 5e-11})
+    spec = make_spec(mu, [1, 1, 5])
+    out = standard_modification(mu, spec, OrthogonalDecomposition((), (1, 2, 3)))
+    assert out.items() == []
+    assert is_derivation(spec.with_algebra(out)) == (True, 0.0)
 
 
 def test_standard_modification_postconditions_on_rotating_families():

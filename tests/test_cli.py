@@ -36,7 +36,7 @@ def test_enumerate_report_both(capsys):
 def test_enumerate_over_cap_is_input_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--dim", "9")
     assert code == 2
-    assert "cap" in err
+    assert "cap=9" in err and "--cap 9" in err
 
 
 def test_verify_catalog_pass(capsys):
@@ -189,6 +189,9 @@ def test_param_takes_rational_strings(capsys):
         # bool is a numbers.Rational, so true would read as eigenvalue 1
         ({"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": 2.0}], "spectral": [True, 1, 2]}, "'spectral'"),
         ({"dim": 3, "mu": [], "spectral": [1, "t", 0]}, "'param'"),
+        # h and m must partition 1..dim
+        ({"dim": 3, "mu": [], "spectral": [1, 1, 2], "decomposition": {"h": [3], "m": [1, 2, 2]}}, "decomposition"),
+        ({"dim": 3, "mu": [], "spectral": [1, 1, 2], "decomposition": {"h": [9], "m": [1, 2]}}, "decomposition"),
     ],
 )
 def test_malformed_shape_is_input_error(capsys, data, field):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import StructureTensor, make_spec
+from einext.algebra import StructureTensor, full_pattern, make_spec
 from einext.catalog import entries
 from einext.curvature import _grouped_terms
 from einext.solver import (
     SearchProblem,
     _QuadraticModel,
     _stack_residual,
-    full_pattern,
     search,
 )
 from einext.verifier import classify_type_0001, sparsity_pattern, verify_extension

@@ -12,13 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from einext.algebra import StructureTensor, make_spec
+from einext.algebra import StructureTensor, exponents, full_pattern, make_spec
 from einext.curvature import _grouped_terms
 from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
 from einext.scalars import scaled_to_integers
 from einext.solver import _stack_residual
 from einext.spectral import SpectralVector
-from einext.verifier import _root_values
 
 
 def random_sparse_tensor(rng, max_dim: int = 5):
@@ -112,7 +111,8 @@ def permuted(mu: StructureTensor, perm: dict) -> StructureTensor:
 
 def relation_exists(p: Sequence[Fraction]):
     """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
-    return next((t for t, r in _root_values(p).items() if r == 0), None)
+    triples = full_pattern(len(p))
+    return next((t for t, e in zip(triples, exponents(p, triples)[0]) if e == 0), None)
 
 
 def residual_vector(mu: StructureTensor, spectral, jacobi_weight: float = 1.0) -> np.ndarray:
