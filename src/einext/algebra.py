@@ -11,9 +11,9 @@ in, so every later layer compares plain Fractions.
 
 The weight p_k - p_i - p_j with which D acts on mu[i,j|k] is computed
 exactly in one place, :func:`exponents`.  The Lie-theoretic primitives here
-(Jacobi residual, divergence condition, derivation test, and the Q/N
-splitting with its twisting) are what the curvature and verification
-layers build on.
+(Jacobi residual, divergence condition, derivation test, and the standard
+modification, which twists D into a derivation) are what the curvature and
+verification layers build on.
 """
 
 from __future__ import annotations
@@ -277,54 +277,6 @@ class OrthogonalDecomposition:
                 )
 
 
-@dataclass
-class QNSplit:
-    """Action of the abelian part on the ideal, split by eigenvalue pattern.
-
-    For a zero-eigenvalue generator a, ``t_ops[a]`` is the whole restricted
-    action.  For a nonzero-eigenvalue generator b, ``q_ops[b]`` collects the
-    entries with p_k = p_l (block-diagonal) and ``n_ops[b]`` those with
-    p_k = p_l + p_b (shifting); entries fitting neither pattern are reported
-    in ``violations`` and never silently dropped.
-    """
-
-    m_indices: tuple[int, ...]
-    t_ops: dict[int, np.ndarray]
-    q_ops: dict[int, np.ndarray]
-    n_ops: dict[int, np.ndarray]
-    violations: list[tuple[int, int, int, float, str]] = field(default_factory=list)
-
-
-def qn_split(
-    mu: StructureTensor,
-    spec: ExtensionSpec,
-    decomp: OrthogonalDecomposition,
-    tol: float = DEFAULT_JACOBI_TOL,
-) -> QNSplit:
-    """Split the abelian-part action on the ideal by eigenvalue pattern."""
-    decomp.validate(mu, tol)
-    m_idx = decomp.m_indices
-    m = np.array(m_idx, dtype=np.intp) - 1
-    p = np.array(spec.spectral, dtype=object)
-    gap = np.subtract.outer(p[m], p[m])  # gap[k', l'] = p_k - p_l, exactly
-    same = gap == 0
-    T = mu.dense()
-    result = QNSplit(m_idx, {}, {}, {})
-    for a in decomp.h_indices:
-        action = T[a - 1][np.ix_(m, m)].T  # action[k', l'] = mu[a, l | k]
-        if p[a - 1] == 0:
-            result.t_ops[a] = action
-            bad, why = ~same, "zero-eigenvalue action must preserve eigenspaces"
-        else:
-            shift = ~same & (gap == p[a - 1])
-            result.q_ops[a] = np.where(same, action, 0.0)
-            result.n_ops[a] = np.where(shift, action, 0.0)
-            bad, why = ~same & ~shift, "entry outside both eigenvalue patterns"
-        for kp, lp in zip(*np.nonzero(bad & (np.abs(action) > tol))):
-            result.violations.append((a, m_idx[kp], m_idx[lp], action[kp, lp], why))
-    return result
-
-
 def standard_modification(
     mu: StructureTensor,
     spec: ExtensionSpec,
@@ -333,12 +285,15 @@ def standard_modification(
 ) -> StructureTensor:
     """Twist away the block-diagonal skew action so D becomes a derivation.
 
-    Keeps the exponent-zero piece, the entries with p_k - p_i - p_j = 0
-    (:func:`exponents`), on which D is a derivation: the ideal brackets, the
-    zero-eigenvalue actions and the shifting part of each nonzero-eigenvalue
-    action.  Requires a genuine Lie algebra whose split has no pattern
-    violations, skew block-diagonal parts, and pairwise commuting operator
-    families; refuses otherwise.
+    One pass over the weights e = p_k - p_i - p_j (:func:`exponents`) sorts
+    the entries.  The kept piece, the output, is every entry of weight 0, on
+    which D is a derivation: the ideal brackets, the zero-eigenvalue actions
+    T_a and the shifting part N_b of each nonzero-eigenvalue action.  The
+    twisted piece is the block-diagonal part Q_b, the entries mu[b,l|k] with
+    b in h, l and k in m and weight -p_b != 0, that is p_k = p_l.  Requires
+    a genuine Lie algebra, an ideal graded by D, no other entry of the
+    actions above the tolerance, skew Q_b, and pairwise commuting T_a, Q_b
+    and N_b; refuses otherwise.
 
     Only the algebraic outputs are validated (Jacobi identity and the
     derivation property); that the modified group carries an isometric
@@ -347,39 +302,53 @@ def standard_modification(
     res = jacobi_residual(mu)
     if res > tol:
         raise StructureError(f"input is not a Lie algebra (Jacobi residual {res:.3e})")
+    h, m, p = decomp.h_indices, set(decomp.m_indices), spec.spectral
     items = mu.items()
-    e, _ = exponents(spec.spectral, [t for t, _ in items])
-    m = set(decomp.m_indices)
+    e, s = exponents(p, [t for t, _ in items])
+    kept, twisted, refused = {}, {}, []
     for ((i, j, k), v), x in zip(items, e):
-        if {i, j, k} <= m and abs(v) > tol and x != 0:
+        a, l = (j, i) if j in h else (i, j)  # mu[a,l|k] = +-v
+        acts = a in h and l in m and k in m
+        if x == 0:
+            kept[i, j, k] = v
+        elif abs(v) > tol and {i, j, k} <= m:
             raise PatternViolationError(
                 f"ideal bracket mu[{i},{j}|{k}] = {v:g} is not an eigenvector "
                 "of the deformation; the twisting does not apply"
             )
-    split = qn_split(mu, spec, decomp, tol)
-    if split.violations:
-        a, k, l, v, why = split.violations[0]
+        elif acts and x == -p[a - 1] * s:
+            twisted[i, j, k] = v
+        elif acts and abs(v) > tol:
+            why = ("entry outside both eigenvalue patterns" if p[a - 1]
+                   else "zero-eigenvalue action must preserve eigenspaces")
+            refused.append((a, k, l, v if a == i else -v, why))
+    decomp.validate(mu, tol)
+    if refused:
+        a, k, l, v, why = min(refused)
         raise PatternViolationError(f"mu[{a},{l}|{k}] = {v:g}: {why}")
-    for b, q in split.q_ops.items():
-        skew_defect = float(np.abs(q + q.T).max()) if q.size else 0.0
+    out = StructureTensor(mu.dim, kept)
+    rows = np.array(decomp.m_indices, dtype=np.intp) - 1
+    ix = np.ix_(rows, rows)
+    T, K, Q = mu.dense(), out.dense(), StructureTensor(mu.dim, twisted).dense()
+    moving = [b for b in h if p[b - 1]]
+    for b in moving:
+        skew_defect = float(np.abs(Q[b - 1][ix] + Q[b - 1][ix].T).max(initial=0.0))
         if skew_defect > tol:
             raise PatternViolationError(
                 f"block-diagonal action of e_{b} is not skew (defect {skew_defect:.3e})"
             )
+    # Each operator's matrix: op[k', l'] = mu[a, l | k]; T_a is the whole action.
     labelled = (
-        [(f"T_{a}", op) for a, op in split.t_ops.items()]
-        + [(f"Q_{b}", op) for b, op in split.q_ops.items()]
-        + [(f"N_{b}", op) for b, op in split.n_ops.items()]
+        [(f"T_{a}", T[a - 1][ix].T) for a in h if not p[a - 1]]
+        + [(f"Q_{b}", Q[b - 1][ix].T) for b in moving]
+        + [(f"N_{b}", K[b - 1][ix].T) for b in moving]
     )
     for (name_x, op_x), (name_y, op_y) in itertools.combinations(labelled, 2):
-        comm = op_x @ op_y - op_y @ op_x
-        defect = float(np.abs(comm).max()) if comm.size else 0.0
+        defect = float(np.abs(op_x @ op_y - op_y @ op_x).max(initial=0.0))
         if defect > tol:
             raise CommutationError(
                 f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
             )
-
-    out = StructureTensor(mu.dim, {t: v for (t, v), x in zip(items, e) if x == 0})
 
     res = jacobi_residual(out)
     if res > tol:

@@ -149,9 +149,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             args.pretty,
         )
         return EXIT_OK
-    types = enumerate_types(args.dim, **kwargs)
     if args.cone_filter:
-        types = {p for p in types if cone_membership(p).feasible}
+        types = enumeration_report(args.dim, **kwargs).cone_filtered
+    else:
+        types = enumerate_types(args.dim, **kwargs)
     _emit(_types_json(types), args.pretty)
     return EXIT_OK
 
@@ -161,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     report = verify_extension(spec, tol)
     payload = report.to_json()
-    check = is_derivation(spec)
+    check = is_derivation(spec, tol)
     payload["is_derivation"] = check.ok
     payload["derivation_violation"] = check.max_violation
     _emit(payload, args.pretty)
@@ -312,8 +313,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        # An overflow raises here instead of warning and carrying an infinity on.
-        with np.errstate(over="raise"):
+        # An overflow, or the inf - inf that an overflowing einsum leaves,
+        # raises here instead of warning and carrying a non-finite value on.
+        with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
         # MemoryError: a "dim" too large to allocate its dense constants.

@@ -62,7 +62,7 @@ def _exp_sum(classes: dict[Fraction, np.ndarray], u: float, shape: tuple) -> np.
     if not classes:
         return np.zeros(shape)
     weights = np.array([math.exp(-2.0 * u * float(q)) for q in classes])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = weights[:, None] * np.stack([C.ravel() for C in classes.values()])
     if not np.isfinite(terms).all():
         raise OverflowError(f"exp(-2 u q) C_q overflows float64 at u = {u!r}")

@@ -19,7 +19,6 @@ from einext.algebra import (
     is_derivation,
     jacobi_residual,
     make_spec,
-    qn_split,
     standard_modification,
 )
 
@@ -194,7 +193,7 @@ def test_spec_exact_eigenvalues_with_param():
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal decomposition, Q/N split, standard modification
+# Orthogonal decomposition, standard modification
 # ---------------------------------------------------------------------------
 
 
@@ -218,57 +217,49 @@ def test_decomposition_validation():
         OrthogonalDecomposition((3,), (1, 2)).validate(bad2)
 
 
-def test_qn_split_rotation():
-    mu = rotation_action()
-    spec = make_spec(mu, [1, 1, 1])
-    decomp = OrthogonalDecomposition((3,), (1, 2))
-    split = qn_split(mu, spec, decomp)
-    assert not split.violations
-    q3 = split.q_ops[3]
-    assert np.allclose(q3, [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(split.n_ops[3], 0.0)
-    # reconstruction: Q + N equals the restricted action
-    action = np.array([[mu.dense()[2, l - 1, k - 1] for l in (1, 2)] for k in (1, 2)])
-    assert np.abs(q3 + split.n_ops[3] - action).max() == 0.0
+def test_standard_modification_twists_rotation_keeps_shift():
+    # e_5 rotates both eigenspaces alike (Q_5) and shifts eigenvalue 1 to 2 (N_5)
+    rotation = {(5, 1, 2): 1.0, (5, 2, 1): -1.0, (5, 3, 4): 1.0, (5, 4, 3): -1.0}
+    shift = {(5, 1, 3): 2.0, (5, 2, 4): 2.0}
+    mu = StructureTensor(5, {**rotation, **shift}, lie=True)
+    spec = make_spec(mu, [1, 1, 2, 2, 1])
+    out = standard_modification(mu, spec, OrthogonalDecomposition((5,), (1, 2, 3, 4)))
+    # the rotation goes and the shift stays: the output is mu less Q_5, exactly
+    assert out.items() == StructureTensor(5, shift).items()
 
 
-def test_qn_split_zero_eigenvalue_routes_through_t():
+def test_standard_modification_keeps_zero_eigenvalue_action_whole():
     mu = row4_algebra(2.0)
     spec = make_spec(mu, [1, "t", 0], 2.0)
-    split = qn_split(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
-    assert not split.violations
-    assert 3 in split.t_ops
-    assert np.allclose(split.t_ops[3], np.diag([2.0, -1.0]))
-    assert 3 not in split.q_ops
+    out = standard_modification(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
+    assert out.items() == mu.items()
 
 
-def test_qn_split_compares_substituted_eigenvalues():
+def test_standard_modification_compares_substituted_eigenvalues():
     # At t = 1 the eigenvalues (1, t, 0) are (1, 1, 0): the action of e_3
     # stays inside the eigenvalue-1 space, as it does for [1, 1, 0].
     mu = StructureTensor(3, {(3, 1, 2): 1.0, (3, 2, 1): 1.0})
     decomp = OrthogonalDecomposition((3,), (1, 2))
     for spec in (make_spec(mu, [1, "t", 0], 1), make_spec(mu, [1, 1, 0])):
-        split = qn_split(mu, spec, decomp)
-        assert not split.violations
-        assert np.array_equal(split.t_ops[3], [[0.0, 1.0], [1.0, 0.0]])
+        assert standard_modification(mu, spec, decomp).items() == mu.items()
+    # At t = 2 it crosses from eigenvalue 2 to eigenvalue 1.
+    with pytest.raises(PatternViolationError, match=r"mu\[3,2\|1\] = 1: zero-eigenvalue action must preserve"):
+        standard_modification(mu, make_spec(mu, [1, "t", 0], 2), decomp)
 
 
-def test_qn_split_zero_tensor():
+def test_standard_modification_zero_tensor():
     mu = StructureTensor(4)
     spec = make_spec(mu, [1, 1, 2, 0])
-    split = qn_split(mu, spec, OrthogonalDecomposition((4,), (1, 2, 3)))
-    assert not split.violations
-    assert np.allclose(split.t_ops[4], 0.0)
+    out = standard_modification(mu, spec, OrthogonalDecomposition((4,), (1, 2, 3)))
+    assert out.items() == []
 
 
-def test_qn_split_reports_pattern_violation():
+def test_standard_modification_names_pattern_violation():
     # eigenvalue-5 generator cannot connect eigenvalues 1 and 2
     mu = StructureTensor(3, {(3, 1, 2): 1.0}, lie=True)
     spec = make_spec(mu, [1, 2, 5])
-    split = qn_split(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
-    assert split.violations
-    a, k, l, value, why = split.violations[0]
-    assert (a, k, l) == (3, 2, 1) and value == 1.0
+    with pytest.raises(PatternViolationError, match=r"mu\[3,1\|2\] = 1: entry outside both eigenvalue patterns"):
+        standard_modification(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
 
 
 @st.composite
@@ -296,45 +287,27 @@ def decomposed_tensors(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(decomposed_tensors())
-def test_qn_split_and_twist_invariants(case):
+def test_standard_modification_invariants(case):
     mu, spec, decomp = case
     p = spec.spectral
     m = decomp.m_indices
-    split = qn_split(mu, spec, decomp)
-    for a in decomp.h_indices:
-        action = np.array([[mu.dense()[a - 1, l - 1, k - 1] for l in m] for k in m])
-        crosses = np.array([[p[k - 1] != p[l - 1] for l in m] for k in m])
-        violations = np.zeros_like(action)
-        for b, k, l, v, _ in split.violations:
-            if b == a:
-                assert abs(v) > 1e-10 and crosses[m.index(k), m.index(l)]
-                violations[m.index(k), m.index(l)] = v
-        if p[a - 1] == 0:
-            # T is the whole action; what crosses eigenspaces is also reported.
-            assert a not in split.q_ops and np.array_equal(split.t_ops[a], action)
-            assert np.array_equal(violations, np.where(crosses & (np.abs(action) > 1e-10), action, 0.0))
-            continue
-        shifts = np.array([[p[k - 1] == p[l - 1] + p[a - 1] for l in m] for k in m])
-        Q, N = split.q_ops[a], split.n_ops[a]
-        assert not Q[crosses].any() and not N[~shifts].any()
-        # Entries outside both patterns but within the tolerance are dropped.
-        assert np.abs(Q + N + violations - action).max(initial=0.0) <= 1e-10
-
+    # An action entry above the tolerance whose weight p_k - p_a - p_l is
+    # neither 0 (kept) nor -p_a (twisted) is refused.
+    off_pattern = [
+        (a, l, k)
+        for a in decomp.h_indices
+        for l in m
+        for k in m
+        if abs(mu.dense()[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
+    ]
+    if off_pattern:
+        with pytest.raises(StructureError):
+            standard_modification(mu, spec, decomp)
+        return
     try:
         out = standard_modification(mu, spec, decomp)
     except StructureError:
         return
-    h = set(decomp.h_indices)
-
-    def is_q_entry(i, j, k):
-        a, l = (i, j) if i in h else (j, i)
-        return a in h and l not in h and p[a - 1] != 0 and p[k - 1] == p[l - 1]
-
-    expected = {key: v for key, v in mu.items() if not is_q_entry(*key)}
-    got = dict(out.items())
-    for key in set(got) | set(expected):
-        if got.get(key) != expected.get(key):
-            assert key not in got and abs(expected[key]) <= 1e-10
     # Exactly the exponent-zero piece, the entries with p_k = p_i + p_j.
     exponent_zero = [((i, j, k), v) for (i, j, k), v in mu.items() if p[k - 1] == p[i - 1] + p[j - 1]]
     assert out.items() == exponent_zero
@@ -372,8 +345,6 @@ def test_standard_modification_mixed_action():
     mu = StructureTensor(5, entries, lie=True)
     spec = make_spec(mu, [1, 1, 2, 2, 1])
     decomp = OrthogonalDecomposition((5,), (1, 2, 3, 4))
-    split = qn_split(mu, spec, decomp)
-    assert not split.violations
     with pytest.raises(CommutationError):
         standard_modification(mu, spec, decomp)
     # dropping the rotation makes the twist trivial and D a derivation

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import StructureError, StructureTensor, is_derivation, make_spec
+from einext.algebra import StructureError, StructureTensor, divergence_residual, is_derivation, make_spec
 from einext.catalog import (
     e2,
     entries,
@@ -13,8 +15,9 @@ from einext.catalog import (
     product,
     table1,
 )
+from einext.curvature import ricci_deformation
 from einext.spectral import cone_membership
-from einext.verifier import classify_type_1112, verify_extension
+from einext.verifier import DEFAULT_TOL, classify_type_1112, verify_extension
 
 from oracles import admissibility_defects
 
@@ -114,6 +117,37 @@ def test_product_of_hyperbolic_blocks_matches_row4():
         assert report.einstein_constant == pytest.approx(
             table_report.einstein_constant
         )
+
+
+PRODUCT_BLOCKS = {
+    **{entry.name: entry.spec for entry in entries()},
+    "identity-extension-e2": identity_extension(e2().spec.algebra).spec,
+    "flat-line": make_spec(StructureTensor(1), [1]),
+    "flat-plane": make_spec(StructureTensor(2), [1, 1]),
+    "plane-mu122": make_spec(StructureTensor(2, {(1, 2, 2): 1.0}), [0, 0]),
+}
+
+
+def _meets_target(block, target):
+    """Zero divergence, vanishing nonzero-exponent classes, and the constant
+    class on the given target."""
+    classes = ricci_deformation(block).classes
+    return (
+        np.abs(divergence_residual(block)).max(initial=0.0) <= DEFAULT_TOL
+        and all(np.abs(C).max() <= DEFAULT_TOL for q, C in classes.items() if q != 0)
+        and np.abs(classes.get(0, 0.0) - target).max(initial=0.0) <= DEFAULT_TOL
+    )
+
+
+@pytest.mark.parametrize("a, b", itertools.product(PRODUCT_BLOCKS, repeat=2))
+def test_product_verifies_exactly_when_each_block_meets_combined_target(a, b):
+    # catalog.product: the result verifies exactly when each block meets the
+    # Einstein target of the combined deformation.
+    spec_a, spec_b = PRODUCT_BLOCKS[a], PRODUCT_BLOCKS[b]
+    combined = product(spec_a, spec_b)
+    target, n = combined.einstein_target(), spec_a.dim
+    blocks_meet = _meets_target(spec_a, target[:n, :n]) and _meets_target(spec_b, target[n:, n:])
+    assert verify_extension(combined).einstein == blocks_meet
 
 
 def test_counterexample_p6_diagnostics():

@@ -67,6 +67,11 @@ def test_verify_e2_not_derivation(capsys):
     payload = json.loads(out)
     assert payload["einstein"] is True
     assert payload["is_derivation"] is False
+    # The derivation verdict is judged at the given tolerance too.
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "e2", "--tol", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_derivation"] is True and payload["derivation_violation"] == 1.0
 
 
 def test_malformed_json_is_annotated_input_error(capsys):
@@ -227,13 +232,24 @@ def test_overflowing_curvature_is_input_error(capsys):
 
 
 def test_overflowing_eigenvalue_is_input_error(capsys):
-    # tr(D^2) overflows float64: an error exit, not a numpy warning.
-    text = json.dumps({"dim": 1, "mu": [], "spectral": [1.3407807929942597e154]})
-    for command in (["verify"], ["curvature"]):
-        code, out, err = run_cli(capsys, *command, "--input", text)
-        assert code == 2
-        assert out == ""
-        assert "overflows float64" in err
+    # tr(D^2) overflows float64, or the Ricci form's einsum overflows to
+    # infinities whose difference is "invalid": an error exit, not a numpy warning.
+    texts = [
+        json.dumps({"dim": 1, "mu": [], "spectral": [1.3407807929942597e154]}),
+        json.dumps(
+            {
+                "dim": 3,
+                "mu": [{"i": 3, "j": 1, "k": 1, "v": 1e160}, {"i": 3, "j": 2, "k": 2, "v": -1.0}],
+                "spectral": [1, 1e160, 0],
+            }
+        ),
+    ]
+    for text in texts:
+        for command in (["verify"], ["curvature"]):
+            code, out, err = run_cli(capsys, *command, "--input", text)
+            assert code == 2
+            assert out == ""
+            assert "overflows float64" in err
 
 
 def test_dimension_too_large_for_memory_is_input_error(capsys):
