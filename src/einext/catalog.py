@@ -100,7 +100,7 @@ def e2() -> CatalogEntry:
     )
 
 
-def identity_extension(flat: StructureTensor, name: str = "identity-extension") -> CatalogEntry:
+def identity_extension(flat: StructureTensor) -> CatalogEntry:
     """Scalar-type extension of a Ricci-flat base; constant -n.
 
     Refuses a base that is not Ricci flat: the scalar deformation is
@@ -114,7 +114,9 @@ def identity_extension(flat: StructureTensor, name: str = "identity-extension") 
             f"max |Ric| = {worst:.3e}"
         )
     spec = make_spec(flat, [1] * flat.dim)
-    return CatalogEntry(name, spec, True, -float(flat.dim), "scalar deformation of a Ricci-flat base")
+    return CatalogEntry(
+        "identity-extension", spec, True, -float(flat.dim), "scalar deformation of a Ricci-flat base"
+    )
 
 
 def product(a: ExtensionSpec, b: ExtensionSpec) -> ExtensionSpec:

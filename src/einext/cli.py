@@ -19,7 +19,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import catalog as catalog_mod
-from .algebra import ExtensionSpec, algebra_from_json, algebra_to_json, full_pattern, is_derivation
+from .algebra import (
+    DecompositionError,
+    ExtensionSpec,
+    StructureError,
+    algebra_from_json,
+    algebra_to_json,
+    full_pattern,
+    is_derivation,
+    standard_modification,
+)
 from .curvature import extension_ricci
 from .scalars import parse_rational
 from .solver import SearchProblem, search
@@ -111,15 +120,16 @@ def _read_json_input(raw: str) -> dict:
     return data
 
 
-def _load_spec(args: argparse.Namespace) -> ExtensionSpec:
+def _load_spec(args: argparse.Namespace) -> tuple[ExtensionSpec, Optional[tuple[int, ...]]]:
+    """The spec, and the abelian part h of the input's decomposition or None."""
     if getattr(args, "catalog", None):
-        return catalog_mod.lookup(args.catalog).spec
+        return catalog_mod.lookup(args.catalog).spec, None
     if getattr(args, "input", None):
         data = _read_json_input(args.input)
-        mu, spec, _ = algebra_from_json(data)
+        _, spec, h = algebra_from_json(data)
         if spec is None:
             raise InputError("input JSON has no 'spectral' entry")
-        return spec
+        return spec, h
     raise InputError("provide --input or --catalog")
 
 
@@ -159,14 +169,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    spec = _load_spec(args)
+    spec, h = _load_spec(args)
     report = verify_extension(spec, tol)
     payload = report.to_json()
     check = is_derivation(spec, tol)
     payload["is_derivation"] = check.ok
     payload["derivation_violation"] = check.max_violation
+    if h is not None:
+        payload["twist"] = _twist(spec, h, tol)
     _emit(payload, args.pretty)
     return EXIT_OK if report.einstein else EXIT_FAIL
+
+
+def _twist(spec: ExtensionSpec, h: tuple[int, ...], tol: float) -> dict:
+    """The standard modification along h with its own verification, or why it is refused."""
+    try:
+        twisted = standard_modification(spec, h, tol)
+    except (StructureError, DecompositionError) as exc:
+        return {"refused": str(exc)}
+    return {"mu": algebra_to_json(twisted.algebra)["mu"], **verify_extension(twisted, tol).to_json()}
 
 
 _CLASSIFIERS = {
@@ -178,7 +199,7 @@ _CLASSIFIERS = {
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    spec = _load_spec(args)
+    spec, _ = _load_spec(args)
     report = _CLASSIFIERS[args.type](spec, tol)
     _emit(report.to_json(), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -187,7 +208,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_curvature(args: argparse.Namespace) -> int:
     if args.u is not None:
         _require_finite("--u", args.u)
-    spec = _load_spec(args)
+    spec, _ = _load_spec(args)
     report = extension_ricci(spec)
     payload = report.to_json()
     if args.u is not None:

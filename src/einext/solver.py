@@ -39,9 +39,11 @@ from .verifier import sparsity_pattern
 
 Triple = tuple[int, int, int]
 
-# Box of every pattern variable, and the Levenberg-Marquardt steps per restart.
+# Box of every pattern variable, the Levenberg-Marquardt steps per restart,
+# and the gradient size at which a restart stops.
 BOUNDS = (-10.0, 10.0)
 MAX_ITERATIONS = 200
+GRADIENT_TOL = 1e-12
 
 
 def _normalize_pattern(pattern: Sequence[Triple], dim: int) -> tuple[Triple, ...]:
@@ -199,7 +201,7 @@ class _QuadraticModel:
         return jac.reshape(self.size, self.nvars + 1)[:, :-1]
 
 
-def _levenberg_marquardt(fun, x0: np.ndarray, gtol: float = 1e-12) -> tuple[np.ndarray, list[float]]:
+def _levenberg_marquardt(fun, x0: np.ndarray) -> tuple[np.ndarray, list[float]]:
     lo, hi = BOUNDS
     x = np.clip(x0, lo, hi)
     r = fun(x)
@@ -210,7 +212,7 @@ def _levenberg_marquardt(fun, x0: np.ndarray, gtol: float = 1e-12) -> tuple[np.n
     for _ in range(MAX_ITERATIONS):
         jac = fun.jacobian(x)
         grad = jac.T @ r
-        if float(np.abs(grad).max(initial=0.0)) <= gtol:
+        if float(np.abs(grad).max(initial=0.0)) <= GRADIENT_TOL:
             break
         hess = jac.T @ jac
         accepted = False

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from einext.algebra import (
     CommutationError,
     DecompositionError,
-    OrthogonalDecomposition,
     PatternViolationError,
     StructureError,
     StructureTensor,
@@ -21,6 +20,9 @@ from einext.algebra import (
     make_spec,
     standard_modification,
 )
+
+from einext.curvature import ricci_deformation_at
+from einext.verifier import classify_type_0001, verify_extension
 
 from oracles import divergence_bruteforce
 from util import random_lie_tensor, random_sparse_tensor
@@ -193,7 +195,7 @@ def test_spec_exact_eigenvalues_with_param():
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal decomposition, standard modification
+# Standard modification along an abelian part
 # ---------------------------------------------------------------------------
 
 
@@ -202,19 +204,32 @@ def rotation_action():
     return StructureTensor(3, {(3, 1, 2): 1.0, (3, 2, 1): -1.0}, lie=True)
 
 
+def assert_same_curvature(spec, out):
+    """The twist changes the bracket but not the metric (Gordon and Wilson
+    1988): the deformed Ricci operators and the Einstein verdicts agree."""
+    for u in (-1.0, 0.0, 0.5, 2.0):
+        before, after = ricci_deformation_at(spec, u), ricci_deformation_at(out, u)
+        assert np.abs(after - before).max() <= 1e-12 * max(1.0, np.abs(before).max())
+    assert verify_extension(out).einstein == verify_extension(spec).einstein
+
+
 def test_decomposition_validation():
-    decomp = OrthogonalDecomposition((3,), (1, 2))
-    decomp.validate(rotation_action())
-    with pytest.raises(DecompositionError):
-        OrthogonalDecomposition((3,), (1,)).validate(rotation_action())
+    spec = make_spec(rotation_action(), [1, 1, 1])
+    assert standard_modification(spec, (3,)).algebra.items() == []
+    with pytest.raises(DecompositionError, match=r"h must lie in 1\.\.3"):
+        standard_modification(spec, (4,))
     # abelian part must be abelian
-    bad = StructureTensor(3, {(2, 3, 3): 1.0})
-    with pytest.raises(DecompositionError):
-        OrthogonalDecomposition((2, 3), (1,)).validate(bad)
+    bad = make_spec(StructureTensor(3, {(2, 3, 3): 1.0}), [1, 1, 1])
+    with pytest.raises(DecompositionError, match=r"abelian part not abelian: mu\[2,3\|3\] = 1"):
+        standard_modification(bad, (2, 3))
     # ideal must not bracket back into the transverse part
-    bad2 = StructureTensor(3, {(1, 2, 3): 1.0})
-    with pytest.raises(DecompositionError):
-        OrthogonalDecomposition((3,), (1, 2)).validate(bad2)
+    bad2 = make_spec(StructureTensor(3, {(1, 2, 3): 1.0}), [1, 1, 1])
+    with pytest.raises(DecompositionError, match=r"ideal not closed: mu\[1,2\|3\] = 1"):
+        standard_modification(bad2, (3,))
+    # nor may the transverse part act into itself
+    bad3 = make_spec(StructureTensor(3, {(1, 3, 3): 1.0}), [1, 1, 1])
+    with pytest.raises(DecompositionError, match=r"ideal not invariant: mu\[1,3\|3\] = 1"):
+        standard_modification(bad3, (3,))
 
 
 def test_standard_modification_twists_rotation_keeps_shift():
@@ -223,35 +238,33 @@ def test_standard_modification_twists_rotation_keeps_shift():
     shift = {(5, 1, 3): 2.0, (5, 2, 4): 2.0}
     mu = StructureTensor(5, {**rotation, **shift}, lie=True)
     spec = make_spec(mu, [1, 1, 2, 2, 1])
-    out = standard_modification(mu, spec, OrthogonalDecomposition((5,), (1, 2, 3, 4)))
+    out = standard_modification(spec, (5,))
     # the rotation goes and the shift stays: the output is mu less Q_5, exactly
-    assert out.items() == StructureTensor(5, shift).items()
+    assert out.algebra.items() == StructureTensor(5, shift).items()
+    assert out.spectral == spec.spectral
+    assert_same_curvature(spec, out)
 
 
 def test_standard_modification_keeps_zero_eigenvalue_action_whole():
     mu = row4_algebra(2.0)
     spec = make_spec(mu, [1, "t", 0], 2.0)
-    out = standard_modification(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
-    assert out.items() == mu.items()
+    assert standard_modification(spec, (3,)).algebra.items() == mu.items()
 
 
 def test_standard_modification_compares_substituted_eigenvalues():
     # At t = 1 the eigenvalues (1, t, 0) are (1, 1, 0): the action of e_3
     # stays inside the eigenvalue-1 space, as it does for [1, 1, 0].
     mu = StructureTensor(3, {(3, 1, 2): 1.0, (3, 2, 1): 1.0})
-    decomp = OrthogonalDecomposition((3,), (1, 2))
     for spec in (make_spec(mu, [1, "t", 0], 1), make_spec(mu, [1, 1, 0])):
-        assert standard_modification(mu, spec, decomp).items() == mu.items()
+        assert standard_modification(spec, (3,)).algebra.items() == mu.items()
     # At t = 2 it crosses from eigenvalue 2 to eigenvalue 1.
     with pytest.raises(PatternViolationError, match=r"mu\[3,2\|1\] = 1: zero-eigenvalue action must preserve"):
-        standard_modification(mu, make_spec(mu, [1, "t", 0], 2), decomp)
+        standard_modification(make_spec(mu, [1, "t", 0], 2), (3,))
 
 
 def test_standard_modification_zero_tensor():
-    mu = StructureTensor(4)
-    spec = make_spec(mu, [1, 1, 2, 0])
-    out = standard_modification(mu, spec, OrthogonalDecomposition((4,), (1, 2, 3)))
-    assert out.items() == []
+    spec = make_spec(StructureTensor(4), [1, 1, 2, 0])
+    assert standard_modification(spec, (4,)).algebra.items() == []
 
 
 def test_standard_modification_names_pattern_violation():
@@ -259,7 +272,7 @@ def test_standard_modification_names_pattern_violation():
     mu = StructureTensor(3, {(3, 1, 2): 1.0}, lie=True)
     spec = make_spec(mu, [1, 2, 5])
     with pytest.raises(PatternViolationError, match=r"mu\[3,1\|2\] = 1: entry outside both eigenvalue patterns"):
-        standard_modification(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
+        standard_modification(spec, (3,))
 
 
 @st.composite
@@ -267,7 +280,7 @@ def decomposed_tensors(draw):
     """Random brackets that an abelian h and an ideal m admit: [h, m] and
     [m, m] inside m, with values that include one below the tolerance.
     Half the cases have an abelian m and skew same-eigenvalue blocks in
-    every action, so that the twist can apply."""
+    every action, so that the twist can apply.  Returns the spec and h."""
     n = draw(st.integers(2, 5))
     p = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
     h = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
@@ -281,57 +294,79 @@ def decomposed_tensors(draw):
     for a, l, k in allowed if twistable else ():
         if l <= k and p[k - 1] == p[l - 1]:
             entries[(a, l, k)] = -entries.get((a, k, l), 0.0) if l < k else 0.0
-    mu = StructureTensor(n, entries)
-    return mu, make_spec(mu, p), OrthogonalDecomposition(tuple(h), tuple(m))
+    return make_spec(StructureTensor(n, entries), p), tuple(h)
 
 
 @settings(max_examples=150, deadline=None)
 @given(decomposed_tensors())
 def test_standard_modification_invariants(case):
-    mu, spec, decomp = case
-    p = spec.spectral
-    m = decomp.m_indices
+    spec, h = case
+    mu, p = spec.algebra, spec.spectral
+    m = [i for i in range(1, spec.dim + 1) if i not in h]
     # An action entry above the tolerance whose weight p_k - p_a - p_l is
     # neither 0 (kept) nor -p_a (twisted) is refused.
     off_pattern = [
         (a, l, k)
-        for a in decomp.h_indices
+        for a in h
         for l in m
         for k in m
         if abs(mu.dense()[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
     ]
     if off_pattern:
         with pytest.raises(StructureError):
-            standard_modification(mu, spec, decomp)
+            standard_modification(spec, h)
         return
     try:
-        out = standard_modification(mu, spec, decomp)
+        out = standard_modification(spec, h)
     except StructureError:
         return
     # Exactly the exponent-zero piece, the entries with p_k = p_i + p_j.
     exponent_zero = [((i, j, k), v) for (i, j, k), v in mu.items() if p[k - 1] == p[i - 1] + p[j - 1]]
-    assert out.items() == exponent_zero
+    assert out.algebra.items() == exponent_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposed_tensors())
+def test_standard_modification_is_isometric(case):
+    spec, h = case
+    # The entries below the tolerance that the twist drops change the metric
+    # by their size, so the isometry is that of the rest.
+    big = {t: v for t, v in spec.algebra.items() if abs(v) > 1e-10}
+    spec = spec.with_algebra(StructureTensor(spec.dim, big))
+    try:
+        out = standard_modification(spec, h)
+    except StructureError:
+        return
+    assert_same_curvature(spec, out)
+
+
+def test_standard_modification_twist_passes_the_0001_classifier():
+    # Real hyperbolic 3-space, Ric = -1, with e_4 rotating (e_1, e_2) at 0.4:
+    # e_4 does not split off until the twist takes the rotation away.
+    r = 1 / np.sqrt(2)
+    mu = StructureTensor(4, {(3, 1, 1): r, (3, 2, 2): r, (4, 1, 2): 0.4, (4, 2, 1): -0.4}, lie=True)
+    spec = make_spec(mu, [0, 0, 0, 1])
+    out = standard_modification(spec, (4,))
+    assert out.algebra.items() == StructureTensor(4, {(3, 1, 1): r, (3, 2, 2): r}).items()
+    assert not classify_type_0001(spec).passed
+    assert classify_type_0001(out).passed
+    assert verify_extension(spec).einstein and verify_extension(out).einstein
 
 
 def test_standard_modification_removes_rotation():
-    mu = rotation_action()
-    spec = make_spec(mu, [1, 1, 1])
-    decomp = OrthogonalDecomposition((3,), (1, 2))
-    out = standard_modification(mu, spec, decomp)
-    assert len(out.items()) == 0
-    assert is_derivation(spec.with_algebra(out)).ok
+    spec = make_spec(rotation_action(), [1, 1, 1])
+    out = standard_modification(spec, (3,))
+    assert len(out.algebra.items()) == 0
+    assert is_derivation(out).ok
 
 
 def test_standard_modification_fixed_points():
     # already a derivation: twisting by nothing
     mu = StructureTensor(3, {(3, 1, 1): 1.0, (3, 2, 2): -1.0}, lie=True)
-    spec = make_spec(mu, [1, 1, 0])
-    decomp = OrthogonalDecomposition((3,), (1, 2))
-    out = standard_modification(mu, spec, decomp)
-    assert out.items() == mu.items()
-    zero = StructureTensor(3)
-    out2 = standard_modification(zero, make_spec(zero, [1, 1, 0]), decomp)
-    assert len(out2.items()) == 0
+    out = standard_modification(make_spec(mu, [1, 1, 0]), (3,))
+    assert out.algebra.items() == mu.items()
+    out2 = standard_modification(make_spec(StructureTensor(3), [1, 1, 0]), (3,))
+    assert len(out2.algebra.items()) == 0
 
 
 def test_standard_modification_mixed_action():
@@ -343,45 +378,53 @@ def test_standard_modification_mixed_action():
         (5, 2, 4): 1.0,  # N: shift from eigenvalue 1 to eigenvalue 2
     }
     mu = StructureTensor(5, entries, lie=True)
-    spec = make_spec(mu, [1, 1, 2, 2, 1])
-    decomp = OrthogonalDecomposition((5,), (1, 2, 3, 4))
     with pytest.raises(CommutationError):
-        standard_modification(mu, spec, decomp)
+        standard_modification(make_spec(mu, [1, 1, 2, 2, 1]), (5,))
     # dropping the rotation makes the twist trivial and D a derivation
     mu2 = StructureTensor(5, {(5, 1, 3): 1.0, (5, 2, 4): 1.0}, lie=True)
-    spec2 = make_spec(mu2, [1, 1, 2, 2, 1])
-    out = standard_modification(mu2, spec2, decomp)
-    assert out.items() == mu2.items()
-    assert is_derivation(spec2.with_algebra(out)).ok
+    out = standard_modification(make_spec(mu2, [1, 1, 2, 2, 1]), (5,))
+    assert out.algebra.items() == mu2.items()
+    assert is_derivation(out).ok
 
 
 def test_standard_modification_refuses_nonskew_block():
     mu = StructureTensor(3, {(3, 1, 2): 1.0, (3, 2, 1): 1.0}, lie=True)
-    spec = make_spec(mu, [1, 1, 1])
     with pytest.raises(PatternViolationError):
-        standard_modification(mu, spec, OrthogonalDecomposition((3,), (1, 2)))
+        standard_modification(make_spec(mu, [1, 1, 1]), (3,))
 
 
 def test_standard_modification_refuses_bad_ideal_grading():
     # ideal bracket not an eigenvector of the deformation
     mu = StructureTensor(3, {(1, 2, 3): 2.0}, lie=True)
-    spec = make_spec(mu, [1, 1, 1])
     with pytest.raises(PatternViolationError):
-        standard_modification(mu, spec, OrthogonalDecomposition((), (1, 2, 3)))
+        standard_modification(make_spec(mu, [1, 1, 1]), ())
     # with the correct grading it goes through untouched
-    good = make_spec(mu, [1, 1, 2])
-    out = standard_modification(mu, good, OrthogonalDecomposition((), (1, 2, 3)))
-    assert out.items() == mu.items()
+    out = standard_modification(make_spec(mu, [1, 1, 2]), ())
+    assert out.algebra.items() == mu.items()
 
 
 def test_standard_modification_drops_sub_tolerance_entries_off_exponent_zero():
     # The entry is within the tolerance, so the grading check lets it pass,
     # but its weight 5 - 1 - 1 = 3 lifts 5e-11 to a 1.5e-10 derivation defect.
-    mu = StructureTensor(3, {(1, 2, 3): 5e-11})
-    spec = make_spec(mu, [1, 1, 5])
-    out = standard_modification(mu, spec, OrthogonalDecomposition((), (1, 2, 3)))
-    assert out.items() == []
-    assert is_derivation(spec.with_algebra(out)) == (True, 0.0)
+    spec = make_spec(StructureTensor(3, {(1, 2, 3): 5e-11}), [1, 1, 5])
+    out = standard_modification(spec, ())
+    assert out.algebra.items() == []
+    assert is_derivation(out) == (True, 0.0)
+
+
+def test_standard_modification_checks_jacobi_of_the_output():
+    # A Lie algebra whose twist is not one.  The sub-tolerance entry
+    # [e_1, e_2] = eps e_6, of weight 1 = p_6, is dropped; in the input it
+    # cancels, against the rotation Q_6 at speed s, the Jacobi defect
+    # -eps s of [e_1, e_2] = e_3, [e_3, e_4] = -eps s e_5, which stays.
+    eps, s = 5e-11, 1e4
+    mu = StructureTensor(
+        6,
+        {(1, 2, 3): 1.0, (1, 2, 6): eps, (3, 4, 5): -eps * s, (3, 5, 4): eps * s, (6, 4, 5): s, (6, 5, 4): -s},
+    )
+    assert jacobi_residual(mu) <= 1e-10
+    with pytest.raises(StructureError, match=r"modified tensor violates Jacobi \(residual 5\.000e-07\)"):
+        standard_modification(make_spec(mu, [1, -1, 0, 1, 1, 1]), (6,))
 
 
 def test_standard_modification_postconditions_on_rotating_families():
@@ -397,13 +440,11 @@ def test_standard_modification_postconditions_on_rotating_families():
             for l in range(size):
                 if skew[k, l] != 0.0:
                     entries[(n, l + 1, k + 1)] = skew[k, l]
-        mu = StructureTensor(n, entries, lie=True)
-        spec = make_spec(mu, [1] * size + [2])
-        out = standard_modification(
-            mu, spec, OrthogonalDecomposition((n,), tuple(range(1, n)))
-        )
-        assert jacobi_residual(out) <= 1e-10
-        assert is_derivation(spec.with_algebra(out)).ok
+        spec = make_spec(StructureTensor(n, entries, lie=True), [1] * size + [2])
+        out = standard_modification(spec, (n,))
+        assert jacobi_residual(out.algebra) <= 1e-10
+        assert is_derivation(out).ok
+        assert_same_curvature(spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +455,13 @@ def test_standard_modification_postconditions_on_rotating_families():
 def test_json_round_trip():
     mu = heisenberg3()
     spec = make_spec(mu, [1, 1, 2])
-    decomp = OrthogonalDecomposition((3,), (1, 2))
-    payload = algebra_to_json(mu, spec, decomp)
+    payload = algebra_to_json(mu, spec)
+    payload["decomposition"] = {"h": [3], "m": [2, 1]}
     text = json.dumps(payload)
-    mu2, spec2, decomp2 = algebra_from_json(json.loads(text))
+    mu2, spec2, h = algebra_from_json(json.loads(text))
     assert mu2.items() == mu.items()
     assert spec2.spectral == spec.spectral
-    assert decomp2 == decomp
+    assert h == (3,)
 
 
 def test_json_accepts_rational_strings():

@@ -21,9 +21,6 @@ PACKAGE = ROOT / "src" / "einext"
 
 # Public names that stay without a caller outside the tests, each for a reason.
 ALLOWED_UNREACHED = {
-    # The twist of the paper's Lie-group statement; the flat almost-Kaehler
-    # lifts are to give it a library caller.
-    "algebra.standard_modification",
     # The certificate's own check by substitution, the way to trust a verdict.
     "spectral.ConeCertificate.verify",
 }

@@ -74,6 +74,35 @@ def test_verify_e2_not_derivation(capsys):
     assert payload["is_derivation"] is True and payload["derivation_violation"] == 1.0
 
 
+def test_verify_reports_the_twist_of_a_decomposition(capsys):
+    # The 0001 frame of hyperbolic 3-space with e_4 rotating (e_1, e_2):
+    # the twist takes the rotation away and keeps the verdict.
+    r = 2 ** -0.5
+    data = {
+        "dim": 4,
+        "mu": [{"i": 1, "j": 3, "k": 1, "v": -r}, {"i": 2, "j": 3, "k": 2, "v": -r},
+               {"i": 1, "j": 4, "k": 2, "v": -0.4}, {"i": 2, "j": 4, "k": 1, "v": 0.4}],
+        "spectral": [0, 0, 0, 1],
+        "decomposition": {"h": [4], "m": [1, 2, 3]},
+    }
+    code, out, _ = run_cli(capsys, "verify", "--input", json.dumps(data))
+    assert code == 0
+    payload = json.loads(out)
+    twist = payload["twist"]
+    assert twist["mu"] == data["mu"][:2]
+    assert twist["einstein"] is True and twist["einstein_constant"] == payload["einstein_constant"]
+    # A refused twist is reported; the exit code is the input's own verdict.
+    decomposition = ', "decomposition": {"h": [3], "m": [1, 2]}}'
+    for top, verdict in (("2", 0), ("1", 3)):
+        heisenberg = HEISENBERG_JSON % ("2", top)
+        code, out, _ = run_cli(capsys, "verify", "--input", heisenberg[:-1] + decomposition)
+        assert code == verdict
+        assert json.loads(out)["twist"] == {"refused": "ideal not closed: mu[1,2|3] = 2"}
+        # Without a decomposition there is no twist.
+        code, out, _ = run_cli(capsys, "verify", "--input", heisenberg)
+        assert code == verdict and "twist" not in json.loads(out)
+
+
 def test_malformed_json_is_annotated_input_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--input", '{"dim": 3,,}')
     assert code == 2

@@ -47,3 +47,10 @@ def test_readme_command_runs(capsys, monkeypatch, argv):
         assert payload == [[1, 1, 1], [1, 1, 2]]
     if argv[1:] == ["verify", "--catalog", "table1:3"]:
         assert payload["einstein_constant"] == -6.0
+
+
+def test_readme_algebra_json_twists(capsys):
+    code = main(["verify", "--input", readme_block("Algebra JSON", "json")])
+    payload = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert payload["twist"]["mu"] == [] and payload["twist"]["einstein"] is True
