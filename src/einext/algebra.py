@@ -2,7 +2,12 @@
 
 The basic object is the tensor of constants mu[i,j|k] = <[e_i, e_j], e_k>
 in an orthonormal frame (antisymmetric in i, j; indices 1-based), stored
-once as its dense read-only array, which every later layer reads.  An
+once as its dense read-only array, which every later layer reads, with its
+nonzero support formed from it once.  The bilinear forms of the
+constants, the polarised Ricci and Jacobi forms, are pair lists on a
+support (:class:`PairList`): every product of two entries that meets in
+the form, found by one sorted join, so each is evaluated with one
+``np.bincount`` at a cost that follows the nonzero constants.  An
 :class:`ExtensionSpec` pairs such a tensor with the exact rational
 eigenvalues of the diagonal deforming endomorphism and their float image,
 also formed once.  :func:`make_spec` reads the eigenvalues, substituting the
@@ -47,16 +52,140 @@ class CommutationError(StructureError):
     """Operator families fail to commute within tolerance."""
 
 
+class Support(NamedTuple):
+    """The nonzero entries of a tensor in both antisymmetric orders: entry e
+    is T[i, j, k] = value[e] for (i, j, k) = index[:, e], 0-based.  The
+    first half of the entries have i < j, in sorted order; the second half
+    are the same entries with i and j swapped, in the same order."""
+
+    index: np.ndarray
+    value: np.ndarray
+
+
+class PairList(NamedTuple):
+    """A bilinear form B(S, T) on a support, as the products that meet in it:
+    entry ``left[p]`` of S times entry ``right[p]`` of T adds ``coeff[p]``
+    times their product to output slot ``slot[p]``."""
+
+    left: np.ndarray
+    right: np.ndarray
+    slot: np.ndarray
+    coeff: np.ndarray
+
+    def products(self, values: np.ndarray) -> np.ndarray:
+        """coeff * v[left] * v[right] for S = T = v, a vector or a stack (..., m) of them."""
+        return self.coeff * values[..., self.left] * values[..., self.right]
+
+
+def _frozen(arrays: tuple) -> tuple:
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _both_orders(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index (3, 2h) of the entries (i, j, k), then of the same with i and j swapped."""
+    return np.stack([np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([k, k])])
+
+
+def _join(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (l, r) with left_keys[l] == right_keys[r], l-major: one stable
+    sort and two searchsorted, O(len + matches) memory."""
+    order = np.argsort(right_keys, kind="stable")
+    ordered = right_keys[order]
+    lo = np.searchsorted(ordered, left_keys, "left")
+    count = np.searchsorted(ordered, left_keys, "right") - lo
+    left = np.repeat(np.arange(len(left_keys)), count)
+    right = order[np.arange(len(left)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    return left, right
+
+
+# The four contractions of the polarised Ricci form, one row each: the
+# coefficient; the indices of an S entry and of a T entry that must agree
+# (the key); and the output slot i*n + j, as the S part plus the T part,
+# each an index times n plus an index (-1 reads 0).
+_RICCI_COEFF, _S_KEY, _T_KEY, _S_SLOT, _T_SLOT = (
+    np.array(column)
+    for column in zip(
+        # -1/2 S[j,k,l] T[i,l,k]: (i, j) = (t0, s0)
+        (-0.5, (1, 2), (2, 1), (-1, 0), (0, -1)),
+        # -S[l,k,k] T[l,j,i]: (i, j) = (t2, t1), S entries with s1 = s2 only
+        (-1.0, (0, 0), (0, 0), (-1, -1), (2, 1)),
+        # 1/4 S[k,l,i] T[k,l,j]: (i, j) = (s2, t2)
+        (0.25, (0, 1), (0, 1), (2, -1), (-1, 2)),
+        # -1/2 S[i,k,l] T[j,k,l]: (i, j) = (s0, t0)
+        (-0.5, (1, 2), (1, 2), (0, -1), (-1, 0)),
+    )
+)
+
+
+def _ricci_pairs(support: Support, n: int) -> PairList:
+    """The polarised Ricci form G(S, T) on a support, slot i*n + j:
+
+        G[i, j] = -1/2 S[j,k,l] T[i,l,k] - S[l,k,k] T[l,j,i]
+                  + 1/4 S[k,l,i] T[k,l,j] - 1/2 S[i,k,l] T[j,k,l];
+
+    the Ricci operator of T is the symmetric part of G(T, T).  One join
+    over the four contractions, their keys offset by term: an S entry meets
+    a T entry where the contracted indices agree, and each side gives its
+    part of the output slot.
+    """
+    m = len(support.value)
+    # A zero row below the index, read by the -1 entries of the tables.
+    index = np.vstack([support.index, np.zeros((1, m), dtype=np.intp)])
+
+    def pair(columns):
+        return index[columns[:, 0]] * n + index[columns[:, 1]]
+
+    offset = np.arange(0, 4 * n * n, n * n)[:, None]
+    s_key = pair(_S_KEY) + offset
+    s_key[1, index[1] != index[2]] = -1
+    left, right = _join(s_key.ravel(), (pair(_T_KEY) + offset).ravel())
+    slot = pair(_S_SLOT).ravel()[left] + pair(_T_SLOT).ravel()[right]
+    term, s = np.divmod(left, m)
+    return PairList(*_frozen((s, right % m, slot, _RICCI_COEFF[term])))
+
+
+def _triple_index(i: np.ndarray, j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """Position of i < j < k (0-based) among the triples of range(n) in
+    lexicographic order: the triples with a first index below i, then those
+    with first index i and a second below j, then k."""
+    first = (n * (n - 1) * (n - 2) - (n - i) * (n - i - 1) * (n - i - 2)) // 6
+    return first + ((n - i - 1) * (n - i - 2) - (n - j) * (n - j - 1)) // 2 + k - j - 1
+
+
+def _jacobi_pairs(support: Support, n: int) -> PairList:
+    """The polarised Jacobi form on a support: sum_m S[i,j,m] T[m,k,l] +
+    cyclic in (i, j, k), slot t*n + l for the t-th triple i < j < k.
+
+    S entries with i < j meet T entries at m; the cyclic sum is the sum of
+    these products over the orders of (i, j, k) with i < j, each with the
+    sign of its permutation, and k in {i, j} adds nothing.
+    """
+    a, b, c = support.index
+    left, right = _join(c[: len(c) // 2], a)
+    i, j, k, l = a[left], b[left], b[right], c[right]
+    keep = (k != i) & (k != j)
+    left, right, i, j, k, l = (x[keep] for x in (left, right, i, j, k, l))
+    lo, hi = np.minimum(i, k), np.maximum(j, k)
+    slot = _triple_index(lo, i + j + k - lo - hi, hi, n) * n + l
+    sign = np.where((i < k) & (k < j), -1.0, 1.0)
+    return PairList(*_frozen((left, right, slot, sign)))
+
+
 class StructureTensor:
     """Structure constants of an n-dimensional orthonormal frame.
 
     The one store is the dense antisymmetric array T[i-1, j-1, k-1] =
     mu[i,j|k], read-only once built; an entry given as (j, i, k) adds its
-    negative to mu[i,j|k].  Set ``lie=True`` to assert the Jacobi identity at
+    negative to mu[i,j|k].  Its nonzero support and the Ricci form's pair
+    list on it are formed from that store once, when first asked for, and
+    are read-only too.  Set ``lie=True`` to assert the Jacobi identity at
     construction (frame data that is not a Lie algebra skips the check).
     """
 
-    __slots__ = ("dim", "_T")
+    __slots__ = ("dim", "_T", "_support", "_ricci")
 
     def __init__(
         self,
@@ -82,21 +211,37 @@ class StructureTensor:
             T[j - 1, i - 1, k - 1] -= v
         T.flags.writeable = False
         self._T = T
+        self._support: Optional[Support] = None
+        self._ricci: Optional[PairList] = None
         if lie:
             res = jacobi_residual(self)
-            if res > DEFAULT_JACOBI_TOL:
+            if not res <= DEFAULT_JACOBI_TOL:  # NaN too
                 raise StructureError(f"Jacobi identity violated (residual {res:.3e})")
 
     def items(self) -> list[tuple[tuple[int, int, int], float]]:
         """Nonzero entries with i < j, in sorted index order, as Python numbers."""
-        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool), 1)[:, :, None]
-        index = np.nonzero(upper & (self._T != 0.0))
-        triples = zip(*(1 + np.array(index)).tolist())
-        return list(zip(triples, self._T[index].tolist()))
+        index, value = self.support()
+        h = len(value) // 2
+        return list(zip(map(tuple, (1 + index[:, :h].T).tolist()), value[:h].tolist()))
 
     def dense(self) -> np.ndarray:
         """The stored read-only array T[i-1, j-1, k-1] = mu[i,j|k]."""
         return self._T
+
+    def support(self) -> Support:
+        """The nonzero entries in both orders (:class:`Support`), formed once."""
+        if self._support is None:
+            i, j, k = np.nonzero(self._T)
+            upper = i < j
+            index = _both_orders(i[upper], j[upper], k[upper])
+            self._support = Support(*_frozen((index, self._T[tuple(index)])))
+        return self._support
+
+    def ricci_pairs(self) -> PairList:
+        """The Ricci form's pair list on the support (:func:`_ricci_pairs`), formed once."""
+        if self._ricci is None:
+            self._ricci = _ricci_pairs(self.support(), self.dim)
+        return self._ricci
 
     def __repr__(self) -> str:
         body = ", ".join(f"mu[{i},{j}|{k}]={v:g}" for (i, j, k), v in self.items())
@@ -189,31 +334,21 @@ def exponents(spectral: Sequence[Fraction], triples: Iterable[tuple[int, int, in
     return [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples], s
 
 
-def _jacobi_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Polarised Jacobi form: sum_m S[i,j,m] T[m,k,l] + cyclic in (i, j, k),
-    one block of l-values per triple i < j < k in lexicographic order.
-
-    ``_jacobi_form(T, T)`` holds the Jacobi sums of the constants T; they
-    alternate in (i, j, k), so these blocks are all the independent ones.
-    Bilinear in (S, T); leading axes broadcast.
-    """
-    E = np.einsum("...ijm,...mkl->...ijkl", S, T)
-    r = np.arange(S.shape[-1])
-    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    J = E[..., i, j, k, :] + E[..., k, i, j, :] + E[..., j, k, i, :]
-    return J.reshape(J.shape[:-2] + (-1,))
-
-
 def jacobi_components(mu: StructureTensor) -> np.ndarray:
     """Independent Jacobi sums, one block of l-values per triple i < j < k."""
-    T = mu.dense()
-    return _jacobi_form(T, T)
+    n, support = mu.dim, mu.support()
+    pairs = _jacobi_pairs(support, n)
+    return np.bincount(pairs.slot, pairs.products(support.value), minlength=n * math.comb(n, 3))
 
 
 def jacobi_residual(mu: StructureTensor) -> float:
-    """Maximum absolute violation of the Jacobi identity."""
-    T = mu.dense()
-    return float(np.abs(_jacobi_form(T, T)).max(initial=0.0))
+    """Maximum absolute violation of the Jacobi identity; only the Jacobi
+    sums that some product reaches are formed."""
+    support = mu.support()
+    pairs = _jacobi_pairs(support, mu.dim)
+    rows, slot = np.unique(pairs.slot, return_inverse=True)
+    sums = np.bincount(slot, pairs.products(support.value), minlength=len(rows))
+    return float(np.abs(sums).max(initial=0.0))
 
 
 class DerivationCheck(NamedTuple):
@@ -266,7 +401,7 @@ def standard_modification(
     """
     mu, p, n = spec.algebra, spec.spectral, spec.dim
     res = jacobi_residual(mu)
-    if res > tol:
+    if not res <= tol:
         raise StructureError(f"input is not a Lie algebra (Jacobi residual {res:.3e})")
     h, frame = set(h), set(range(1, n + 1))
     if not h <= frame:
@@ -322,7 +457,7 @@ def standard_modification(
                 f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
             )
     res = jacobi_residual(out)
-    if res > tol:
+    if not res <= tol:
         raise StructureError(f"modified tensor violates Jacobi (residual {res:.3e})")
     return spec.with_algebra(out)
 

@@ -334,8 +334,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        # An overflow, or the inf - inf that an overflowing einsum leaves,
-        # raises here instead of warning and carrying a non-finite value on.
+        # An overflow in numpy arithmetic, or the inf - inf it leaves, raises
+        # here instead of warning and carrying a non-finite value on; the
+        # curvature kernel's bincount sums past float64 without either, so
+        # curvature raises OverflowError for an entry that is not finite.
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except (InputError, ValueError, KeyError, MemoryError) as exc:

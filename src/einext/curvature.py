@@ -2,8 +2,15 @@
 
 The deformed metric at time u is the left-invariant metric of the rescaled
 constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k], so every
-curvature quantity here is one formula, the polarised Ricci form
-``_ricci_form``, applied to rescaled constants.  Splitting mu by the exact
+curvature quantity here is one formula, the polarised Ricci form, applied
+to rescaled constants.  The form is a pair list on the nonzero entries
+(``StructureTensor.ricci_pairs``, formed once per tensor): every product of
+two entries that meets in one of its four contractions, with its output
+slot and coefficient.  ``_ricci`` evaluates it with one ``np.bincount``
+over that list, for one vector of values, a stack of them, or one vector
+split into classes, so the cost follows the nonzero constants, not n^4;
+it refuses an entry that is not finite, since bincount sums past float64
+silently.  Splitting mu by the exact
 exponent e = p_k - p_i - p_j turns the deformed Ricci operator into a finite
 sum of matrix coefficients times exponentials exp(-2 u q), one class per
 exact value of the half-integer combination q of the rational eigenvalues
@@ -20,8 +27,10 @@ sum_q exp(-2 u q) C_q for the deformed operator and for both non-constant
 blocks of the extension.  The Einstein target of the constant class is
 ``ExtensionSpec.einstein_target``.
 
-``ricci_deformation_at`` evaluates the rescaled constants at a numeric
-deformation time without the exponent bookkeeping; tests compare the two.
+``ricci_deformation_at`` evaluates the rescaled constants at numeric
+deformation times, a stack of them in one call, with float weights and
+without the exponent bookkeeping; ``verify_extension`` and the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,41 +106,45 @@ def _exponent_layout(
     return piece, classes, pair_class
 
 
-def _ricci_form(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Polarised Ricci operator: ``_ricci_form(T, T)`` is the Ricci operator
-    of the left-invariant metric with structure constants T.
+def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1) -> np.ndarray:
+    """Ricci operators of values on mu's support, one bincount over its pair
+    list (``StructureTensor.ricci_pairs``).
 
-    Bilinear in (S, T), so for T = sum_e T_e the ordered pairs of pieces add
-    up to the whole operator.  Leading axes broadcast, which evaluates every
-    pair of a stack of pieces in one call.
+    ``values`` is one vector or a stack (g, m) of them, each giving its
+    (n, n) operator, stacked (g, n, n).  With a per-pair ``group`` the
+    products of one vector go to ``groups`` operators instead: the form is
+    bilinear, so the pair (T_e, T_f) of pieces adds up separately.
+    np.bincount sums past float64 silently, so an operator entry that is
+    not finite raises OverflowError.
     """
-    G = (
-        -0.5 * np.einsum("...jkl,...ilk->...ij", S, T)
-        - np.einsum("...l,...lji->...ij", np.einsum("...lkk->...l", S), T)
-        + 0.25 * np.einsum("...kli,...klj->...ij", S, T)
-        - 0.5 * np.einsum("...ikl,...jkl->...ij", S, T)
-    )
-    return 0.5 * (G + G.swapaxes(-1, -2))
+    n, pairs = mu.dim, mu.ricci_pairs()
+    products = pairs.products(values)
+    if values.ndim == 2:
+        group, groups = np.arange(len(values))[:, None], len(values)
+    bins = pairs.slot if group is None else group * (n * n) + pairs.slot
+    G = np.bincount(bins.ravel(), products.ravel(), minlength=groups * n * n).reshape(groups, n, n)
+    R = 0.5 * (G + G.swapaxes(1, 2))
+    if not np.isfinite(R).all():
+        raise OverflowError("the Ricci form overflows float64: an entry is not finite")
+    return R
 
 
 def _grouped_terms(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     """The nonzero grouped Ricci coefficients C_q.
 
     The tensor is split into pieces T_e by exponent (``_exponent_layout``);
-    the pair (T_e, T_f) contributes ``_ricci_form(T_e, T_f)`` to the class
+    a product of an entry of T_e and one of T_f adds to the class
     q = -(e + f)/2.
     """
-    n = spec.dim
-    items = spec.algebra.items()
-    if not items:
+    mu = spec.algebra
+    index, value = mu.support()
+    h = len(value) // 2
+    if not h:
         return {}
-    piece, classes, pair_class = _exponent_layout(spec.spectral, [t for t, _ in items])
-    P = np.zeros((len(pair_class), n, n, n))
-    for e, ((i, j, k), v) in zip(piece, items):
-        P[e, i - 1, j - 1, k - 1] = v
-        P[e, j - 1, i - 1, k - 1] = -v
-    C = np.zeros((len(classes), n, n))
-    np.add.at(C, pair_class.ravel(), _ricci_form(P[:, None], P[None, :]).reshape(-1, n, n))
+    piece, classes, pair_class = _exponent_layout(spec.spectral, (1 + index[:, :h].T).tolist())
+    piece = np.concatenate([piece, piece])
+    pairs = mu.ricci_pairs()
+    C = _ricci(mu, value, pair_class[piece[pairs.left], piece[pairs.right]], len(classes))
     return {q: Cq for q, Cq in zip(classes, C) if Cq.any()}
 
 
@@ -140,32 +153,33 @@ def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
     return GroupedRicci(spec.dim, _grouped_terms(spec))
 
 
-def _rescaled(spec: ExtensionSpec, u: float) -> np.ndarray:
-    """Structure constants of the deformed frame at time u:
-    mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k]."""
-    T = spec.algebra.dense().copy()
-    p = spec.eigenvalues()
-    nz = T != 0.0
-    exponent = p[None, None, :] - p[:, None, None] - p[None, :, None]
-    T[nz] *= np.exp(u * exponent[nz])
-    return T
-
-
-def ricci_deformation_at(spec: ExtensionSpec, u: float) -> np.ndarray:
-    """Direct evaluation of the deformed Ricci operator at a single u.
+def ricci_deformation_at(spec: ExtensionSpec, u) -> np.ndarray:
+    """Direct evaluation of the deformed Ricci operator at u, a number or a
+    1-D array of them (one operator each, stacked).
 
     The deformed metric at time u is the undeformed one of the rescaled
-    constants, so this is the Ricci operator of ``_rescaled(spec, u)``,
-    independent of the exponent bookkeeping it cross-checks.
+    constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k], with float
+    weights, so this is independent of the exponent bookkeeping it
+    cross-checks.
     """
-    Tu = _rescaled(spec, u)
-    return _ricci_form(Tu, Tu)
+    u = np.asarray(u, dtype=float)
+    (i, j, k), value = spec.algebra.support()
+    p = spec.eigenvalues()
+    rescaled = value * np.exp(np.multiply.outer(u, p[k] - p[i] - p[j]))
+    return _ricci(spec.algebra, rescaled).reshape(u.shape + (spec.dim, spec.dim))
 
 
-def ricci_at_identity(mu: StructureTensor) -> np.ndarray:
-    """Ricci operator of the undeformed left-invariant metric (u = 0)."""
-    T = mu.dense()
-    return _ricci_form(T, T)
+def ricci_at_identity(mu: StructureTensor, without: Optional[int] = None) -> np.ndarray:
+    """Ricci operator of the undeformed left-invariant metric (u = 0).
+
+    With ``without`` (1-based), of the constants with every entry that
+    touches that frame index set to 0: its rows and columns on the other
+    indices are the Ricci operator of the block they span.
+    """
+    index, value = mu.support()
+    if without is not None:
+        value = np.where((index == without - 1).any(axis=0), 0.0, value)
+    return _ricci(mu, value)[0]
 
 
 @dataclass

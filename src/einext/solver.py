@@ -4,10 +4,11 @@ The residual stacks, in a fixed deterministic order, the grouped Ricci
 deviations (every nonzero-exponent class entrywise, and the constant class
 against its Einstein target), the divergence components, and the weighted
 Jacobi components.  Every row is a polynomial of degree at most two in the
-pattern variables; the solver assembles it exactly from the polarised Ricci
-and Jacobi forms on pairs of unit tensors, on the exponent classes of
-``curvature._exponent_layout`` and against ``ExtensionSpec.einstein_target``,
-and keeps it as a sparse list of monomials.  A multistart damped
+pattern variables; the solver assembles it exactly from the pair lists of
+the polarised Ricci and Jacobi forms on the pattern's unit entries, on the
+exponent classes of ``curvature._exponent_layout`` and against
+``ExtensionSpec.einstein_target``, and keeps it as a sparse list of
+monomials.  A multistart damped
 least-squares loop on that model minimizes half the squared norm; the
 reported objective is recomputed from the tensor, and identical problem and
 seed reproduce the trajectory bit for bit.
@@ -25,15 +26,18 @@ import numpy as np
 from .algebra import (
     ExtensionSpec,
     StructureTensor,
+    Support,
+    _both_orders,
     _divergence_form,
-    _jacobi_form,
+    _jacobi_pairs,
+    _ricci_pairs,
     algebra_to_json,
     divergence_residual,
     full_pattern,
     jacobi_components,
     make_spec,
 )
-from .curvature import _exponent_layout, _grouped_terms, _ricci_form
+from .curvature import _exponent_layout, _grouped_terms
 from .scalars import parse_rational
 from .verifier import sparsity_pattern
 
@@ -132,25 +136,29 @@ class _QuadraticModel:
     """The residual of a fixed pattern, assembled from its bilinear pieces.
 
     Let E_a be the unit tensor of pattern triple a = (i, j, k), with exact
-    exponent e_a = p_k - p_i - p_j.  In the tensor sum_a x_a E_a, the
-    monomial x_a x_b (a <= b) adds _ricci_form(E_a, E_b) + _ricci_form(E_b,
-    E_a), halved when a = b, to the Ricci class -(e_a + e_b)/2, and the
-    polarised Jacobi form likewise to the weighted Jacobi rows; the
-    divergence rows are linear and the Einstein target is constant.  The
-    class layout is the constant class plus every class with a nonzero
-    coefficient: it depends on the type and pattern, never on the values.
+    exponent e_a = p_k - p_i - p_j.  In the tensor sum_a x_a E_a, a product
+    of an entry of E_a and one of E_b that meets in the Ricci form (the
+    pair list of the pattern's unit support, ``algebra._ricci_pairs``) adds
+    to the monomial x_a x_b, a <= b, in the Ricci class -(e_a + e_b)/2, and
+    one that meets in the Jacobi form (``algebra._jacobi_pairs``) adds to
+    the weighted Jacobi rows; the divergence rows are linear and the
+    Einstein target is constant.  The class layout is the constant class
+    plus every class with a nonzero coefficient: it depends on the type and
+    pattern, never on the values.
 
     The coefficients are COO arrays (row, a, b, coeff) with a <= b over the
     variables and a constant slot x_v = 1, so a linear term is (row, a, v)
-    and a constant (row, v, v).  One ``np.bincount`` evaluates the model and
-    two build its exact Jacobian.
+    and a constant (row, v, v); the quadratic ones are summed exactly, one
+    per monomial and row.  One ``np.bincount`` evaluates the model and two
+    build its exact Jacobian.
     """
 
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
+        i, j, k = np.array(pattern, dtype=np.intp).reshape(v, 3).T - 1
         E = np.zeros((v, n, n, n))
-        for a, (i, j, k) in enumerate(pattern):
-            E[a, i - 1, j - 1, k - 1], E[a, j - 1, i - 1, k - 1] = 1.0, -1.0
+        E[np.arange(v), i, j, k], E[np.arange(v), j, i, k] = 1.0, -1.0
+        unit = Support(_both_orders(i, j, k), np.repeat([1.0, -1.0], v))
         # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
         piece, names, pair_class = _exponent_layout(base.spectral, pattern)
         zero = names.index(Fraction(0))
@@ -165,16 +173,32 @@ class _QuadraticModel:
             np.broadcast_arrays(zero, t, v, v, -target[t]),
             np.broadcast_arrays(DIV, i, a, v, D[a, i]),
         ]
-        for a in range(v):
-            S, T = E[a], E[a:]
-            R = (_ricci_form(S, T) + _ricci_form(T, S))[:, iu[0], iu[1]]
-            J = jacobi_weight * (_jacobi_form(S, T) + _jacobi_form(T, S))
-            R[0] *= 0.5
-            J[0] *= 0.5
-            b, t = np.nonzero(R)
-            chunks.append(np.broadcast_arrays(pair_class[piece[a], piece[a + b]], t, a, a + b, R[b, t]))
-            b, t = np.nonzero(J)
-            chunks.append(np.broadcast_arrays(JAC, t, a, a + b, J[b, t]))
+        # Each product of two unit entries: a Ricci pair adds to the upper
+        # triangle of the symmetric part, a Jacobi pair to its row (kind 1).
+        ricci, jacobi = _ricci_pairs(unit, n), _jacobi_pairs(unit, n)
+        row, col = np.divmod(ricci.slot, n)
+        upper = np.zeros((n, n), dtype=np.intp)
+        upper[iu] = np.arange(iu[0].size)
+        var = np.tile(np.arange(v), 2)
+        x = var[np.concatenate([ricci.left, jacobi.left])]
+        y = var[np.concatenate([ricci.right, jacobi.right])]
+        kind = np.repeat([0, 1], [len(row), len(jacobi.slot)])
+        t = np.concatenate([upper[np.minimum(row, col), np.maximum(row, col)], jacobi.slot])
+        w = np.concatenate(
+            [np.where(row == col, 1.0, 0.5) * ricci.products(unit.value), jacobi.products(unit.value)]
+        )
+        # Sum them exactly (dyadic) per (a, kind, b, t), in that order.
+        rows = max(iu[0].size, n * math.comb(n, 3))
+        key = ((np.minimum(x, y) * 2 + kind) * v + np.maximum(x, y)) * rows + t
+        key, slot = np.unique(key, return_inverse=True)
+        coeff = np.bincount(slot, w, minlength=len(key))
+        rest, t = np.divmod(key, rows)
+        rest, b = np.divmod(rest, v)
+        a, kind = np.divmod(rest, 2)
+        coeff = np.where(kind == 1, jacobi_weight * coeff, coeff)
+        block = np.where(kind == 1, JAC, pair_class[piece[a], piece[b]])
+        nz = coeff != 0.0
+        chunks.append((block[nz], t[nz], a[nz], b[nz], coeff[nz]))
         block, t, self.a, self.b, self.coeff = (np.concatenate(f) for f in zip(*chunks))
         # The layout: the constant class and every class with a coefficient.
         size = np.zeros(len(names) + 2, dtype=np.intp)

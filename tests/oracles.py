@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, the scalar oracle sums the scalar-curvature
-formula term by term instead of tracing the Ricci operator, the
-class-layout oracle accumulates magnitudes so that nothing can cancel, the
+contraction with plain loops, the dense Ricci and Jacobi forms contract
+whole n^3 arrays with einsum where the library walks the pair list of the
+nonzero entries, the scalar oracle sums the scalar-curvature formula term
+by term instead of tracing the Ricci operator, the class-layout oracle
+accumulates magnitudes so that nothing can cancel, the
 cone oracle enumerates basis subsets instead of running the simplex, and
 the type and admissibility oracles use exact Gram-Schmidt instead of the
 fraction-free projectors of the type walk.
@@ -67,6 +69,36 @@ def koszul_ricci(mu) -> np.ndarray:
     return ric
 
 
+RICCI_COEFFS = (-0.5, -1.0, 0.25, -0.5)
+
+
+def ricci_form_dense(S: np.ndarray, T: np.ndarray, coeffs=RICCI_COEFFS) -> np.ndarray:
+    """Polarised Ricci form of dense constants: ``ricci_form_dense(T, T)`` is
+    the Ricci operator of the left-invariant metric with constants T.
+
+    The symmetric part of the four contractions, with the given
+    coefficients.  Bilinear in (S, T); leading axes broadcast.
+    """
+    G = (
+        coeffs[0] * np.einsum("...jkl,...ilk->...ij", S, T)
+        + coeffs[1] * np.einsum("...l,...lji->...ij", np.einsum("...lkk->...l", S), T)
+        + coeffs[2] * np.einsum("...kli,...klj->...ij", S, T)
+        + coeffs[3] * np.einsum("...ikl,...jkl->...ij", S, T)
+    )
+    return 0.5 * (G + G.swapaxes(-1, -2))
+
+
+def jacobi_form_dense(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Polarised Jacobi form of dense constants: sum_m S[i,j,m] T[m,k,l] +
+    cyclic in (i, j, k), one block of l-values per triple i < j < k in
+    lexicographic order, through the whole n^4 array of products."""
+    E = np.einsum("...ijm,...mkl->...ijkl", S, T)
+    r = np.arange(S.shape[-1])
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    J = E[..., i, j, k, :] + E[..., k, i, j, :] + E[..., j, k, i, :]
+    return J.reshape(J.shape[:-2] + (-1,))
+
+
 def scalar_classes(spec) -> dict:
     """Scalar curvature of the deformation by exponent class, term by term.
 
@@ -102,9 +134,9 @@ def class_layout(spectral, pattern) -> list:
 
     The indicator tensor of the pattern is split into pieces by the exact
     exponent e = p_k - p_i - p_j, and every ordered pair of pieces is
-    contracted with the Ricci formula's coefficients replaced by their
-    absolute values, so no term can cancel; the class -(e + f)/2 is kept
-    when that contraction is nonzero.
+    contracted by the dense Ricci form with its coefficients replaced by
+    their absolute values, so no term can cancel; the class -(e + f)/2 is
+    kept when that contraction is nonzero.
     """
     p = [Fraction(x) for x in spectral]
     n = len(p)
@@ -115,13 +147,7 @@ def class_layout(spectral, pattern) -> list:
     keys = {Fraction(0)}
     for e, S in pieces.items():
         for f, T in pieces.items():
-            G = (
-                0.5 * np.einsum("jkl,ilk->ij", S, T)
-                + np.einsum("l,lji->ij", np.einsum("lkk->l", S), T)
-                + 0.25 * np.einsum("kli,klj->ij", S, T)
-                + 0.5 * np.einsum("ikl,jkl->ij", S, T)
-            )
-            if G.any():
+            if ricci_form_dense(S, T, [abs(c) for c in RICCI_COEFFS]).any():
                 keys.add(-(e + f) / 2)
     return sorted(keys)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -279,8 +280,22 @@ def test_standard_modification_names_pattern_violation():
 def decomposed_tensors(draw):
     """Random brackets that an abelian h and an ideal m admit: [h, m] and
     [m, m] inside m, with values that include one below the tolerance.
-    Half the cases have an abelian m and skew same-eigenvalue blocks in
-    every action, so that the twist can apply.  Returns the spec and h."""
+    A third of the cases have one moving h element that rotates a repeated
+    eigenspace of an abelian m by a skew block, so that the twist changes
+    the bracket; half the rest have an abelian m and skew same-eigenvalue
+    blocks in every action, so that the twist can apply.  Returns the spec
+    and h."""
+    if draw(st.integers(0, 2)) == 0:
+        n = draw(st.integers(3, 5))
+        b = draw(st.integers(1, n))
+        block = sorted(draw(st.sets(st.sampled_from([i for i in range(1, n + 1) if i != b]), min_size=2)))
+        moving, repeated = draw(st.sampled_from([-1, 1, 2])), draw(st.integers(-1, 2))
+        p = [moving if i == b else repeated if i in block else draw(st.integers(-1, 2)) for i in range(1, n + 1)]
+        entries = {}
+        for l, k in itertools.combinations(block, 2):
+            entries[(b, l, k)] = draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]))
+            entries[(b, k, l)] = -entries[(b, l, k)]
+        return make_spec(StructureTensor(n, entries), p), (b,)
     n = draw(st.integers(2, 5))
     p = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
     h = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
@@ -323,6 +338,26 @@ def test_standard_modification_invariants(case):
     # Exactly the exponent-zero piece, the entries with p_k = p_i + p_j.
     exponent_zero = [((i, j, k), v) for (i, j, k), v in mu.items() if p[k - 1] == p[i - 1] + p[j - 1]]
     assert out.algebra.items() == exponent_zero
+
+
+def test_decomposed_tensors_twist_in_a_meaningful_share():
+    # Over a fixed-seed run, the twist is accepted and changes the bracket
+    # in at least a quarter of the drawn cases.
+    changed = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(decomposed_tensors())
+    def record(case):
+        spec, h = case
+        try:
+            out = standard_modification(spec, h)
+        except StructureError:
+            changed.append(False)
+            return
+        changed.append(out.algebra.items() != spec.algebra.items())
+
+    record()
+    assert sum(changed) >= len(changed) / 4
 
 
 @settings(max_examples=150, deadline=None)

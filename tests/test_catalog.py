@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_heisenberg_family():
         assert classify_type_1112(entry.spec).passed
     with pytest.raises(ValueError):
         heisenberg(0)
+
+
+def test_large_heisenberg_builds_and_verifies_in_small_memory():
+    # n = 81 with 40 nonzero constants.  The Jacobi check at construction
+    # and the curvature follow the nonzero constants; an n^4 array of
+    # float64 alone would take 344 MB.
+    tracemalloc.start()
+    try:
+        entry = heisenberg(40)
+        report = verify_extension(entry.spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.einstein and report.einstein_constant == entry.expected_constant
+    assert peak < 64 * 2**20
 
 
 def test_e2_fixture():

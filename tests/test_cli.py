@@ -261,8 +261,8 @@ def test_overflowing_curvature_is_input_error(capsys):
 
 
 def test_overflowing_eigenvalue_is_input_error(capsys):
-    # tr(D^2) overflows float64, or the Ricci form's einsum overflows to
-    # infinities whose difference is "invalid": an error exit, not a numpy warning.
+    # tr(D^2) overflows float64, or a product of two rescaled constants
+    # overflows in the Ricci form: an error exit, not a numpy warning.
     texts = [
         json.dumps({"dim": 1, "mu": [], "spectral": [1.3407807929942597e154]}),
         json.dumps(

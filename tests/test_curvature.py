@@ -3,18 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from einext.algebra import StructureTensor, make_spec
+from einext.algebra import StructureTensor, Support, _both_orders, _jacobi_pairs, _ricci_pairs, make_spec
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
     _exp_sum,
+    _ricci,
     extension_ricci,
     ricci_at_identity,
     ricci_deformation,
     ricci_deformation_at,
 )
 
-from oracles import koszul_ricci, scalar_classes
+from oracles import RICCI_COEFFS, jacobi_form_dense, koszul_ricci, ricci_form_dense, scalar_classes
 from util import random_lie_tensor, random_sparse_tensor
 
 STATED_GRID = (-1.0, -0.3, 0.0, 0.7, 2.0)
@@ -170,6 +173,90 @@ def test_grouped_at_zero_matches_koszul_on_lie_tensors():
             oracle = koszul_ricci(rescaled)
             scale = max(1.0, max((abs(v) for _, v in rescaled.items()), default=0.0) ** 2)
             assert np.abs(ricci_deformation_at(spec, u) - oracle).max() <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# The pair kernel against the dense forms
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pair_cases(draw):
+    """Frame triples i < j (1-based, sorted), a stack of nonzero S values on
+    them, nonzero T values, and eigenvalues.  Sparse draws put k in {i, j} half
+    the time; the dense branch takes every triple of dimension 6."""
+    if draw(st.booleans()):
+        n = 6
+        triples = [(i, j, k) for i in range(1, 7) for j in range(i + 1, 7) for k in range(1, 7)]
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        triples = set()
+        for _ in range(draw(st.integers(0, 12)) if pairs else 0):
+            i, j = draw(st.sampled_from(pairs))
+            k = draw(st.sampled_from((i, j))) if draw(st.booleans()) else draw(st.integers(1, n))
+            triples.add((i, j, k))
+        triples = sorted(triples)
+    # Values of magnitude 1/8..4 and either sign, drawn by seed: a dense
+    # tensor has 90 of them per row.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(0.125, 4.0, (draw(st.integers(2, 4)), len(triples)))
+    rows *= rng.choice([-1.0, 1.0], rows.shape)
+    p = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return n, triples, rows[1:].tolist(), rows[0].tolist(), p
+
+
+def dense(n, triples, values):
+    T = np.zeros((n, n, n))
+    for (i, j, k), v in zip(triples, values):
+        T[i - 1, j - 1, k - 1], T[j - 1, i - 1, k - 1] = v, -v
+    return T
+
+
+def close(kernel, oracle, magnitude):
+    """Agreement to 1e-12 relative to the sum of the magnitudes of the terms."""
+    return np.abs(kernel - oracle).max(initial=0.0) <= 1e-12 * max(1.0, magnitude.max(initial=0.0))
+
+
+def is_ricci_of(R, D):
+    return close(R, ricci_form_dense(D, D), ricci_form_dense(np.abs(D), np.abs(D), np.abs(RICCI_COEFFS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_cases())
+@example((4, [], [[]], [], [0, 1, 2, 3]))
+def test_pair_kernel_matches_dense_forms(case):
+    n, triples, stack, t, p = case
+    # Polarised, S != T, on one support: the first S of the stack and T.
+    i, j, k = np.array(triples, dtype=np.intp).reshape(-1, 3).T - 1
+    support = Support(_both_orders(i, j, k), np.zeros(2 * len(triples)))
+    s_full, t_full = (np.concatenate([np.array(x), -np.array(x)]) for x in (stack[0], t))
+    S, T = dense(n, triples, stack[0]), dense(n, triples, t)
+    absolute = np.abs(S), np.abs(T)
+
+    ricci = _ricci_pairs(support, n)
+    G = np.bincount(ricci.slot, ricci.coeff * s_full[ricci.left] * t_full[ricci.right], minlength=n * n)
+    G = G.reshape(n, n)
+    magnitude = ricci_form_dense(*absolute, np.abs(RICCI_COEFFS))
+    assert close(0.5 * (G + G.T), ricci_form_dense(S, T), magnitude)
+
+    jacobi = _jacobi_pairs(support, n)
+    J = np.bincount(
+        jacobi.slot, jacobi.coeff * s_full[jacobi.left] * t_full[jacobi.right], minlength=n * math.comb(n, 3)
+    )
+    assert close(J, jacobi_form_dense(S, T), jacobi_form_dense(*absolute))
+
+    # A stack of values on a tensor's own support, and the deformation at a
+    # stack of times, each against the dense form of its own constants.
+    mu = StructureTensor(n, dict(zip(triples, t)))
+    rows = np.array(stack).reshape(len(stack), len(triples))
+    for R, values in zip(_ricci(mu, np.concatenate([rows, -rows], axis=1)), rows):
+        assert is_ricci_of(R, dense(n, triples, values))
+    spec = make_spec(mu, p)
+    us = np.array([-0.5, 0.0, 0.25])
+    weights = [math.exp(u * (p[k - 1] - p[i - 1] - p[j - 1])) for u in us for i, j, k in triples]
+    for R, values in zip(ricci_deformation_at(spec, us), np.reshape(weights, (3, -1)) * t):
+        assert is_ricci_of(R, dense(n, triples, values))
 
 
 def test_koszul_known_values():
