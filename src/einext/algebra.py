@@ -254,11 +254,14 @@ class ExtensionSpec:
 
     The endomorphism is diagonal in the frame, D e_i = p_i e_i, with exact
     rational eigenvalues; :func:`make_spec` reads them from other input.
+    ``_classes`` keeps the grouped Ricci classes once ``curvature.ricci_deformation``
+    has formed them; ``with_algebra`` and ``replace`` start without them.
     """
 
     algebra: StructureTensor
     spectral: tuple[Fraction, ...]
     _p: np.ndarray = field(init=False, repr=False)
+    _classes: Optional[dict] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spectral", tuple(self.spectral))
@@ -307,7 +310,7 @@ def make_spec(
         forms = [parse_affine(v) for v in spectral]
     except (TypeError, ValueError) as exc:
         raise StructureError(f"bad eigenvalue in 'spectral': {exc}") from exc
-    parametric = any(slope != 0 for _, slope in forms)
+    parametric = any(slope for _, slope in forms)
     if param is None:
         if parametric:
             raise StructureError("parametric eigenvalues need a 'param' value")
@@ -364,14 +367,10 @@ def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> Deriv
     return DerivationCheck(worst <= tol, worst)
 
 
-def _divergence_form(T: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Divergence components of the constants T; linear, leading axes broadcast."""
-    return np.einsum("...ijj,ij->...i", T, p[:, None] - p[None, :])
-
-
 def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
     """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0."""
-    return _divergence_form(spec.algebra.dense(), spec.eigenvalues())
+    p = spec.eigenvalues()
+    return np.einsum("ijj,ij->i", spec.algebra.dense(), p[:, None] - p[None, :])
 
 
 def standard_modification(
@@ -510,8 +509,9 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
     entries: dict[tuple[int, int, int], float] = {}
     for item in data.get("mu", []):
         try:
-            key = (item["i"], item["j"], item["k"])
-            value = float(parse_rational(item["v"]))
+            key, value = (item["i"], item["j"], item["k"]), item["v"]
+            if not (type(value) is float and math.isfinite(value)):  # a finite float reads as itself
+                value = float(parse_rational(value))
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"bad mu entry {item!r}: {exc}") from exc
         for name, idx in zip("ijk", key):

@@ -24,7 +24,9 @@ Each of these steps has one home here: ``_exponent_layout`` forms the
 pieces and classes on integers (the solver's model uses it too),
 ``_grouped_terms`` fills the classes, and ``_exp_sum`` evaluates
 sum_q exp(-2 u q) C_q for the deformed operator and for both non-constant
-blocks of the extension.  The Einstein target of the constant class is
+blocks of the extension.  ``ricci_deformation`` keeps the classes on the
+spec, so ``extension_ricci`` and ``verifier.verify_extension`` form them
+once per spec.  The Einstein target of the constant class is
 ``ExtensionSpec.einstein_target``.
 
 ``ricci_deformation_at`` evaluates the rescaled constants at numeric
@@ -145,12 +147,16 @@ def _grouped_terms(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     piece = np.concatenate([piece, piece])
     pairs = mu.ricci_pairs()
     C = _ricci(mu, value, pair_class[piece[pairs.left], piece[pairs.right]], len(classes))
+    C.flags.writeable = False
     return {q: Cq for q, Cq in zip(classes, C) if Cq.any()}
 
 
 def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
-    """Grouped exponential representation of the deformed Ricci operator."""
-    return GroupedRicci(spec.dim, _grouped_terms(spec))
+    """Grouped exponential representation of the deformed Ricci operator: a
+    fresh dict of the read-only classes, which are formed once per spec."""
+    if spec._classes is None:
+        object.__setattr__(spec, "_classes", _grouped_terms(spec))
+    return GroupedRicci(spec.dim, dict(spec._classes))
 
 
 def ricci_deformation_at(spec: ExtensionSpec, u) -> np.ndarray:
@@ -226,25 +232,14 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     n = spec.dim
     grouped = ricci_deformation(spec)
     scal = {q: t for q, C in grouped.classes.items() if (t := float(np.trace(C))) != 0.0}
-    trace_d = spec.trace()
-    pv = spec.eigenvalues()
-
-    ric_00 = -spec.trace_sq()
-
     div = divergence_residual(spec)
     mixed: dict[Fraction, np.ndarray] = {}
-    for i in range(n):
-        if div[i] == 0.0:
-            continue
-        q = spec.eigenvalue(i + 1) * HALF
-        vec = mixed.setdefault(q, np.zeros(n))
-        vec[i] += div[i]
-
-    block = {q: C.copy() for q, C in grouped.classes.items()}
-    shift = trace_d * np.diag(pv)
+    for i in np.flatnonzero(div):
+        mixed.setdefault(spec.eigenvalue(i + 1) * HALF, np.zeros(n))[i] = div[i]
+    block = dict(grouped.classes)
+    shift = spec.trace() * np.diag(spec.eigenvalues())
     if shift.any():
         block[ZERO] = block.get(ZERO, np.zeros((n, n))) - shift
         if not block[ZERO].any():
             del block[ZERO]
-
-    return CurvatureReport(grouped, scal, ric_00, mixed, block)
+    return CurvatureReport(grouped, scal, -spec.trace_sq(), mixed, block)

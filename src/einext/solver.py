@@ -28,7 +28,6 @@ from .algebra import (
     StructureTensor,
     Support,
     _both_orders,
-    _divergence_form,
     _jacobi_pairs,
     _ricci_pairs,
     algebra_to_json,
@@ -156,8 +155,6 @@ class _QuadraticModel:
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
         i, j, k = np.array(pattern, dtype=np.intp).reshape(v, 3).T - 1
-        E = np.zeros((v, n, n, n))
-        E[np.arange(v), i, j, k], E[np.arange(v), j, i, k] = 1.0, -1.0
         unit = Support(_both_orders(i, j, k), np.repeat([1.0, -1.0], v))
         # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
         piece, names, pair_class = _exponent_layout(base.spectral, pattern)
@@ -166,12 +163,15 @@ class _QuadraticModel:
         iu = np.triu_indices(n)
         target = base.einstein_target()[iu]
         t = np.flatnonzero(target)
-        D = _divergence_form(E, base.eigenvalues())
-        a, i = np.nonzero(D)
+        # Divergence row i of unit entry a = (i, j|k) is p_i - p_j when k = j;
+        # the entry (j, i|k) = -1 gives row j the value -(p_j - p_i) when k = i.
+        p, on_j = base.eigenvalues(), k == j
+        div = np.where(on_j, p[i] - p[j], -(p[j] - p[i]))
+        a = np.flatnonzero((on_j | (k == i)) & (div != 0.0))
         # Entries (block, row in block, a, b, coeff); v is the constant slot.
         chunks = [
             np.broadcast_arrays(zero, t, v, v, -target[t]),
-            np.broadcast_arrays(DIV, i, a, v, D[a, i]),
+            np.broadcast_arrays(DIV, np.where(on_j, i, j)[a], a, v, div[a]),
         ]
         # Each product of two unit entries: a Ricci pair adds to the upper
         # triangle of the symmetric part, a Jacobi pair to its row (kind 1).

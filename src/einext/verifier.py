@@ -3,14 +3,15 @@
 ``verify_extension`` decides whether an extension spec produces an Einstein
 metric: the divergence condition must hold, every nonzero-exponent class of
 the grouped Ricci representation must vanish, and the constant class must
-equal (tr D) diag(p) - tr(D^2) id (``ExtensionSpec.einstein_target``).  A
-direct evaluation on a small grid of deformation times cross-checks the
-grouped bookkeeping.
+equal (tr D) diag(p) - tr(D^2) id (``ExtensionSpec.einstein_target``), on
+the classes ``curvature.ricci_deformation`` keeps on the spec.  A direct
+evaluation on a small grid of deformation times cross-checks them.
 
 The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
-(1,...,1,2).  Each reads slices of the dense constants, relabelled so the
-distinguished direction comes last, takes its Ricci checks from
+(1,...,1,2).  Each reads only the two 2-D slices of the dense constants
+through the distinguished direction, indexed in the relabelled order that
+puts that direction last, takes its Ricci checks from
 ``curvature.ricci_at_identity`` (the block without the distinguished
 direction by zeroing the entries that touch it), and reports through one
 builder.
@@ -143,9 +144,10 @@ class ClassifierReport:
 
 def _relabelled(
     spec: ExtensionSpec, lam: Fraction, nu: Fraction, type_name: str
-) -> tuple[np.ndarray, list[int]]:
-    """Dense constants, relabelled so the multiplicity-free eigenvalue sits
-    last, and the relabelling: frame index order[a] becomes a.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The slices A[a, b] = mu[o_a, s | o_b] and B[a, b] = mu[o_a, o_b | s]
+    through the multiplicity-free eigenvalue's direction s, and the
+    relabelling o = order that puts s last: frame index o_a becomes a.
 
     Refuses anything that is not exactly (lam, ..., lam, nu) up to order;
     near-miss types are never coerced.
@@ -159,7 +161,8 @@ def _relabelled(
             f"up to order; got {tuple(str(v) for v in values)}"
         )
     order = rest + special
-    return spec.algebra.dense()[np.ix_(order, order, order)], order
+    T, o, s = spec.algebra.dense(), np.array(order), special[0]
+    return T[o[:, None], s, o], T[o[:, None], o, s], order
 
 
 def _block_ricci(spec: ExtensionSpec, order: list[int]) -> np.ndarray:
@@ -181,11 +184,11 @@ def _report(
 def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (0,...,0,1): the distinguished direction splits off a line and
     the complementary block is Einstein with constant -1."""
-    T, order = _relabelled(spec, Fraction(0), Fraction(1), "0001")
+    A, B, order = _relabelled(spec, Fraction(0), Fraction(1), "0001")
     block = _block_ricci(spec, order)
     checks = {
-        # T[:, -1, :] = -T[-1, :, :], so these hold every entry touching e_n.
-        "distinguished_decoupled": max(_maxabs(T[-1]), _maxabs(T[..., -1])),
+        # mu[n, i | j] = -A[i, j], so A and B hold every entry touching e_n.
+        "distinguished_decoupled": max(_maxabs(A), _maxabs(B)),
         "block_einstein_minus_one": _maxabs(block + np.eye(len(block))),
     }
     return _report("0001", checks, tol, "product_decomposition")
@@ -194,19 +197,19 @@ def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
 def classify_type_1110(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (1,...,1,0): transverse symmetric action with zero trace and
     squared norm n-1 over a Ricci-flat block."""
-    T, order = _relabelled(spec, Fraction(1), Fraction(0), "1110")
+    A, B, order = _relabelled(spec, Fraction(1), Fraction(0), "1110")
     # action[i, j] = mu[n, i | j], read as -mu[i, n | j]: eigh's last bits
     # depend on the signs of its zeros.
-    action = -T[:-1, -1, :-1]
+    action = -A[:-1, :-1]
     skew_defect = _maxabs(0.5 * (action - action.T))
     q_values = np.linalg.eigh(0.5 * (action + action.T))[0]
     checks = {
-        "transverse_trace": abs(float(np.einsum("kik->i", T)[-1])),
-        "distinguished_geodesic": _maxabs(T[:-1, -1, -1]),
-        "block_closed": _maxabs(T[:-1, :-1, -1]),
+        "transverse_trace": abs(float(np.einsum("kk->", A))),
+        "distinguished_geodesic": _maxabs(A[:-1, -1]),
+        "block_closed": _maxabs(B[:-1, :-1]),
         "symmetric_action": skew_defect,
         "trace_zero": abs(float(q_values.sum())),
-        "trace_square": abs(float((q_values**2).sum()) - (len(T) - 1)),
+        "trace_square": abs(float((q_values**2).sum()) - (len(A) - 1)),
         "block_ricci_flat": _maxabs(_block_ricci(spec, order)),
     }
     return _report(
@@ -221,16 +224,16 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     vector must couple to it with squared norm 4, and the undeformed Ricci
     operator must equal diag(-2, ..., -2, n-1).
     """
-    T, order = _relabelled(spec, Fraction(1), Fraction(2), "1112")
-    n = len(T)
-    action = -T[:-1, -1, :-1]  # action[i, j] = mu[n, i | j]
+    A, B, order = _relabelled(spec, Fraction(1), Fraction(2), "1112")
+    n = len(A)
+    action = -A[:-1, :-1]  # action[i, j] = mu[n, i | j]
     skew_defect = _maxabs(action - action.T) / 2.0
     # Python floats, so a square past float64 raises OverflowError.
-    coupling = max((abs(sum(x**2 for x in row) - 4.0) for row in T[:-1, :-1, -1].tolist()), default=0.0)
+    coupling = max((abs(sum(x**2 for x in row) - 4.0) for row in B[:-1, :-1].tolist()), default=0.0)
     expected = np.diag([-2.0] * (n - 1) + [float(n - 1)])
     checks = {
-        "transverse_trace": abs(float(np.einsum("kik->i", T)[-1])),
-        "distinguished_geodesic": _maxabs(T[:-1, -1, -1]),
+        "transverse_trace": abs(float(np.einsum("kk->", A))),
+        "distinguished_geodesic": _maxabs(A[:-1, -1]),
         "distinguished_action": _maxabs(action),
         "contact_coupling": coupling,
         "ricci_at_identity": _maxabs(ricci_at_identity(spec.algebra)[np.ix_(order, order)] - expected),

@@ -23,6 +23,7 @@ from einext.algebra import (
 )
 
 from einext.curvature import ricci_deformation_at
+from einext.scalars import parse_rational
 from einext.verifier import classify_type_0001, verify_extension
 
 from oracles import divergence_bruteforce
@@ -508,6 +509,45 @@ def test_json_accepts_rational_strings():
     mu, spec, _ = algebra_from_json(data)
     assert mu.dense()[0, 1, 0] == 1.5
     assert spec.eigenvalue(1) == Fraction(1, 2)
+
+
+ENTRY_JSON = '{"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": %s}], "spectral": [1, 1, 2]}'
+
+
+@pytest.mark.parametrize(
+    "text, cause, message",
+    [
+        ("NaN", ValueError, "nan is not a finite rational number"),
+        ("Infinity", ValueError, "inf is not a finite rational number"),
+        ("-Infinity", ValueError, "-inf is not a finite rational number"),
+        ("true", TypeError, "cannot interpret True as a rational number"),
+        ('"1/0"', ValueError, "'1/0' has a zero denominator"),
+        ('"abc"', ValueError, "Invalid literal for Fraction: 'abc'"),
+    ],
+)
+def test_hostile_entry_values_keep_their_errors(text, cause, message):
+    # A finite float is stored as it is; every other value is read exactly
+    # first, and is refused with the error of that reading.
+    data = json.loads(ENTRY_JSON % text)
+    with pytest.raises(StructureError) as info:
+        algebra_from_json(data)
+    assert type(info.value) is StructureError and type(info.value.__cause__) is cause
+    assert str(info.value) == f"bad mu entry {data['mu'][0]!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, items",
+    [
+        ("-0.0", []),
+        ("5e-324", [((1, 2, 3), 5e-324)]),
+        (str(2**64 + 1), [((1, 2, 3), 1.8446744073709552e19)]),
+    ],
+)
+def test_odd_entry_values_are_stored_exactly(text, items):
+    mu, _, _ = algebra_from_json(json.loads(ENTRY_JSON % text))
+    exact = StructureTensor(3, {(1, 2, 3): float(parse_rational(json.loads(text)))})
+    assert mu.dense().tobytes() == exact.dense().tobytes()
+    assert mu.items() == items
 
 
 def test_json_requires_dim_and_valid_entries():

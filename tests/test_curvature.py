@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from einext import curvature
 from einext.algebra import StructureTensor, Support, _both_orders, _jacobi_pairs, _ricci_pairs, make_spec
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
@@ -16,6 +18,7 @@ from einext.curvature import (
     ricci_deformation,
     ricci_deformation_at,
 )
+from einext.verifier import verify_extension
 
 from oracles import RICCI_COEFFS, jacobi_form_dense, koszul_ricci, ricci_form_dense, scalar_classes
 from util import random_lie_tensor, random_sparse_tensor
@@ -109,6 +112,41 @@ def test_grouped_parametric_evaluation():
         summed = _exp_sum(grouped.classes, u, (3, 3))
         assert np.abs(summed - target).max() <= 1e-12
         assert np.abs(ricci_deformation_at(spec, u) - target).max() <= 1e-12
+
+
+def test_classes_are_formed_once_per_spec(monkeypatch):
+    grouped_terms, calls = curvature._grouped_terms, []
+    monkeypatch.setattr(curvature, "_grouped_terms", lambda spec: calls.append(spec) or grouped_terms(spec))
+    spec = make_spec(heisenberg3(), [1, 1, 2])
+    verify_extension(spec)
+    extension_ricci(spec)
+    ricci_deformation(spec)
+    assert calls == [spec]
+
+
+def test_cached_classes_cannot_be_changed_by_a_caller():
+    mu = StructureTensor(3, {(1, 2, 3): 2.0, (1, 3, 1): 0.5})
+    spec = make_spec(mu, [1, 2, 2])
+    first = ricci_deformation(spec).classes
+    expected = {q: C.copy() for q, C in first.items()}
+    assert len(expected) > 1
+    for C in first.values():
+        assert not C.flags.writeable
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+    first.clear()
+    extension_ricci(spec).ric_block_classes.clear()
+    again = ricci_deformation(spec).classes
+    assert again is not first and again.keys() == expected.keys()
+    assert all(np.array_equal(again[q], C) for q, C in expected.items())
+
+
+def test_a_new_algebra_starts_without_the_cached_classes():
+    spec = make_spec(heisenberg3(), [1, 1, 2])
+    ricci_deformation(spec)
+    for other in (spec.with_algebra(e2_algebra()), replace(spec, algebra=e2_algebra())):
+        assert ricci_deformation(other).classes == {}
+    assert list(ricci_deformation(spec).classes) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from einext.algebra import StructureTensor, make_spec
@@ -65,6 +66,18 @@ def test_decimals_up_to_15_digits_are_exact(digits, exponent):
     # range keeps every drawn value a normal float, below 10**308.
     value = Fraction(digits) * Fraction(10) ** exponent
     assert parse_rational(float(value)) == value
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(sys.float_info.min)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+def test_every_finite_float_reads_back_as_itself(x):
+    # algebra_from_json keeps a finite float as it is instead of reading it
+    # exactly, which is the same number.
+    assert float(parse_rational(x)) == x
 
 
 def test_format_rational():

@@ -235,6 +235,17 @@ def test_assembled_model_property(case, seed, jacobi_weight):
         assert q in layout or np.abs(C).max() <= 1e-12 * scale
 
 
+def test_search_residual_is_that_of_a_fresh_spec():
+    # search's direct residual builds each tensor's spec from the zero
+    # tensor's by with_algebra, which must not carry the old classes over.
+    problem = SearchProblem(spectral=F(1, 1, 2), restarts=2, seed=5)
+    base = make_spec(StructureTensor(3), problem.spectral)
+    keys = _QuadraticModel(base, problem.pattern, problem.jacobi_weight).keys
+    result = search(problem)
+    r = _stack_residual(make_spec(result.best_mu, problem.spectral), keys, problem.jacobi_weight)
+    assert result.residual == 0.5 * float(r @ r)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         SearchProblem(spectral=F(1, 1, 2), restarts=0)
