@@ -2,12 +2,11 @@
 
 The basic object is the tensor of constants mu[i,j|k] = <[e_i, e_j], e_k>
 in an orthonormal frame (antisymmetric in i, j; indices 1-based), stored
-once as its dense read-only array, which every later layer reads, with its
-nonzero support formed from it once.  The bilinear forms of the
-constants, the polarised Ricci and Jacobi forms, are pair lists on a
-support (:class:`PairList`): every product of two entries that meets in
-the form, found by one sorted join, so each is evaluated with one
-``np.bincount`` at a cost that follows the nonzero constants.  An
+once as its read-only nonzero support, which every later layer reads.
+The polarised Ricci and Jacobi forms are pair lists on a support
+(:class:`PairList`): every product of two entries that meets in the form,
+found by one sorted join, so each, like the divergence, is evaluated with
+one ``np.bincount`` at a cost that follows the nonzero constants.  An
 :class:`ExtensionSpec` pairs such a tensor with the exact rational
 eigenvalues of the diagonal deforming endomorphism and their float image,
 also formed once.  :func:`make_spec` reads the eigenvalues, substituting the
@@ -77,16 +76,20 @@ class PairList(NamedTuple):
         return self.coeff * values[..., self.left] * values[..., self.right]
 
 
+def _float(value, name: str, *args) -> float:
+    """float(value), or StructureError naming the value, ``name.format(*args)``,
+    when it does not fit in float64."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise StructureError(f"{name.format(*args)} does not fit in float64") from exc
+
+
 def _frozen(arrays: tuple) -> tuple:
     """The arrays, made read-only."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _both_orders(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Index (3, 2h) of the entries (i, j, k), then of the same with i and j swapped."""
-    return np.stack([np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([k, k])])
 
 
 def _join(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +180,15 @@ def _jacobi_pairs(support: Support, n: int) -> PairList:
 class StructureTensor:
     """Structure constants of an n-dimensional orthonormal frame.
 
-    The one store is the dense antisymmetric array T[i-1, j-1, k-1] =
-    mu[i,j|k], read-only once built; an entry given as (j, i, k) adds its
-    negative to mu[i,j|k].  Its nonzero support and the Ricci form's pair
-    list on it are formed from that store once, when first asked for, and
-    are read-only too.  Set ``lie=True`` to assert the Jacobi identity at
-    construction (frame data that is not a Lie algebra skips the check).
+    The one store is the read-only nonzero support (:class:`Support`),
+    built once: an entry given as (j, i, k) adds its negative to mu[i,j|k],
+    and entries that add up to exactly zero are dropped.  The Ricci form's
+    pair list on it is formed once, when first asked for, and is read-only
+    too.  Set ``lie=True`` to assert the Jacobi identity at construction
+    (frame data that is not a Lie algebra skips the check).
     """
 
-    __slots__ = ("dim", "_T", "_support", "_ricci")
+    __slots__ = ("dim", "_support", "_ricci")
 
     def __init__(
         self,
@@ -197,21 +200,25 @@ class StructureTensor:
         if dim < 1:
             raise StructureError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        T = np.zeros((dim, dim, dim))
+        upper: dict[tuple[int, int, int], float] = {}  # mu[i,j|k], i < j
         for (i, j, k), value in (entries or {}).items():
             for idx in (i, j, k):
                 if not 1 <= idx <= dim:
                     raise StructureError(f"index {idx} outside 1..{dim}")
-            v = float(value)
+            v = _float(value, "mu[{},{}|{}]", i, j, k)
             if i == j:
                 raise StructureError(f"mu[{i},{j}|{k}] must vanish (antisymmetry)")
             if not math.isfinite(v):
                 raise StructureError(f"mu[{i},{j}|{k}] = {v} is not finite")
-            T[i - 1, j - 1, k - 1] += v
-            T[j - 1, i - 1, k - 1] -= v
-        T.flags.writeable = False
-        self._T = T
-        self._support: Optional[Support] = None
+            key, v = ((i, j, k), v) if i < j else ((j, i, k), -v)
+            upper[key] = total = upper.get(key, 0.0) + v
+            if not math.isfinite(total):
+                raise StructureError("mu[%d,%d|%d] given in both orders adds up past float64" % key)
+        keys = sorted(key for key, v in upper.items() if v != 0.0)
+        i, j, k = zip(*keys) if keys else ((), (), ())
+        value = [upper[key] for key in keys]
+        index = np.array([i + j, j + i, k + k], dtype=np.intp) - 1  # the entries, then with i, j swapped
+        self._support = Support(*_frozen((index, np.array(value + [-v for v in value], dtype=float))))
         self._ricci: Optional[PairList] = None
         if lie:
             res = jacobi_residual(self)
@@ -224,17 +231,8 @@ class StructureTensor:
         h = len(value) // 2
         return list(zip(map(tuple, (1 + index[:, :h].T).tolist()), value[:h].tolist()))
 
-    def dense(self) -> np.ndarray:
-        """The stored read-only array T[i-1, j-1, k-1] = mu[i,j|k]."""
-        return self._T
-
     def support(self) -> Support:
-        """The nonzero entries in both orders (:class:`Support`), formed once."""
-        if self._support is None:
-            i, j, k = np.nonzero(self._T)
-            upper = i < j
-            index = _both_orders(i[upper], j[upper], k[upper])
-            self._support = Support(*_frozen((index, self._T[tuple(index)])))
+        """The stored nonzero entries in both orders (:class:`Support`)."""
         return self._support
 
     def ricci_pairs(self) -> PairList:
@@ -269,7 +267,7 @@ class ExtensionSpec:
             raise StructureError(
                 f"{len(self.spectral)} eigenvalues for dimension {self.algebra.dim}"
             )
-        p = np.array([float(x) for x in self.spectral])
+        p = np.array([_float(x, "eigenvalue p_{}", i) for i, x in enumerate(self.spectral, 1)])
         p.flags.writeable = False
         object.__setattr__(self, "_p", p)
 
@@ -367,10 +365,20 @@ def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> Deriv
     return DerivationCheck(worst <= tol, worst)
 
 
+def _divergence_terms(i, j, k, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (e, component, weight) of the divergence on entries mu[i,j|k],
+    i < j (0-based): mu[i,j|k] = v adds v (p_i - p_j) to component i when
+    k = j, and to component j when k = i; zero weights are left out."""
+    weight, on_j = p[i] - p[j], k == j
+    e = np.flatnonzero((on_j | (k == i)) & (weight != 0.0))
+    return e, np.where(on_j, i, j)[e], weight[e]
+
+
 def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
     """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0."""
-    p = spec.eigenvalues()
-    return np.einsum("ijj,ij->i", spec.algebra.dense(), p[:, None] - p[None, :])
+    index, value = spec.algebra.support()
+    e, component, weight = _divergence_terms(*index[:, : len(value) // 2], spec.eigenvalues())
+    return np.bincount(component, value[e] * weight, minlength=spec.dim).astype(float)  # int64 if no terms
 
 
 def standard_modification(
@@ -408,7 +416,12 @@ def standard_modification(
     m = frame - h
     items = mu.items()
     e, s = exponents(p, [t for t, _ in items])
-    kept, twisted, refused = {}, {}, []
+    # Each operator's matrix on m, op[row[k], row[l]] = mu[a, l | k]; T_a is the whole action.
+    row = {l: r for r, l in enumerate(sorted(m))}
+    fixed, moving = [a for a in sorted(h) if not p[a - 1]], [b for b in sorted(h) if p[b - 1]]
+    ops = {f"{name}_{a}": np.zeros((len(m), len(m)))
+           for name, part in (("T", fixed), ("Q", moving), ("N", moving)) for a in part}
+    kept, refused = {}, []
     for ((i, j, k), v), x in zip(items, e):
         a, l = (j, i) if j in h else (i, j)  # mu[a,l|k] = +-v
         acts = a in h and l in m and k in m
@@ -423,38 +436,29 @@ def standard_modification(
                 f"ideal bracket mu[{i},{j}|{k}] = {v:g} is not an eigenvector "
                 "of the deformation; the twisting does not apply"
             )
-        elif acts and x == -p[a - 1] * s:
-            twisted[i, j, k] = v
-        elif acts and abs(v) > tol:
+        elif acts and abs(v) > tol and x != -p[a - 1] * s:
             why = ("entry outside both eigenvalue patterns" if p[a - 1]
                    else "zero-eigenvalue action must preserve eigenspaces")
             refused.append((a, k, l, v if a == i else -v, why))
+        part = "T" if not p[a - 1] else "N" if x == 0 else "Q" if x == -p[a - 1] * s else None
+        if acts and part:
+            ops[f"{part}_{a}"][row[k], row[l]] = v if a == i else -v
     if refused:
         a, k, l, v, why = min(refused)
         raise PatternViolationError(f"mu[{a},{l}|{k}] = {v:g}: {why}")
-    out = StructureTensor(n, kept)
-    rows = np.array(sorted(m), dtype=np.intp) - 1
-    ix = np.ix_(rows, rows)
-    T, K, Q = mu.dense(), out.dense(), StructureTensor(n, twisted).dense()
-    moving = [b for b in sorted(h) if p[b - 1]]
     for b in moving:
-        skew_defect = float(np.abs(Q[b - 1][ix] + Q[b - 1][ix].T).max(initial=0.0))
+        skew_defect = float(np.abs(ops[f"Q_{b}"] + ops[f"Q_{b}"].T).max(initial=0.0))
         if skew_defect > tol:
             raise PatternViolationError(
                 f"block-diagonal action of e_{b} is not skew (defect {skew_defect:.3e})"
             )
-    # Each operator's matrix: op[k', l'] = mu[a, l | k]; T_a is the whole action.
-    labelled = (
-        [(f"T_{a}", T[a - 1][ix].T) for a in sorted(h) if not p[a - 1]]
-        + [(f"Q_{b}", Q[b - 1][ix].T) for b in moving]
-        + [(f"N_{b}", K[b - 1][ix].T) for b in moving]
-    )
-    for (name_x, op_x), (name_y, op_y) in itertools.combinations(labelled, 2):
+    for (name_x, op_x), (name_y, op_y) in itertools.combinations(ops.items(), 2):
         defect = float(np.abs(op_x @ op_y - op_y @ op_x).max(initial=0.0))
         if defect > tol:
             raise CommutationError(
                 f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
             )
+    out = StructureTensor(n, kept)
     res = jacobi_residual(out)
     if not res <= tol:
         raise StructureError(f"modified tensor violates Jacobi (residual {res:.3e})")
@@ -511,12 +515,12 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
         try:
             key, value = (item["i"], item["j"], item["k"]), item["v"]
             if not (type(value) is float and math.isfinite(value)):  # a finite float reads as itself
-                value = float(parse_rational(value))
+                value = parse_rational(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"bad mu entry {item!r}: {exc}") from exc
         for name, idx in zip("ijk", key):
             _require_int(idx, f"mu index '{name}'")
-        entries[key] = entries.get(key, 0.0) + value
+        entries[key] = entries.get(key, 0.0) + _float(value, "mu[{},{}|{}]", *key)
     mu = StructureTensor(dim, entries)
     if not isinstance(data.get("spectral", []), list):
         raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")

@@ -341,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
-        # MemoryError: a "dim" too large to allocate its dense constants.
+        # MemoryError: a "dim" too large to allocate its n x n arrays.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OverflowError, FloatingPointError):

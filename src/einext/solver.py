@@ -26,8 +26,7 @@ import numpy as np
 from .algebra import (
     ExtensionSpec,
     StructureTensor,
-    Support,
-    _both_orders,
+    _divergence_terms,
     _jacobi_pairs,
     _ricci_pairs,
     algebra_to_json,
@@ -85,10 +84,7 @@ class SearchProblem:
         return len(self.spectral)
 
     def build_tensor(self, values: np.ndarray) -> StructureTensor:
-        entries = {
-            triple: float(v) for triple, v in zip(self.pattern, values)
-        }
-        return StructureTensor(self.dim, entries)
+        return StructureTensor(self.dim, dict(zip(self.pattern, map(float, values))))
 
 
 @dataclass
@@ -140,10 +136,10 @@ class _QuadraticModel:
     pair list of the pattern's unit support, ``algebra._ricci_pairs``) adds
     to the monomial x_a x_b, a <= b, in the Ricci class -(e_a + e_b)/2, and
     one that meets in the Jacobi form (``algebra._jacobi_pairs``) adds to
-    the weighted Jacobi rows; the divergence rows are linear and the
-    Einstein target is constant.  The class layout is the constant class
-    plus every class with a nonzero coefficient: it depends on the type and
-    pattern, never on the values.
+    the weighted Jacobi rows; the divergence rows are linear
+    (``algebra._divergence_terms``) and the Einstein target is constant.
+    The class layout is the constant class plus every class with a nonzero
+    coefficient: it depends on the type and pattern, never on the values.
 
     The coefficients are COO arrays (row, a, b, coeff) with a <= b over the
     variables and a constant slot x_v = 1, so a linear term is (row, a, v)
@@ -154,8 +150,7 @@ class _QuadraticModel:
 
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
-        i, j, k = np.array(pattern, dtype=np.intp).reshape(v, 3).T - 1
-        unit = Support(_both_orders(i, j, k), np.repeat([1.0, -1.0], v))
+        unit = StructureTensor(n, dict.fromkeys(pattern, 1.0)).support()  # sorted: entry a < v is triple a
         # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
         piece, names, pair_class = _exponent_layout(base.spectral, pattern)
         zero = names.index(Fraction(0))
@@ -163,15 +158,11 @@ class _QuadraticModel:
         iu = np.triu_indices(n)
         target = base.einstein_target()[iu]
         t = np.flatnonzero(target)
-        # Divergence row i of unit entry a = (i, j|k) is p_i - p_j when k = j;
-        # the entry (j, i|k) = -1 gives row j the value -(p_j - p_i) when k = i.
-        p, on_j = base.eigenvalues(), k == j
-        div = np.where(on_j, p[i] - p[j], -(p[j] - p[i]))
-        a = np.flatnonzero((on_j | (k == i)) & (div != 0.0))
+        a, component, div = _divergence_terms(*unit.index[:, :v], base.eigenvalues())
         # Entries (block, row in block, a, b, coeff); v is the constant slot.
         chunks = [
             np.broadcast_arrays(zero, t, v, v, -target[t]),
-            np.broadcast_arrays(DIV, np.where(on_j, i, j)[a], a, v, div[a]),
+            np.broadcast_arrays(DIV, component, a, v, div),
         ]
         # Each product of two unit entries: a Ricci pair adds to the upper
         # triangle of the symmetric part, a Jacobi pair to its row (kind 1).

@@ -9,9 +9,9 @@ evaluation on a small grid of deformation times cross-checks them.
 
 The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
-(1,...,1,2).  Each reads only the two 2-D slices of the dense constants
-through the distinguished direction, indexed in the relabelled order that
-puts that direction last, takes its Ricci checks from
+(1,...,1,2).  Each reads only the two 2-D slices of the constants through
+the distinguished direction, scattered from the support in the relabelled
+order that puts that direction last, takes its Ricci checks from
 ``curvature.ricci_at_identity`` (the block without the distinguished
 direction by zeroing the entries that touch it), and reports through one
 builder.
@@ -161,8 +161,12 @@ def _relabelled(
             f"up to order; got {tuple(str(v) for v in values)}"
         )
     order = rest + special
-    T, o, s = spec.algebra.dense(), np.array(order), special[0]
-    return T[o[:, None], s, o], T[o[:, None], o, s], order
+    (i, j, k), value = spec.algebra.support()
+    label = np.array(order).argsort()  # frame index o_a -> a
+    A, B = np.zeros((2, len(order), len(order)))
+    for S, hit, column in ((A, j == special[0], k), (B, k == special[0], j)):
+        S[label[i[hit]], label[column[hit]]] = value[hit]
+    return A, B, order
 
 
 def _block_ricci(spec: ExtensionSpec, order: list[int]) -> np.ndarray:

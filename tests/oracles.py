@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, the dense Ricci and Jacobi forms contract
-whole n^3 arrays with einsum where the library walks the pair list of the
-nonzero entries, the scalar oracle sums the scalar-curvature formula term
-by term instead of tracing the Ricci operator, the class-layout oracle
+contraction with plain loops, the dense Ricci, Jacobi and divergence
+forms contract whole n^3 arrays with einsum where the library walks the
+nonzero entries, the dense accumulation adds entries into an n^3 array
+where the library keeps only the nonzero support, the scalar oracle sums
+the scalar-curvature formula term by term instead of tracing the Ricci
+operator, the class-layout oracle
 accumulates magnitudes so that nothing can cancel, the
 cone oracle enumerates basis subsets instead of running the simplex, and
 the type and admissibility oracles use exact Gram-Schmidt instead of the
@@ -20,11 +22,28 @@ from fractions import Fraction
 
 import numpy as np
 
+from util import dense
+
+
+def dense_accumulation(n: int, entries) -> np.ndarray:
+    """The n^3 array of entries {(i, j, k): v} given in either order: each
+    adds v to T[i-1, j-1, k-1] and subtracts it from T[j-1, i-1, k-1]."""
+    T = np.zeros((n, n, n))
+    for (i, j, k), v in entries.items():
+        T[i - 1, j - 1, k - 1] += v
+        T[j - 1, i - 1, k - 1] -= v
+    return T
+
+
+def divergence_form_dense(T: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Component i: sum_j T[i,j,j] (p_i - p_j), contracted over the whole array."""
+    return np.einsum("ijj,ij->i", T, p[:, None] - p[None, :])
+
 
 def koszul_connection(mu) -> np.ndarray:
     """nabla[c][b][a] = <nabla_{e_c} e_b, e_a> from the Koszul formula."""
     n = mu.dim
-    T = mu.dense()
+    T = dense(mu)
     out = np.zeros((n, n, n))
     for c in range(n):
         for b in range(n):
@@ -36,6 +55,7 @@ def koszul_connection(mu) -> np.ndarray:
 def koszul_ricci(mu) -> np.ndarray:
     """Ricci operator of the left-invariant metric by direct contraction."""
     n = mu.dim
+    T = dense(mu)
     gamma = koszul_connection(mu)
 
     def nabla(x: int, vec: np.ndarray) -> np.ndarray:
@@ -47,7 +67,7 @@ def koszul_ricci(mu) -> np.ndarray:
         return out
 
     def bracket(x: int, y: int) -> np.ndarray:
-        return np.array([mu.dense()[x, y, k] for k in range(n)])
+        return T[x, y]
 
     ric = np.zeros((n, n))
     for i in range(n):
@@ -109,7 +129,7 @@ def scalar_classes(spec) -> dict:
     """
     mu = spec.algebra
     n = mu.dim
-    T = mu.dense()
+    T = dense(mu)
     p = list(spec.spectral)
     out: dict = {}
 
@@ -159,8 +179,9 @@ def divergence_bruteforce(spec) -> np.ndarray:
     p = spec.eigenvalues()
     d_mat = np.diag(p)
     out = np.zeros(n)
+    T = dense(mu)
     for i in range(1, n + 1):
-        ad_i = mu.dense()[i - 1].T
+        ad_i = T[i - 1].T
         out[i - 1] = np.trace(p[i - 1] * ad_i - ad_i @ d_mat)
     return out
 

@@ -17,7 +17,7 @@ from einext.spectral import cone_membership, enumerate_types, enumeration_report
 from einext.verifier import classify_type_1112, sparsity_pattern, verify_extension
 
 from oracles import admissibility_defects, koszul_ricci
-from util import random_lie_tensor, random_sparse_tensor, relation_exists
+from util import dense, random_lie_tensor, random_sparse_tensor, relation_exists
 
 KNOWN_DIM4_TYPES = {
     (1, 1, 1, 1),
@@ -135,7 +135,7 @@ def test_criterion_7_solver_recovery():
     assert elapsed < 5.0
     assert result.converged
     assert result.residual < 1e-8
-    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
+    assert abs(abs(dense(result.best_mu)[0, 1, 2]) - 2.0) <= 1e-6
 
 
 @report(8, "grouped curvature matches the direct and Koszul oracles")

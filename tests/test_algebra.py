@@ -26,8 +26,8 @@ from einext.curvature import ricci_deformation_at
 from einext.scalars import parse_rational
 from einext.verifier import classify_type_0001, verify_extension
 
-from oracles import divergence_bruteforce
-from util import random_lie_tensor, random_sparse_tensor
+from oracles import dense_accumulation, divergence_bruteforce, divergence_form_dense
+from util import dense, random_lie_tensor, random_sparse_tensor
 
 
 def heisenberg3():
@@ -57,7 +57,7 @@ def test_non_finite_values_rejected():
 
 def test_antisymmetric_storage():
     mu = StructureTensor(3, {(2, 1, 3): 5.0})
-    T = mu.dense()
+    T = dense(mu)
     assert T[0, 1, 2] == -5.0
     assert T[1, 0, 2] == 5.0
     assert T[0, 0, 2] == 0.0
@@ -67,9 +67,9 @@ def test_antisymmetric_storage():
 def test_constants_and_eigenvalues_are_stored_once_read_only():
     spec = make_spec(heisenberg3(), [1, 1, 2])
     mu = spec.algebra
-    assert mu.dense() is mu.dense()
+    assert mu.support() is mu.support()
     assert spec.eigenvalues() is spec.eigenvalues()
-    for stored in (mu.dense(), spec.eigenvalues()):
+    for stored in (*mu.support(), spec.eigenvalues()):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
 
@@ -77,6 +77,48 @@ def test_constants_and_eigenvalues_are_stored_once_read_only():
 def test_entries_cancel_and_drop():
     mu = StructureTensor(3, {(1, 2, 3): 1.0, (2, 1, 3): 1.0})
     assert len(mu.items()) == 0
+
+
+# Bounded so that no two values add up past float64; subnormals included.
+_STORED_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def entries_in_both_orders(draw):
+    """Entries {(i, j, k): v} of dimension n <= 4, each given in either
+    order, some in both; half the time a key already given in the other
+    order repeats its value, so the two cancel."""
+    n = draw(st.integers(2, 4))
+    entries = {}
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(1, n))
+        other = entries.get((j, i, k))
+        entries[i, j, k] = other if other is not None and draw(st.booleans()) else draw(_STORED_VALUE)
+    return n, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries_in_both_orders())
+def test_support_store_is_the_dense_accumulation(case):
+    n, entries = case
+    mu = StructureTensor(n, entries)
+    T = dense_accumulation(n, entries)
+    assert dense(mu).tobytes() == T.tobytes()
+    expected = [((i + 1, j + 1, k + 1), float(T[i, j, k])) for i, j, k in zip(*np.nonzero(T)) if i < j]
+    assert [(t, v.hex()) for t, v in mu.items()] == [(t, v.hex()) for t, v in expected]
+
+
+def test_values_past_float64_name_their_place():
+    with pytest.raises(StructureError, match=r"^mu\[1,2\|3\] does not fit in float64$"):
+        StructureTensor(3, {(1, 2, 3): 10**400})
+    with pytest.raises(StructureError, match=r"^mu\[1,2\|3\] given in both orders adds up past float64$"):
+        StructureTensor(3, {(1, 2, 3): 1e308, (2, 1, 3): -1e308})
+    with pytest.raises(StructureError, match=r"^eigenvalue p_2 does not fit in float64$"):
+        make_spec(StructureTensor(2), [1, 10**400])
 
 
 def test_index_validation():
@@ -171,6 +213,21 @@ def test_divergence_matches_trace_oracle():
         assert np.abs(
             divergence_residual(spec) - divergence_bruteforce(spec)
         ).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries_in_both_orders(), st.lists(st.sampled_from([-2, -1, 0, 1, 2, "1/2", "1/3"]), min_size=4, max_size=4))
+def test_divergence_is_the_dense_contraction_bit_for_bit(case, spectral):
+    n, entries = case
+    spec = make_spec(StructureTensor(n, entries), spectral[:n])
+    expected = divergence_form_dense(dense_accumulation(n, entries), spec.eigenvalues())
+    assert divergence_residual(spec).tobytes() == expected.tobytes()
+
+
+def test_divergence_without_terms_is_float():
+    # No entry has k in {i, j}: nothing reaches the bincount.
+    out = divergence_residual(make_spec(heisenberg3(), [1, 1, 2]))
+    assert out.dtype == np.float64 and out.tolist() == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +376,7 @@ def test_standard_modification_invariants(case):
     spec, h = case
     mu, p = spec.algebra, spec.spectral
     m = [i for i in range(1, spec.dim + 1) if i not in h]
+    T = dense(mu)
     # An action entry above the tolerance whose weight p_k - p_a - p_l is
     # neither 0 (kept) nor -p_a (twisted) is refused.
     off_pattern = [
@@ -326,7 +384,7 @@ def test_standard_modification_invariants(case):
         for a in h
         for l in m
         for k in m
-        if abs(mu.dense()[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
+        if abs(T[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
     ]
     if off_pattern:
         with pytest.raises(StructureError):
@@ -507,7 +565,7 @@ def test_json_accepts_rational_strings():
         "spectral": ["1/2", 1],
     }
     mu, spec, _ = algebra_from_json(data)
-    assert mu.dense()[0, 1, 0] == 1.5
+    assert dense(mu)[0, 1, 0] == 1.5
     assert spec.eigenvalue(1) == Fraction(1, 2)
 
 
@@ -546,8 +604,16 @@ def test_hostile_entry_values_keep_their_errors(text, cause, message):
 def test_odd_entry_values_are_stored_exactly(text, items):
     mu, _, _ = algebra_from_json(json.loads(ENTRY_JSON % text))
     exact = StructureTensor(3, {(1, 2, 3): float(parse_rational(json.loads(text)))})
-    assert mu.dense().tobytes() == exact.dense().tobytes()
+    assert dense(mu).tobytes() == dense(exact).tobytes()
     assert mu.items() == items
+
+
+def test_json_values_past_float64_name_their_place():
+    big = str(10**400)
+    with pytest.raises(StructureError, match=r"^mu\[1,2\|3\] does not fit in float64$"):
+        algebra_from_json(json.loads(ENTRY_JSON % big))
+    with pytest.raises(StructureError, match=r"^eigenvalue p_3 does not fit in float64$"):
+        algebra_from_json(json.loads(ENTRY_JSON.replace("[1, 1, 2]", f"[1, 1, {big}]") % "1.0"))
 
 
 def test_json_requires_dim_and_valid_entries():

@@ -80,6 +80,18 @@ def test_large_heisenberg_builds_and_verifies_in_small_memory():
         tracemalloc.stop()
     assert report.einstein and report.einstein_constant == entry.expected_constant
     assert peak < 64 * 2**20
+    # n = 201: the constants are stored by their 100 nonzero entries, and the
+    # classifier reads two n x n slices; an n^3 array alone would take 65 MB.
+    tracemalloc.start()
+    try:
+        entry = heisenberg(100)
+        report = verify_extension(entry.spec)
+        passed = classify_type_1112(entry.spec).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.einstein and passed
+    assert peak < 16 * 2**20
 
 
 def test_e2_fixture():

@@ -282,10 +282,23 @@ def test_overflowing_eigenvalue_is_input_error(capsys):
 
 
 def test_dimension_too_large_for_memory_is_input_error(capsys):
-    # 10^15 float64 constants: the allocation fails at once, before any is touched.
+    # The constants are stored by their nonzero entries, so nothing of size
+    # n^3 is allocated: the missing eigenvalues are refused first.
     code, out, err = run_cli(capsys, "verify", "--input", '{"dim": 100000, "spectral": []}')
     assert (code, out) == (2, "")
-    assert "Unable to allocate" in err
+    assert err == "error: 0 eigenvalues for dimension 100000\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HEISENBERG_JSON % (str(10**400), "1"), "mu[1,2|3] does not fit in float64"),
+        (HEISENBERG_JSON % ("1.0", str(10**400)), "eigenvalue p_3 does not fit in float64"),
+    ],
+)
+def test_value_past_float64_is_named(capsys, text, message):
+    code, out, err = run_cli(capsys, "verify", "--input", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_overflowing_time_names_u(capsys):
@@ -392,7 +405,7 @@ _HOSTILE = st.one_of(
     st.booleans(),
     st.integers(-2, 7),
     st.floats(),
-    st.sampled_from(["1/2", "1/0", "x", "", "t", "1+t", "2/0*t", "1e400", [], {}]),
+    st.sampled_from(["1/2", "1/0", "x", "", "t", "1+t", "2/0*t", "1e400", 10**400, [], {}]),
 )
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einext import curvature
-from einext.algebra import StructureTensor, Support, _both_orders, _jacobi_pairs, _ricci_pairs, make_spec
+from einext.algebra import StructureTensor, Support, _jacobi_pairs, _ricci_pairs, make_spec
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
     _exp_sum,
@@ -266,8 +266,8 @@ def is_ricci_of(R, D):
 def test_pair_kernel_matches_dense_forms(case):
     n, triples, stack, t, p = case
     # Polarised, S != T, on one support: the first S of the stack and T.
-    i, j, k = np.array(triples, dtype=np.intp).reshape(-1, 3).T - 1
-    support = Support(_both_orders(i, j, k), np.zeros(2 * len(triples)))
+    index = StructureTensor(n, dict.fromkeys(triples, 1.0)).support().index
+    support = Support(index, np.zeros(2 * len(triples)))
     s_full, t_full = (np.concatenate([np.array(x), -np.array(x)]) for x in (stack[0], t))
     S, T = dense(n, triples, stack[0]), dense(n, triples, t)
     absolute = np.abs(S), np.abs(T)

@@ -7,6 +7,12 @@ classifiers and `verify` disagree: real hyperbolic 3-space with e_4 rotating
 (e_1, e_2) at 0.4 (type 0001), and R^3 x_A R with A = diag(s, s, -2s),
 s = 1/sqrt(2), plus a (1,2)-plane rotation at 0.3 (type 1110); the latter
 also with the frame reversed, so the distinguished direction comes first.
+Three more carry a decomposition, so `verify` reports the standard
+modification: the first, e_4 rotating (e_1, e_2) with eigenvalue 1 over
+hyperbolic 3-space, is twisted away; the second, with that action made
+symmetric, is refused as not skew; and R x| R^3 with m-eigenvalues
+(1, 1, 2), e_4 rotating the (1, 1) block and shifting e_1 into the
+eigenvalue-2 line, is refused because Q_4 and N_4 do not commute.
 
 After a change meant to alter these outputs, regenerate the files with
 
@@ -49,6 +55,27 @@ HAND_BUILT = {
                {"i": 1, "j": 2, "k": 2, "v": -2 * R},
                {"i": 1, "j": 4, "k": 3, "v": 0.3}, {"i": 1, "j": 3, "k": 4, "v": -0.3}],
         "spectral": [0, 1, 1, 1],
+    },
+    "twist-accepted": {
+        "dim": 4,
+        "mu": [{"i": 1, "j": 3, "k": 1, "v": -R}, {"i": 2, "j": 3, "k": 2, "v": -R},
+               {"i": 1, "j": 4, "k": 2, "v": -0.4}, {"i": 2, "j": 4, "k": 1, "v": 0.4}],
+        "spectral": [0, 0, 0, 1],
+        "decomposition": {"h": [4], "m": [1, 2, 3]},
+    },
+    "twist-not-skew": {
+        "dim": 4,
+        "mu": [{"i": 1, "j": 3, "k": 1, "v": -R}, {"i": 2, "j": 3, "k": 2, "v": -R},
+               {"i": 1, "j": 4, "k": 2, "v": -0.4}, {"i": 2, "j": 4, "k": 1, "v": -0.4}],
+        "spectral": [0, 0, 0, 1],
+        "decomposition": {"h": [4], "m": [1, 2, 3]},
+    },
+    "twist-not-commuting": {
+        "dim": 4,
+        "mu": [{"i": 1, "j": 4, "k": 2, "v": -0.5}, {"i": 2, "j": 4, "k": 1, "v": 0.5},
+               {"i": 1, "j": 4, "k": 3, "v": -1.0}],
+        "spectral": [1, 1, 2, 1],
+        "decomposition": {"h": [4], "m": [1, 2, 3]},
     },
 }
 

@@ -18,7 +18,7 @@ from einext.solver import (
 from einext.verifier import classify_type_0001, sparsity_pattern, verify_extension
 
 from oracles import class_layout
-from util import residual_vector
+from util import dense, residual_vector
 
 
 def F(*values):
@@ -63,7 +63,7 @@ def test_search_recovers_heisenberg():
     assert elapsed < 5.0
     assert result.converged
     assert result.residual < 1e-8
-    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
+    assert abs(abs(dense(result.best_mu)[0, 1, 2]) - 2.0) <= 1e-6
 
 
 def test_search_scalar_type_trivial():
@@ -133,7 +133,7 @@ def test_full_pattern_search_still_finds_heisenberg():
     )
     result = search(problem)
     assert result.converged
-    assert abs(abs(result.best_mu.dense()[0, 1, 2]) - 2.0) <= 1e-6
+    assert abs(abs(dense(result.best_mu)[0, 1, 2]) - 2.0) <= 1e-6
 
 
 def assembled(spectral, pattern=None, jacobi_weight=10.0):

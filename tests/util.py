@@ -1,8 +1,8 @@
 """Shared samplers for the randomized suites, the exact projector onto the
 complement of a span that the projector tests build on, and small helpers
-over the library that only tests need: the canonical form of a type,
-relabelling a frame, the first relation p_k = p_i + p_j, and the solver's
-residual of a given tensor."""
+over the library that only tests need: the dense n^3 array of a tensor,
+the canonical form of a type, relabelling a frame, the first relation
+p_k = p_i + p_j, and the solver's residual of a given tensor."""
 
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
 from einext.scalars import scaled_to_integers
 from einext.solver import _stack_residual
 from einext.spectral import SpectralVector
+
+
+def dense(mu: StructureTensor) -> np.ndarray:
+    """The array T[i-1, j-1, k-1] = mu[i,j|k], filled from the tensor's support."""
+    T = np.zeros((mu.dim,) * 3)
+    index, value = mu.support()
+    T[tuple(index)] = value
+    return T
 
 
 def random_sparse_tensor(rng, max_dim: int = 5):
