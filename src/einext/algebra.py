@@ -252,14 +252,15 @@ class ExtensionSpec:
 
     The endomorphism is diagonal in the frame, D e_i = p_i e_i, with exact
     rational eigenvalues; :func:`make_spec` reads them from other input.
-    ``_classes`` keeps the grouped Ricci classes once ``curvature.ricci_deformation``
-    has formed them; ``with_algebra`` and ``replace`` start without them.
+    ``_classes`` and ``_divergence`` keep what ``curvature.ricci_deformation`` and
+    :func:`divergence_residual` form once; ``with_algebra`` and ``replace`` start without them.
     """
 
     algebra: StructureTensor
     spectral: tuple[Fraction, ...]
     _p: np.ndarray = field(init=False, repr=False)
     _classes: Optional[dict] = field(init=False, repr=False, default=None)
+    _divergence: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spectral", tuple(self.spectral))
@@ -375,10 +376,14 @@ def _divergence_terms(i, j, k, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
-    """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0."""
-    index, value = spec.algebra.support()
-    e, component, weight = _divergence_terms(*index[:, : len(value) // 2], spec.eigenvalues())
-    return np.bincount(component, value[e] * weight, minlength=spec.dim).astype(float)  # int64 if no terms
+    """Component i: sum_j mu[i,j|j] (p_i - p_j); zero iff div D = 0; formed once per spec, read-only."""
+    if spec._divergence is None:
+        index, value = spec.algebra.support()
+        e, component, weight = _divergence_terms(*index[:, : len(value) // 2], spec.eigenvalues())
+        div = np.bincount(component, value[e] * weight, minlength=spec.dim).astype(float)  # int64 if no terms
+        div.flags.writeable = False
+        object.__setattr__(spec, "_divergence", div)
+    return spec._divergence
 
 
 def standard_modification(

@@ -5,7 +5,8 @@ subspace W spanned by roots, the candidate: the projection of the all-ones
 vector onto the complement of W.  It is an admissible type when every
 entry and the entry sum are nonzero and every root orthogonal to it lies
 in W.  Cone membership is decided by an exact simplex, with a checkable
-certificate either way.
+certificate either way; the types of an enumeration are decided together,
+as one batch of LPs stacked with numpy, in one simplex call.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import exponents
-from .exactlp import cone_decompose
-from .ratlinalg import _exact, distinct, extend, images, narrowest, projector_keys, projectors, reject
+from .exactlp import Tableaux, cone_decompose
+from .ratlinalg import _exact, _top, _widen, distinct, extend, images, narrowest, projector_keys, projectors, reject
 from .scalars import parse_rational, scaled_to_integers
 
 DEFAULT_DIMENSION_CAP = 7
@@ -81,19 +82,16 @@ class SpectralVector:
 
 
 @functools.cache
-def _root_vectors(dim: int) -> dict[RootTriple, tuple[int, ...]]:
-    """The vector of each root triple in dimension ``dim``, built once per dimension."""
-    return {t: t.vector(dim) for t in build_root_set(dim)}
+def _roots(dim: int) -> tuple[list[RootTriple], np.ndarray]:
+    """The root triples in dimension ``dim`` and their read-only int64 vectors, built once per dimension."""
+    triples = build_root_set(dim)
+    vectors = np.array([t.vector(dim) for t in triples], dtype=np.int64).reshape(-1, dim)
+    vectors.flags.writeable = False
+    return triples, vectors
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def perp_roots(p: Sequence[Fraction]) -> list[RootTriple]:
-    """The root triples orthogonal to p: those whose weight p_k - p_i - p_j is 0."""
-    roots = _root_vectors(len(p))
-    return [t for t, e in zip(roots, exponents(p, roots)[0]) if e == 0]
 
 
 @dataclass
@@ -134,21 +132,37 @@ class ConeCertificate:
         return out
 
 
+def _cone_lps(types: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, Tableaux]:
+    """One simplex call: for integer types q of one dimension, is |q|^2 1 - (sum q) q a
+    nonnegative combination of the roots orthogonal to q (q_i + q_j - q_k = 0), in root
+    order, padded with zero rows?  Returns the mask of those roots, the targets, the tableaux."""
+    Q = _exact(np.array(types, dtype=object))
+    roots = _roots(Q.shape[1])[1]
+    perp = Q @ roots.T == 0
+    counts = perp.sum(axis=1)
+    M = int(counts.max(initial=0))
+    order = np.argsort(~perp, axis=1, kind="stable")[:, :M]
+    generators = roots[order] * (np.arange(M) < counts[:, None])[:, :, None]
+    (Q,) = _widen(2 * Q.shape[1] * _top(Q) ** 2, Q)
+    targets = (Q * Q).sum(axis=1, keepdims=True) - Q.sum(axis=1, keepdims=True) * Q
+    return perp, targets, cone_decompose(generators, targets)
+
+
 def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate:
     """Decide exactly whether |p|^2 1_n - (sum p) p is a nonnegative
-    combination of the roots orthogonal to p."""
+    combination of the roots orthogonal to p: the batch of one LP."""
     entries = p.entries if isinstance(p, SpectralVector) else tuple(map(parse_rational, p))
     if any(x == 0 for x in entries):
         raise ValueError("cone membership requires all entries of p to be nonzero")
     # On p scaled to integers q = s p: the target is (|q|^2 - (sum q) q) / s^2.
     q, s = scaled_to_integers(entries)
-    length_sq, trace = sum(x * x for x in q), sum(q)
-    target = tuple(Fraction(length_sq - trace * x, s * s) for x in q)
-    gens = perp_roots(entries)
-    coeffs, witness = cone_decompose([_root_vectors(len(q))[t] for t in gens], target)
+    perp, targets, tableaux = _cone_lps([q])
+    gens = tuple(compress(_roots(len(q))[0], perp[0]))
+    target = tuple(Fraction(x, s * s) for x in targets[0].tolist())
+    coeffs, witness = tableaux.certificate(0, len(gens), s * s)
     if coeffs is not None:
-        return ConeCertificate(True, target, tuple(gens), coefficients=dict(zip(gens, coeffs)))
-    return ConeCertificate(False, target, tuple(gens), witness=tuple(witness))
+        return ConeCertificate(True, target, gens, coefficients=dict(zip(gens, coeffs)))
+    return ConeCertificate(False, target, gens, witness=tuple(witness))
 
 
 def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
@@ -168,7 +182,7 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     commutes with the projector and fixes 1_n, and the admissibility
     checks and the canonical form are permutation invariant.
     """
-    roots = np.array(list(_root_vectors(dim).values()), dtype=np.int64).reshape(-1, dim)
+    roots = _roots(dim)[1]
     chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
     found: set[tuple[int, ...]] = set()
 
@@ -241,6 +255,9 @@ class EnumerationReport:
 
 
 def enumeration_report(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> EnumerationReport:
+    """The walk's types and those that pass the cone condition, all decided
+    in one simplex call, read off each LP's final phase-one objective."""
     unfiltered = enumerate_types(dim, cap=cap)
-    filtered = {p for p in unfiltered if cone_membership(p).feasible}
-    return EnumerationReport(dim, unfiltered, filtered)
+    types = list(unfiltered)
+    feasible = _cone_lps([scaled_to_integers(p.entries)[0] for p in types])[2].feasible
+    return EnumerationReport(dim, unfiltered, set(compress(types, feasible)))

@@ -9,7 +9,9 @@ where the library keeps only the nonzero support, the scalar oracle sums
 the scalar-curvature formula term by term instead of tracing the Ricci
 operator, the class-layout oracle
 accumulates magnitudes so that nothing can cancel, the
-cone oracle enumerates basis subsets instead of running the simplex, and
+cone oracles enumerate basis subsets instead of running the simplex, or
+run the simplex one LP at a time on Python lists where the library runs a
+batch in lockstep on arrays, and
 the type and admissibility oracles use exact Gram-Schmidt instead of the
 fraction-free projectors of the type walk.
 """
@@ -21,6 +23,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from einext.scalars import scaled_to_integers
 
 from util import dense
 
@@ -247,6 +251,76 @@ def cone_bruteforce(generators: list, target: list) -> bool:
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False
+
+
+def cone_simplex(generators: list, target: list) -> tuple[list | None, list | None]:
+    """Exact cone membership by the per-LP phase-one simplex on Python lists:
+    ``(coefficients, None)`` or ``(None, witness)``, pivot for pivot what
+    ``exactlp.cone_decompose`` makes on each LP of a batch.
+
+    One fraction-free tableau [A | I | b] over D = det B (Bareiss), each
+    column scaled to integers by the lcm of its denominators, Bland's rule;
+    with no generator the witness is the target itself.
+    """
+    n, m = len(target), len(generators)
+    if m == 0:
+        if all(x == 0 for x in target):
+            return [], None
+        return None, [Fraction(x) for x in target]
+
+    # Integer columns: the generators, then the target.  Row-sign flips make
+    # the artificial basis feasible (b >= 0).
+    columns, scales = zip(*map(scaled_to_integers, [*generators, target]))
+    signs = [-1 if x < 0 else 1 for x in columns[m]]
+    rows = []
+    for i in range(n):
+        row = [signs[i] * col[i] for col in columns]
+        rows.append(row[:m] + [int(i == k) for k in range(n)] + row[m:])
+    # Reduced costs of the phase-one objective (cost 1 on each artificial
+    # column) over the artificial basis, as the last row.
+    cost = [0] * m + [1] * n + [0]
+    rows.append([c - sum(col) for c, col in zip(cost, zip(*rows))])
+    basis = list(range(m, m + n))
+    D = 1
+
+    while True:
+        z = rows[n]
+        # Bland: smallest improving index.
+        entering = next((j for j in range(m + n) if z[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        for k in range(n):
+            if rows[k][entering] > 0:
+                if leaving is None:
+                    leaving = k
+                    continue
+                # Minimum ratio b_k / a_k, by cross-multiplication.
+                lhs = rows[k][-1] * rows[leaving][entering]
+                rhs = rows[leaving][-1] * rows[k][entering]
+                if lhs < rhs or (lhs == rhs and basis[k] < basis[leaving]):
+                    leaving = k
+        if leaving is None:
+            raise RuntimeError("phase-one objective unbounded; should not happen")
+        pivot_row = rows[leaving]
+        piv = pivot_row[entering]
+        # One Bareiss step to the new denominator piv: the pivot row stays,
+        # and every division by the old denominator D is exact.
+        for k, row in enumerate(rows):
+            if k != leaving:
+                f = row[entering]
+                rows[k] = [(piv * a - f * p) // D for a, p in zip(row, pivot_row)]
+        D = piv
+        basis[leaving] = entering
+
+    # The phase-one objective is -z_b / D.
+    if z[-1] == 0:
+        coeffs = [Fraction(0)] * m
+        for k, v in enumerate(basis):
+            if v < m:
+                coeffs[v] = Fraction(rows[k][-1] * scales[v], D * scales[m])
+        return coeffs, None
+    return None, [signs[i] * (1 - Fraction(z[m + i], D)) for i in range(n)]
 
 
 def gram_schmidt(vectors: list) -> list:

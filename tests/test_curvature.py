@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einext import curvature
-from einext.algebra import StructureTensor, Support, _jacobi_pairs, _ricci_pairs, make_spec
+from einext import algebra, curvature
+from einext.algebra import StructureTensor, Support, _jacobi_pairs, _ricci_pairs, divergence_residual, make_spec
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
     _exp_sum,
@@ -122,6 +122,21 @@ def test_classes_are_formed_once_per_spec(monkeypatch):
     extension_ricci(spec)
     ricci_deformation(spec)
     assert calls == [spec]
+
+
+def test_divergence_is_formed_once_per_spec(monkeypatch):
+    terms, calls = algebra._divergence_terms, []
+    monkeypatch.setattr(algebra, "_divergence_terms", lambda *args: calls.append(args) or terms(*args))
+    spec = make_spec(StructureTensor(3, {(1, 2, 2): 1.0, (1, 3, 3): 0.5, (2, 3, 1): 0.25}), [1, 2, 3])
+    verify_extension(spec)
+    mixed = extension_ricci(spec).ric_0i_classes
+    div = divergence_residual(spec)
+    assert len(calls) == 1 and not div.flags.writeable
+    monkeypatch.undo()
+    for fresh in (replace(spec), spec.with_algebra(spec.algebra)):
+        again = divergence_residual(fresh)
+        assert again is not div and again.tobytes() == div.tobytes()
+    assert div.any() and sum(mixed.values()).tobytes() == div.tobytes()
 
 
 def test_cached_classes_cannot_be_changed_by_a_caller():

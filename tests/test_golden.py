@@ -1,6 +1,7 @@
 """Golden outputs of the command line: the exit code and stdout of `verify`,
 `curvature --u 0.5` and `classify` for the matching type, on every catalog
-entry and on hand-built algebras, compared as parsed JSON, exactly.
+entry and on hand-built algebras; of `cone` on the types below; and of
+`enumerate --report-both` in dimensions 3-5; compared as parsed JSON, exactly.
 
 The hand-built algebras are the two of ROADMAP item 1, on which the
 classifiers and `verify` disagree: real hyperbolic 3-space with e_4 rotating
@@ -13,6 +14,11 @@ hyperbolic 3-space, is twisted away; the second, with that action made
 symmetric, is refused as not skew; and R x| R^3 with m-eigenvalues
 (1, 1, 2), e_4 rotating the (1, 1) block and shifting e_1 into the
 eigenvalue-2 line, is refused because Q_4 and N_4 do not commute.
+
+The `cone` types are the paper's Remark 3.3 instance, the three types the
+cone condition rejects up to dimension 6, two with entries too large for
+int64 arithmetic (no orthogonal root, so the target is the witness), and
+the scalar type (zero target).
 
 After a change meant to alter these outputs, regenerate the files with
 
@@ -79,6 +85,16 @@ HAND_BUILT = {
     },
 }
 
+CONE_TYPES = (
+    "-3,-2,-1,1,2,3",
+    "-4,-1,2,3,4,5",
+    "-3,-2,-1,2,3,4",
+    "-2,-1,2,3,4,6",
+    "1e300,1,2",
+    "3000000000,1,2",
+    "1,1,1",
+)
+
 
 def matching_type(spectral) -> str | None:
     """The classifier whose type is the eigenvalues up to order, if any."""
@@ -102,6 +118,8 @@ def cases() -> dict[str, list[list[str]]]:
         if code:
             commands.append(["classify", "--type", code, *source])
         out[name.replace(":", "_")] = commands
+    out["cone"] = [["cone", f"--spectral={p}"] for p in CONE_TYPES]
+    out["enumerate"] = [["enumerate", "--dim", str(d), "--report-both"] for d in (3, 4, 5)]
     return out
 
 

@@ -16,11 +16,13 @@ from einext.spectral import (
     cone_membership,
     enumerate_types,
     enumeration_report,
-    perp_roots,
 )
 
-from oracles import admissibility_defects
-from util import canonical, complement_projector
+from einext import spectral
+from einext.scalars import parse_rational
+
+from oracles import admissibility_defects, cone_simplex
+from util import canonical, complement_projector, perp_roots
 
 KNOWN_DIM4_TYPES = {
     (1, 1, 1, 1),
@@ -356,6 +358,48 @@ def test_cone_filtered_counts_and_witnesses(types_of, dim, count):
         if not cert.feasible
     }
     assert rejected == {k: w for k, w in CONE_REJECTED.items() if len(k) == dim}
+
+
+def oracle_certificate(p: SpectralVector) -> ConeCertificate:
+    """The certificate of p from the per-LP simplex on Fractions."""
+    n, entries = p.dim, p.entries
+    target = tuple(sum(x * x for x in entries) - sum(entries) * x for x in entries)
+    gens = tuple(perp_roots(entries))
+    coeffs, witness = cone_simplex([t.vector(n) for t in gens], target)
+    if coeffs is not None:
+        return ConeCertificate(True, target, gens, coefficients=dict(zip(gens, coeffs)))
+    return ConeCertificate(False, target, gens, witness=tuple(witness))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_cone_certificates_equal_the_per_lp_oracle(types_of, dim):
+    assert [p for p in types_of(dim) if cone_membership(p) != oracle_certificate(p)] == []
+
+
+@pytest.mark.parametrize("entries", [("1e300", 1, 2), (3000000000, 1, 2), (-3, -2, -1, 1, 2, 3)])
+def test_cone_of_entries_past_int64_equals_the_oracle(entries):
+    # no root is orthogonal to the first two, so the target is the witness
+    p = SpectralVector.of(parse_rational(x) for x in entries)
+    cert = cone_membership(p)
+    assert cert == oracle_certificate(p) and cert.verify()
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_enumeration_decides_every_cone_in_one_int64_batch(monkeypatch, dim):
+    # one simplex call per enumeration, never one LP per type
+    batches, memberships = [], []
+    decompose = spectral.cone_decompose
+
+    def counted(*args):
+        batches.append(decompose(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(spectral, "cone_decompose", counted)
+    monkeypatch.setattr(spectral, "cone_membership", memberships.append)
+    report = enumeration_report(dim)
+    assert len(batches) == 1 and memberships == []
+    assert batches[0].rows.dtype == np.int64
+    assert len(batches[0].rows) == len(report.unfiltered)
 
 
 def test_enumerate_cone_filter_no_discrepancy_dim4():

@@ -1,8 +1,10 @@
 """Shared samplers for the randomized suites, the exact projector onto the
 complement of a span that the projector tests build on, and small helpers
 over the library that only tests need: the dense n^3 array of a tensor,
-the canonical form of a type, relabelling a frame, the first relation
-p_k = p_i + p_j, and the solver's residual of a given tensor."""
+a batch of cone LPs in Fractions through one simplex call, the roots
+orthogonal to a type by their exact weights, the canonical form of a type,
+relabelling a frame, the first relation p_k = p_i + p_j, and the solver's
+residual of a given tensor."""
 
 from __future__ import annotations
 
@@ -14,10 +16,11 @@ import numpy as np
 
 from einext.algebra import StructureTensor, exponents, full_pattern, make_spec
 from einext.curvature import _grouped_terms
+from einext.exactlp import Tableaux, cone_decompose
 from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
 from einext.scalars import scaled_to_integers
 from einext.solver import _stack_residual
-from einext.spectral import SpectralVector
+from einext.spectral import SpectralVector, build_root_set
 
 
 def dense(mu: StructureTensor) -> np.ndarray:
@@ -26,6 +29,36 @@ def dense(mu: StructureTensor) -> np.ndarray:
     index, value = mu.support()
     T[tuple(index)] = value
     return T
+
+
+def cone_batch(instances) -> tuple[list, Tableaux]:
+    """Each (generators, target) of one dimension, in ints or Fractions, through
+    one ``cone_decompose`` call: per instance ``(coefficients, witness)`` in the
+    input's units, each column scaled to integers by the lcm of its
+    denominators; and the final tableaux."""
+    n = len(instances[0][1])
+    G = np.zeros((len(instances), max(len(g) for g, _ in instances), n), dtype=object)
+    T = np.zeros((len(instances), n), dtype=object)
+    scales = []
+    for b, (generators, target) in enumerate(instances):
+        gscales = []
+        for c, g in enumerate(generators):
+            G[b, c], s = scaled_to_integers([Fraction(x) for x in g])
+            gscales.append(s)
+        T[b], s = scaled_to_integers([Fraction(x) for x in target])
+        scales.append((gscales, s))
+    tableaux = cone_decompose(_exact(G), _exact(T))
+    out = []
+    for b, (gscales, s) in enumerate(scales):
+        coeffs, witness = tableaux.certificate(b, len(gscales), s)
+        out.append(([c * g for c, g in zip(coeffs, gscales)] if coeffs is not None else None, witness))
+    return out, tableaux
+
+
+def perp_roots(p) -> list:
+    """The root triples orthogonal to p: those whose weight p_k - p_i - p_j is 0."""
+    roots = build_root_set(len(p))
+    return [t for t, e in zip(roots, exponents(p, roots)[0]) if e == 0]
 
 
 def random_sparse_tensor(rng, max_dim: int = 5):
