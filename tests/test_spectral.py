@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from einext.spectral import (
 )
 
 from einext import spectral
-from einext.scalars import parse_rational
+from einext.scalars import parse_rational, scaled_to_integers
 
 from oracles import admissibility_defects, cone_simplex
 from util import canonical, complement_projector, perp_roots
@@ -73,7 +74,8 @@ def test_root_matrix_column_sum_property():
 
 def test_perp_roots_matches_direct_fraction_test():
     # p scaled to integers must give exactly the roots a Fraction test gives,
-    # also for numerators near 10^15 over denominators near 10^12
+    # also for numerators near 10^15 over denominators near 10^12: both the
+    # weights of perp_roots and the mask <r, q> = 0 the cone batch builds on
     rng = np.random.default_rng(31)
     hits = 0
     for trial in range(300):
@@ -88,6 +90,8 @@ def test_perp_roots_matches_direct_fraction_test():
             p[k] = p[i] + p[j]
         direct = [t for t in build_root_set(n) if p[t.i - 1] + p[t.j - 1] - p[t.k - 1] == 0]
         assert perp_roots(p) == direct
+        perp, _, _ = spectral._cone_lps([scaled_to_integers(p)[0]])
+        assert list(compress(build_root_set(n), perp[0])) == direct
         hits += bool(direct)
     assert hits >= 100
 
