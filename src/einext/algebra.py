@@ -39,7 +39,7 @@ class StructureError(ValueError):
     """Invalid structure constants or violated operation preconditions."""
 
 
-class DecompositionError(ValueError):
+class DecompositionError(StructureError):
     """Orthogonal decomposition axioms violated."""
 
 
@@ -83,6 +83,11 @@ def _float(value, name: str, *args) -> float:
         return float(value)
     except OverflowError as exc:
         raise StructureError(f"{name.format(*args)} does not fit in float64") from exc
+
+
+def _maxabs(a) -> float:
+    """max |a|, 0.0 for an empty array; NaN propagates."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _frozen(arrays: tuple) -> tuple:
@@ -253,7 +258,7 @@ class ExtensionSpec:
     The endomorphism is diagonal in the frame, D e_i = p_i e_i, with exact
     rational eigenvalues; :func:`make_spec` reads them from other input.
     ``_classes`` and ``_divergence`` keep what ``curvature.ricci_deformation`` and
-    :func:`divergence_residual` form once; ``with_algebra`` and ``replace`` start without them.
+    :func:`divergence_residual` form once; ``dataclasses.replace`` starts without them.
     """
 
     algebra: StructureTensor
@@ -276,9 +281,6 @@ class ExtensionSpec:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def eigenvalue(self, i: int) -> Fraction:
-        return self.spectral[i - 1]
-
     def eigenvalues(self) -> np.ndarray:
         """The float image of the exact eigenvalues, formed once, read-only."""
         return self._p
@@ -292,9 +294,6 @@ class ExtensionSpec:
     def einstein_target(self) -> np.ndarray:
         """(tr D) diag(p) - tr(D^2) id, the constant Ricci class of an Einstein extension."""
         return self.trace() * np.diag(self.eigenvalues()) - self.trace_sq() * np.eye(self.dim)
-
-    def with_algebra(self, algebra: StructureTensor) -> "ExtensionSpec":
-        return replace(self, algebra=algebra)
 
 
 def make_spec(
@@ -350,7 +349,7 @@ def jacobi_residual(mu: StructureTensor) -> float:
     pairs = _jacobi_pairs(support, mu.dim)
     rows, slot = np.unique(pairs.slot, return_inverse=True)
     sums = np.bincount(slot, pairs.products(support.value), minlength=len(rows))
-    return float(np.abs(sums).max(initial=0.0))
+    return _maxabs(sums)
 
 
 class DerivationCheck(NamedTuple):
@@ -452,13 +451,13 @@ def standard_modification(
         a, k, l, v, why = min(refused)
         raise PatternViolationError(f"mu[{a},{l}|{k}] = {v:g}: {why}")
     for b in moving:
-        skew_defect = float(np.abs(ops[f"Q_{b}"] + ops[f"Q_{b}"].T).max(initial=0.0))
+        skew_defect = _maxabs(ops[f"Q_{b}"] + ops[f"Q_{b}"].T)
         if skew_defect > tol:
             raise PatternViolationError(
                 f"block-diagonal action of e_{b} is not skew (defect {skew_defect:.3e})"
             )
     for (name_x, op_x), (name_y, op_y) in itertools.combinations(ops.items(), 2):
-        defect = float(np.abs(op_x @ op_y - op_y @ op_x).max(initial=0.0))
+        defect = _maxabs(op_x @ op_y - op_y @ op_x)
         if defect > tol:
             raise CommutationError(
                 f"{name_x} and {name_y} do not commute (defect {defect:.3e})"
@@ -467,7 +466,7 @@ def standard_modification(
     res = jacobi_residual(out)
     if not res <= tol:
         raise StructureError(f"modified tensor violates Jacobi (residual {res:.3e})")
-    return spec.with_algebra(out)
+    return replace(spec, algebra=out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .algebra import ExtensionSpec, StructureTensor, StructureError, make_spec
+from .algebra import ExtensionSpec, StructureTensor, StructureError, _maxabs, make_spec
 from .curvature import ricci_at_identity
 
 
@@ -106,8 +104,7 @@ def identity_extension(flat: StructureTensor) -> CatalogEntry:
     Refuses a base that is not Ricci flat: the scalar deformation is
     Einstein exactly when the undeformed metric is Ricci flat.
     """
-    ric0 = ricci_at_identity(flat)
-    worst = float(np.abs(ric0).max()) if ric0.size else 0.0
+    worst = _maxabs(ricci_at_identity(flat))
     if worst > 1e-10:
         raise StructureError(
             "identity extension requires a Ricci-flat base; "

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .algebra import (
-    DecompositionError,
     ExtensionSpec,
     StructureError,
     algebra_from_json,
@@ -145,9 +145,8 @@ def _types_json(types) -> list:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    kwargs = {"cap": args.cap} if args.cap is not None else {}
     if args.report_both:
-        report = enumeration_report(args.dim, **kwargs)
+        report = enumeration_report(args.dim, args.cap)
         _emit(
             {
                 "dim": args.dim,
@@ -160,9 +159,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     if args.cone_filter:
-        types = enumeration_report(args.dim, **kwargs).cone_filtered
+        types = enumeration_report(args.dim, args.cap).cone_filtered
     else:
-        types = enumerate_types(args.dim, **kwargs)
+        types = enumerate_types(args.dim, args.cap)
     _emit(_types_json(types), args.pretty)
     return EXIT_OK
 
@@ -171,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     spec, h = _load_spec(args)
     report = verify_extension(spec, tol)
-    payload = report.to_json()
+    payload = asdict(report)
     check = is_derivation(spec, tol)
     payload["is_derivation"] = check.ok
     payload["derivation_violation"] = check.max_violation
@@ -185,9 +184,9 @@ def _twist(spec: ExtensionSpec, h: tuple[int, ...], tol: float) -> dict:
     """The standard modification along h with its own verification, or why it is refused."""
     try:
         twisted = standard_modification(spec, h, tol)
-    except (StructureError, DecompositionError) as exc:
+    except StructureError as exc:
         return {"refused": str(exc)}
-    return {"mu": algebra_to_json(twisted.algebra)["mu"], **verify_extension(twisted, tol).to_json()}
+    return {"mu": algebra_to_json(twisted.algebra)["mu"], **asdict(verify_extension(twisted, tol))}
 
 
 _CLASSIFIERS = {
@@ -240,7 +239,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_cone(args: argparse.Namespace) -> int:
-    cert = cone_membership(SpectralVector.of(_parse_spectral(args.spectral)))
+    cert = cone_membership(SpectralVector(_parse_spectral(args.spectral)))
     _emit(cert.as_dict(), args.pretty)
     return EXIT_OK if cert.feasible else EXIT_FAIL
 
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit unfiltered and cone-filtered sets with their difference",
     )
-    p_enum.add_argument("--cap", type=int, default=None, help=f"dimension cap (default {DEFAULT_DIMENSION_CAP})")
+    p_enum.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP, help="dimension cap (default %(default)s)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     def add_spec_input(p):

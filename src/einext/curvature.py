@@ -51,17 +51,6 @@ HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
 
-@dataclass
-class GroupedRicci:
-    """Deformed Ricci operator as sum_q exp(-2 u q) C_q in the moving frame."""
-
-    dim: int
-    classes: dict[Fraction, np.ndarray]
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "classes": _by_exponent(self.classes)}
-
-
 def _by_exponent(classes: dict) -> dict:
     """JSON form of classes: keyed by exponent, in exponent order, as lists."""
     return {format_rational(q): np.asarray(classes[q]).tolist() for q in sorted(classes)}
@@ -151,12 +140,13 @@ def _grouped_terms(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     return {q: Cq for q, Cq in zip(classes, C) if Cq.any()}
 
 
-def ricci_deformation(spec: ExtensionSpec) -> GroupedRicci:
-    """Grouped exponential representation of the deformed Ricci operator: a
-    fresh dict of the read-only classes, which are formed once per spec."""
+def ricci_deformation(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
+    """The deformed Ricci operator as sum_q exp(-2 u q) C_q in the moving
+    frame: a fresh dict {q: C_q} of the nonzero read-only classes, which are
+    formed once per spec."""
     if spec._classes is None:
         object.__setattr__(spec, "_classes", _grouped_terms(spec))
-    return GroupedRicci(spec.dim, dict(spec._classes))
+    return dict(spec._classes)
 
 
 def ricci_deformation_at(spec: ExtensionSpec, u) -> np.ndarray:
@@ -192,20 +182,19 @@ def ricci_at_identity(mu: StructureTensor, without: Optional[int] = None) -> np.
 class CurvatureReport:
     """Grouped curvature data of the deformation and its extension.
 
-    The extension blocks: the (0,0) entry is constant, the mixed row decays
-    like exp(-u p_i) with coefficients equal to the divergence residual, and
-    the frame block is the deformed Ricci shifted by the trace term.
+    ``ric_u`` holds the classes of the deformed Ricci operator in dimension
+    ``dim`` (:func:`ricci_deformation`).  The extension blocks: the (0,0)
+    entry is constant, the mixed row decays like exp(-u p_i) with
+    coefficients equal to the divergence residual, and the frame block is
+    the deformed Ricci shifted by the trace term.
     """
 
-    ric_u: GroupedRicci
+    dim: int
+    ric_u: dict[Fraction, np.ndarray]
     scal_terms: dict[Fraction, float]
     ric_00: float
     ric_0i_classes: dict[Fraction, np.ndarray]
     ric_block_classes: dict[Fraction, np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.ric_u.dim
 
     def evaluate_extension(self, u: float) -> np.ndarray:
         n = self.dim
@@ -217,7 +206,7 @@ class CurvatureReport:
 
     def to_json(self) -> dict:
         return {
-            "ric_u": self.ric_u.to_json(),
+            "ric_u": {"dim": self.dim, "classes": _by_exponent(self.ric_u)},
             "scal": _by_exponent(self.scal_terms),
             "extension": {
                 "ric_00": self.ric_00,
@@ -230,16 +219,16 @@ class CurvatureReport:
 def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     """Ricci tensor of the extended metric in grouped form."""
     n = spec.dim
-    grouped = ricci_deformation(spec)
-    scal = {q: t for q, C in grouped.classes.items() if (t := float(np.trace(C))) != 0.0}
+    classes = ricci_deformation(spec)
+    scal = {q: t for q, C in classes.items() if (t := float(np.trace(C))) != 0.0}
     div = divergence_residual(spec)
     mixed: dict[Fraction, np.ndarray] = {}
     for i in np.flatnonzero(div):
-        mixed.setdefault(spec.eigenvalue(i + 1) * HALF, np.zeros(n))[i] = div[i]
-    block = dict(grouped.classes)
+        mixed.setdefault(spec.spectral[i] * HALF, np.zeros(n))[i] = div[i]
+    block = dict(classes)
     shift = spec.trace() * np.diag(spec.eigenvalues())
     if shift.any():
         block[ZERO] = block.get(ZERO, np.zeros((n, n))) - shift
         if not block[ZERO].any():
             del block[ZERO]
-    return CurvatureReport(grouped, scal, -spec.trace_sq(), mixed, block)
+    return CurvatureReport(n, classes, scal, -spec.trace_sq(), mixed, block)

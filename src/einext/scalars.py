@@ -69,7 +69,8 @@ def parse_affine(value: RationalLike) -> tuple[Fraction, Fraction]:
     starred = body.endswith("*")
     if starred:
         body = body[:-1].rstrip()
-    split = max(body.rfind("+", 1), body.rfind("-", 1), 0)
+    # The last sign past the first character that is not a decimal exponent's, as in "1e-3".
+    split = max((m for m in range(1, len(body)) if body[m] in "+-" and body[m - 1] not in "eE"), default=0)
     const = parse_rational(body[:split]) if split else Fraction(0)
     coeff = body[split:]
     sign = -1 if coeff.startswith("-") else 1

@@ -17,7 +17,7 @@ seed reproduce the trajectory bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,6 +28,7 @@ from .algebra import (
     StructureTensor,
     _divergence_terms,
     _jacobi_pairs,
+    _maxabs,
     _ricci_pairs,
     algebra_to_json,
     divergence_residual,
@@ -227,7 +228,7 @@ def _levenberg_marquardt(fun, x0: np.ndarray) -> tuple[np.ndarray, list[float]]:
     for _ in range(MAX_ITERATIONS):
         jac = fun.jacobian(x)
         grad = jac.T @ r
-        if float(np.abs(grad).max(initial=0.0)) <= GRADIENT_TOL:
+        if _maxabs(grad) <= GRADIENT_TOL:
             break
         hess = jac.T @ jac
         accepted = False
@@ -263,7 +264,7 @@ def search(problem: SearchProblem) -> SearchResult:
     fun = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
 
     def direct(values: np.ndarray) -> np.ndarray:
-        spec = base.with_algebra(problem.build_tensor(values))
+        spec = replace(base, algebra=problem.build_tensor(values))
         return _stack_residual(spec, fun.keys, problem.jacobi_weight)
 
     rng = np.random.default_rng(problem.seed)

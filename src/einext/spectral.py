@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,20 +65,13 @@ class SpectralVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
         if len(self.entries) < 2:
             raise DimensionError("spectral vector needs at least 2 entries")
-        object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
-
-    @staticmethod
-    def of(values: Iterable) -> "SpectralVector":
-        return SpectralVector(tuple(values))
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.entries) + ")"
 
 
 @functools.cache

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ExtensionSpec, divergence_residual, exponents, full_pattern
+from .algebra import ExtensionSpec, _maxabs, divergence_residual, exponents, full_pattern
 from .curvature import ricci_at_identity, ricci_deformation, ricci_deformation_at
 from .scalars import format_rational
 
@@ -41,29 +41,13 @@ class TypeMismatchError(ValueError):
 
 @dataclass
 class VerificationReport:
-    """Outcome of the Einstein check with named residuals."""
+    """Outcome of the Einstein check with named residuals; ``dataclasses.asdict`` is its JSON form."""
 
     einstein: bool
     einstein_constant: Optional[float]
     residuals: dict[str, float]
     violated_conditions: list[str]
     tolerance: float
-
-    def __bool__(self) -> bool:
-        return self.einstein
-
-    def to_json(self) -> dict:
-        return {
-            "einstein": self.einstein,
-            "einstein_constant": self.einstein_constant,
-            "residuals": dict(self.residuals),
-            "violated_conditions": list(self.violated_conditions),
-            "tolerance": self.tolerance,
-        }
-
-
-def _maxabs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def _violated(values: dict[str, float], tol: float) -> list[str]:
@@ -78,7 +62,7 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     nonzero-exponent Ricci class, "target" for the constant class against
     (tr D) diag(p) - tr(D^2) id, and "u_grid" for the direct cross-check.
     """
-    classes = ricci_deformation(spec).classes
+    classes = ricci_deformation(spec)
     target = spec.einstein_target()
 
     residuals: dict[str, float] = {}
@@ -123,9 +107,6 @@ class ClassifierReport:
     gauge_obstruction: bool = False
     spectrum: Optional[list[float]] = None
     details: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def to_json(self) -> dict:
         out = {

@@ -148,7 +148,7 @@ def test_criterion_8_oracle_equivalence():
         spec = make_spec(mu, p)
         grouped = ricci_deformation(spec)
         for u in (-0.5, -0.3, 0.0, 0.25, 0.5):
-            summed = _exp_sum(grouped.classes, u, (spec.dim, spec.dim))
+            summed = _exp_sum(grouped, u, (spec.dim, spec.dim))
             dev = np.abs(summed - ricci_deformation_at(spec, u)).max()
             assert dev <= 1e-10
     # undeformed Ricci vs the brute-force Koszul oracle on Lie-algebra draws

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +244,7 @@ def test_spec_validation():
     with pytest.raises(StructureError):
         make_spec(heisenberg3(), [1, 1, 2], 1)
     spec = make_spec(heisenberg3(), ["1/2", 1, 2.5])
-    assert spec.eigenvalue(1) == Fraction(1, 2)
+    assert spec.spectral[0] == Fraction(1, 2)
     assert spec.trace() == pytest.approx(4.0)
     assert spec.trace_sq() == pytest.approx(0.25 + 1 + 6.25)
 
@@ -275,8 +276,9 @@ def assert_same_curvature(spec, out):
 def test_decomposition_validation():
     spec = make_spec(rotation_action(), [1, 1, 1])
     assert standard_modification(spec, (3,)).algebra.items() == []
-    with pytest.raises(DecompositionError, match=r"h must lie in 1\.\.3"):
+    with pytest.raises(StructureError, match=r"h must lie in 1\.\.3") as caught:
         standard_modification(spec, (4,))
+    assert caught.type is DecompositionError
     # abelian part must be abelian
     bad = make_spec(StructureTensor(3, {(2, 3, 3): 1.0}), [1, 1, 1])
     with pytest.raises(DecompositionError, match=r"abelian part not abelian: mu\[2,3\|3\] = 1"):
@@ -387,11 +389,14 @@ def test_standard_modification_invariants(case):
         if abs(T[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
     ]
     if off_pattern:
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as caught:
             standard_modification(spec, h)
+        assert caught.type is not DecompositionError
         return
     try:
         out = standard_modification(spec, h)
+    except DecompositionError:
+        raise
     except StructureError:
         return
     # Exactly the exponent-zero piece, the entries with p_k = p_i + p_j.
@@ -410,6 +415,8 @@ def test_decomposed_tensors_twist_in_a_meaningful_share():
         spec, h = case
         try:
             out = standard_modification(spec, h)
+        except DecompositionError:
+            raise
         except StructureError:
             changed.append(False)
             return
@@ -426,9 +433,11 @@ def test_standard_modification_is_isometric(case):
     # The entries below the tolerance that the twist drops change the metric
     # by their size, so the isometry is that of the rest.
     big = {t: v for t, v in spec.algebra.items() if abs(v) > 1e-10}
-    spec = spec.with_algebra(StructureTensor(spec.dim, big))
+    spec = replace(spec, algebra=StructureTensor(spec.dim, big))
     try:
         out = standard_modification(spec, h)
+    except DecompositionError:
+        raise
     except StructureError:
         return
     assert_same_curvature(spec, out)
@@ -558,6 +567,14 @@ def test_json_round_trip():
     assert h == (3,)
 
 
+def test_json_bad_decomposition_is_a_structure_error():
+    payload = algebra_to_json(heisenberg3(), make_spec(heisenberg3(), [1, 1, 2]))
+    payload["decomposition"] = {"h": [3], "m": [1]}
+    with pytest.raises(StructureError, match=r"must partition 1\.\.3") as caught:
+        algebra_from_json(payload)
+    assert caught.type is DecompositionError
+
+
 def test_json_accepts_rational_strings():
     data = {
         "dim": 2,
@@ -566,7 +583,7 @@ def test_json_accepts_rational_strings():
     }
     mu, spec, _ = algebra_from_json(data)
     assert dense(mu)[0, 1, 0] == 1.5
-    assert spec.eigenvalue(1) == Fraction(1, 2)
+    assert spec.spectral[0] == Fraction(1, 2)
 
 
 ENTRY_JSON = '{"dim": 3, "mu": [{"i": 1, "j": 2, "k": 3, "v": %s}], "spectral": [1, 1, 2]}'

@@ -159,7 +159,7 @@ PRODUCT_BLOCKS = {
 def _meets_target(block, target):
     """Zero divergence, vanishing nonzero-exponent classes, and the constant
     class on the given target."""
-    classes = ricci_deformation(block).classes
+    classes = ricci_deformation(block)
     return (
         np.abs(divergence_residual(block)).max(initial=0.0) <= DEFAULT_TOL
         and all(np.abs(C).max() <= DEFAULT_TOL for q, C in classes.items() if q != 0)

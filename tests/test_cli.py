@@ -33,6 +33,20 @@ def test_enumerate_report_both(capsys):
     assert len(payload["unfiltered"]) == 9
 
 
+def test_enumerate_cone_filter_is_the_report_s_filtered_list(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--dim", "5", "--cone-filter")
+    assert code == 0
+    _, both, _ = run_cli(capsys, "enumerate", "--dim", "5", "--report-both")
+    assert json.loads(out) == json.loads(both)["cone_filtered"]
+
+
+def test_enumerate_explicit_cap(capsys):
+    assert run_cli(capsys, "enumerate", "--dim", "3", "--cap", "3")[0] == 0
+    code, out, err = run_cli(capsys, "enumerate", "--dim", "3", "--cap", "2")
+    assert code == 2 and out == ""
+    assert "exceeds the enumeration cap 2" in err
+
+
 def test_enumerate_over_cap_is_input_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--dim", "9")
     assert code == 2

@@ -30,6 +30,12 @@ def test_parse_affine_forms():
     assert parse_affine("1 - 1/2*t") == (1, -half)
     assert parse_affine("2/3") == (Fraction(2, 3), 0)
     assert parse_affine(0.25) == (Fraction(1, 4), 0)
+    # The sign of a decimal exponent does not split the form.
+    milli = Fraction(1, 1000)
+    assert parse_affine("1e-3*t") == (0, milli)
+    assert parse_affine("1+1e-3*t") == (1, milli)
+    assert parse_affine("-2E-1*t") == (0, Fraction(-1, 5))
+    assert parse_affine("1e-3-2*t") == (milli, -2)
     with pytest.raises(ValueError):
         parse_affine("1+2t")
 
@@ -93,6 +99,7 @@ def test_affine_evaluation():
     assert make_spec(one, ["2+3*t"], "1/3").spectral == (3,)
     assert make_spec(one, ["2+3*t"], 0.5).spectral == (Fraction(7, 2),)
     assert make_spec(one, ["-t"], Fraction(1, 7)).spectral == (Fraction(-1, 7),)
+    assert make_spec(one, ["1-2.5e-1*t"], "2").spectral == (Fraction(1, 2),)
 
 
 def test_affine_json_key():

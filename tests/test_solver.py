@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -143,7 +144,7 @@ def assembled(spectral, pattern=None, jacobi_weight=10.0):
     model = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
 
     def direct(x):
-        spec = base.with_algebra(problem.build_tensor(x))
+        spec = replace(base, algebra=problem.build_tensor(x))
         return _stack_residual(spec, model.keys, problem.jacobi_weight)
 
     return problem, model, direct
@@ -237,7 +238,7 @@ def test_assembled_model_property(case, seed, jacobi_weight):
 
 def test_search_residual_is_that_of_a_fresh_spec():
     # search's direct residual builds each tensor's spec from the zero
-    # tensor's by with_algebra, which must not carry the old classes over.
+    # tensor's by dataclasses.replace, which must not carry the old classes over.
     problem = SearchProblem(spectral=F(1, 1, 2), restarts=2, seed=5)
     base = make_spec(StructureTensor(3), problem.spectral)
     keys = _QuadraticModel(base, problem.pattern, problem.jacobi_weight).keys

@@ -128,13 +128,13 @@ def test_candidate_two_columns_n4():
 
 
 def test_canonical_form_rules():
-    assert canonical(SpectralVector.of([Fraction(2, 3), Fraction(4, 3), Fraction(2, 3)])).entries == (1, 1, 2)
-    assert canonical(SpectralVector.of([-1, -1, -2])).entries == (1, 1, 2)
+    assert canonical(SpectralVector([Fraction(2, 3), Fraction(4, 3), Fraction(2, 3)])).entries == (1, 1, 2)
+    assert canonical(SpectralVector([-1, -1, -2])).entries == (1, 1, 2)
     # zero sum: the largest-magnitude entry must be positive
-    assert canonical(SpectralVector.of([3, -3, 1, -1])).entries == (-3, -1, 1, 3)
-    assert canonical(SpectralVector.of([-3, 3, -1, 1])).entries == (-3, -1, 1, 3)
-    assert canonical(SpectralVector.of([2, -1, -1])).entries == (-1, -1, 2)
-    assert canonical(SpectralVector.of([4, 2, 6])).entries == (1, 2, 3)
+    assert canonical(SpectralVector([3, -3, 1, -1])).entries == (-3, -1, 1, 3)
+    assert canonical(SpectralVector([-3, 3, -1, 1])).entries == (-3, -1, 1, 3)
+    assert canonical(SpectralVector([2, -1, -1])).entries == (-1, -1, 2)
+    assert canonical(SpectralVector([4, 2, 6])).entries == (1, 2, 3)
 
 
 def test_canonical_is_permutation_invariant_retraction():
@@ -144,11 +144,11 @@ def test_canonical_is_permutation_invariant_retraction():
         vals = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-6, 7, size=n), rng.integers(1, 5, size=n))]
         if all(v == 0 for v in vals):
             continue
-        p = SpectralVector.of(vals)
+        p = SpectralVector(vals)
         canon = canonical(p)
         assert canonical(canon) == canon
         perm = rng.permutation(n)
-        shuffled = SpectralVector.of([vals[i] for i in perm])
+        shuffled = SpectralVector([vals[i] for i in perm])
         assert canonical(shuffled) == canon
 
 
@@ -162,17 +162,17 @@ small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
 )
 def test_canonical_is_idempotent_and_invariant(values, rnd, scale):
-    canon = canonical(SpectralVector.of(values))
+    canon = canonical(SpectralVector(values))
     assert canonical(canon) == canon
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    assert canonical(SpectralVector.of(shuffled)) == canon
-    assert canonical(SpectralVector.of([scale * v for v in values])) == canon
+    assert canonical(SpectralVector(shuffled)) == canon
+    assert canonical(SpectralVector([scale * v for v in values])) == canon
 
 
 def test_spectral_vector_requires_two_entries():
     with pytest.raises(DimensionError):
-        SpectralVector.of([1])
+        SpectralVector([1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +208,14 @@ def test_consistency_flags_zero_trace():
 
 
 def test_cone_example_n3():
-    cert = cone_membership(SpectralVector.of([1, 1, 2]))
+    cert = cone_membership(SpectralVector([1, 1, 2]))
     assert cert.feasible and cert.verify()
     assert cert.target == (Fraction(2), Fraction(2), Fraction(-2))
     assert cert.coefficients == {RootTriple(1, 2, 3): Fraction(2)}
 
 
 def test_cone_scalar_type_empty_certificate():
-    cert = cone_membership(SpectralVector.of([1, 1, 1]))
+    cert = cone_membership(SpectralVector([1, 1, 1]))
     assert cert.feasible and cert.verify()
     assert cert.coefficients == {}
     assert cert.target == (Fraction(0),) * 3
@@ -223,18 +223,18 @@ def test_cone_scalar_type_empty_certificate():
 
 def test_cone_rejects_zero_entries():
     with pytest.raises(ValueError):
-        cone_membership(SpectralVector.of([0, 1, 1]))
+        cone_membership(SpectralVector([0, 1, 1]))
 
 
 def test_cone_infeasible_witness():
-    cert = cone_membership(SpectralVector.of([-1, 1, 2]))
+    cert = cone_membership(SpectralVector([-1, 1, 2]))
     assert not cert.feasible
     assert cert.witness is not None
     assert cert.verify()
 
 
 def test_cone_remark33_instance():
-    p = SpectralVector.of([-3, -2, -1, 1, 2, 3])
+    p = SpectralVector([-3, -2, -1, 1, 2, 3])
     gens = perp_roots(p.entries)
     assert set(gens) == {
         RootTriple(1, 4, 2),
@@ -282,7 +282,7 @@ def test_cone_agrees_with_bruteforce_small():
         entries = [int(x) for x in rng.integers(-3, 4, size=n)]
         if any(e == 0 for e in entries):
             continue
-        p = SpectralVector.of(entries)
+        p = SpectralVector(entries)
         gens = perp_roots(p.entries)
         if len(gens) > 6:
             continue
@@ -383,7 +383,7 @@ def test_cone_certificates_equal_the_per_lp_oracle(types_of, dim):
 @pytest.mark.parametrize("entries", [("1e300", 1, 2), (3000000000, 1, 2), (-3, -2, -1, 1, 2, 3)])
 def test_cone_of_entries_past_int64_equals_the_oracle(entries):
     # no root is orthogonal to the first two, so the target is the witness
-    p = SpectralVector.of(parse_rational(x) for x in entries)
+    p = SpectralVector(parse_rational(x) for x in entries)
     cert = cone_membership(p)
     assert cert == oracle_certificate(p) and cert.verify()
 

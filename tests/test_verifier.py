@@ -63,7 +63,7 @@ def test_verify_is_invariant_under_frame_permutation(case):
     spec, perm = case
     p = [None] * spec.dim
     for old, new in perm.items():
-        p[new - 1] = spec.eigenvalue(old)
+        p[new - 1] = spec.spectral[old - 1]
     report = verify_extension(spec)
     relabelled = verify_extension(make_spec(permuted(spec.algebra, perm), p))
     assert relabelled.einstein == report.einstein
