@@ -14,10 +14,11 @@ value of the one free parameter t into any affine form "a+b*t" on the way
 in, so every later layer compares plain Fractions.
 
 The weight p_k - p_i - p_j with which D acts on mu[i,j|k] is computed
-exactly in one place, :func:`exponents`.  The Lie-theoretic primitives here
-(Jacobi residual, divergence condition, derivation test, and the standard
-modification, which twists D into a derivation) are what the curvature and
-verification layers build on.
+exactly in one place, :func:`exponents`; :func:`sparsity_pattern` keeps the
+triples whose weight is 0 or minus an eigenvalue.  The Lie-theoretic
+primitives here (Jacobi residual, divergence condition, derivation test,
+and the standard modification, which twists D into a derivation) are what
+the curvature and verification layers build on.
 """
 
 from __future__ import annotations
@@ -333,6 +334,18 @@ def exponents(spectral: Sequence[Fraction], triples: Iterable[tuple[int, int, in
     of the eigenvalue denominators, exactly, as a Python int; and s."""
     c, s = scaled_to_integers(spectral)
     return [c[k - 1] - c[i - 1] - c[j - 1] for i, j, k in triples], s
+
+
+def sparsity_pattern(p: Sequence[Fraction]) -> set[tuple[int, int, int]]:
+    """Triples (i, j, k), i < j, whose bracket entry may be nonzero.
+
+    These are exactly the triples with p_i + p_j - p_k in {0, p_1, ..., p_n};
+    all other structure constants must vanish for an Einstein extension.
+    """
+    triples = full_pattern(len(p))
+    e, s = exponents(p, triples)
+    allowed = {0, *(s * x for x in p)}
+    return {t for t, x in zip(triples, e) if -x in allowed}
 
 
 def jacobi_components(mu: StructureTensor) -> np.ndarray:

@@ -340,8 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
-        # MemoryError: a "dim" too large to allocate its n x n arrays.
-        print(f"error: {exc}", file=sys.stderr)
+        # MemoryError: a "dim" too large to allocate its n x n arrays.  A
+        # KeyError's str is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OverflowError, FloatingPointError):
         print(f"error: {OVERFLOW_MESSAGE}", file=sys.stderr)

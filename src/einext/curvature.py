@@ -20,8 +20,8 @@ target" is a finite set of exact equations on floating-point coefficients.
 The scalar curvature is the trace of the Ricci operator, so its classes are
 the traces of these.
 
-Each of these steps has one home here: ``_exponent_layout`` forms the
-pieces and classes on integers (the solver's model uses it too),
+Each of these steps has one home here: ``_pair_classes`` reads the class
+of each product off its two exact weights (the solver's model uses it too),
 ``_grouped_terms`` fills the classes, and ``_exp_sum`` evaluates
 sum_q exp(-2 u q) C_q for the deformed operator and for both non-constant
 blocks of the extension.  ``ricci_deformation`` keeps the classes on the
@@ -69,32 +69,27 @@ def _exp_sum(classes: dict[Fraction, np.ndarray], u: float, shape: tuple) -> np.
     return np.array([math.fsum(column) for column in terms.T]).reshape(shape)
 
 
-def _exponent_layout(
-    spectral: Sequence[Fraction], triples: Sequence[tuple[int, int, int]]
-) -> tuple[np.ndarray, list[Fraction], np.ndarray]:
-    """The exponent classes of a tensor supported on the given triples.
+def _pair_classes(
+    spectral: Sequence[Fraction], triples: Sequence[tuple[int, int, int]], left, right
+) -> tuple[list[Fraction], np.ndarray]:
+    """The exponent classes of products of two entries on the given triples.
 
-    Returns the piece of each triple, numbering the distinct exact exponents
-    e = p_k - p_i - p_j in order of first appearance; the classes, the
-    constant class and every -(e + f)/2, sorted; and ``pair_class[e, f]``,
-    the index of the class -(e + f)/2 of two pieces, formed once per pair.
-    The exponents come from ``algebra.exponents`` as Python ints scaled by
-    the lcm s of the denominators, so every class scaled by 2 s is an int too.
+    Returns the classes, the constant class and every -(e + f)/2 of two
+    exact weights e, f = p_k - p_i - p_j of the triples, sorted; and for
+    each x the index of the class of a product of an entry on triple
+    ``left[x]`` and one on triple ``right[x]``.  The weights come from
+    ``algebra.exponents`` as Python ints scaled by the lcm s of the
+    denominators, so every class scaled by 2 s is an int too; the lookup
+    runs on int64 while every scaled class is below 2**62, on Python ints
+    past it.
     """
     weights, s = exponents(spectral, triples)
-    piece_of: dict[int, int] = {}
-    piece = np.array([piece_of.setdefault(e, len(piece_of)) for e in weights], dtype=np.intp)
-    exps = list(piece_of)
-    pair = {
-        (a, b): -(exps[a] + exps[b]) for a in range(len(exps)) for b in range(a, len(exps))
-    }
-    keys = sorted(set(pair.values()) | {0})
-    index = {q: m for m, q in enumerate(keys)}
-    pair_class = np.zeros((len(exps), len(exps)), dtype=np.intp)
-    for (a, b), q in pair.items():
-        pair_class[a, b] = pair_class[b, a] = index[q]
-    classes = [Fraction(q, 2 * s) for q in keys]
-    return piece, classes, pair_class
+    distinct = sorted(set(weights))
+    keys = sorted({0, *(-(e + f) for a, e in enumerate(distinct) for f in distinct[a:])})
+    exact = np.int64 if max(-keys[0], keys[-1]) < 2**62 else object
+    w = np.array(weights, dtype=exact)
+    index = np.searchsorted(np.array(keys, dtype=exact), -(w[left] + w[right]))
+    return [Fraction(q, 2 * s) for q in keys], index
 
 
 def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1) -> np.ndarray:
@@ -104,7 +99,7 @@ def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1)
     ``values`` is one vector or a stack (g, m) of them, each giving its
     (n, n) operator, stacked (g, n, n).  With a per-pair ``group`` the
     products of one vector go to ``groups`` operators instead: the form is
-    bilinear, so the pair (T_e, T_f) of pieces adds up separately.
+    bilinear, so the products of each group add up separately.
     np.bincount sums past float64 silently, so an operator entry that is
     not finite raises OverflowError.
     """
@@ -123,19 +118,19 @@ def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1)
 def _grouped_terms(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     """The nonzero grouped Ricci coefficients C_q.
 
-    The tensor is split into pieces T_e by exponent (``_exponent_layout``);
-    a product of an entry of T_e and one of T_f adds to the class
-    q = -(e + f)/2.
+    A product of two entries of exact weights e and f adds to the class
+    q = -(e + f)/2 (``_pair_classes``).
     """
     mu = spec.algebra
     index, value = mu.support()
     h = len(value) // 2
     if not h:
         return {}
-    piece, classes, pair_class = _exponent_layout(spec.spectral, (1 + index[:, :h].T).tolist())
-    piece = np.concatenate([piece, piece])
     pairs = mu.ricci_pairs()
-    C = _ricci(mu, value, pair_class[piece[pairs.left], piece[pairs.right]], len(classes))
+    # Entry a + h of the support is entry a with i and j swapped.
+    triples = (1 + index[:, :h].T).tolist()
+    classes, group = _pair_classes(spec.spectral, triples, pairs.left % h, pairs.right % h)
+    C = _ricci(mu, value, group, len(classes))
     C.flags.writeable = False
     return {q: Cq for q, Cq in zip(classes, C) if Cq.any()}
 

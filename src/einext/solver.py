@@ -6,12 +6,12 @@ against its Einstein target), the divergence components, and the weighted
 Jacobi components.  Every row is a polynomial of degree at most two in the
 pattern variables; the solver assembles it exactly from the pair lists of
 the polarised Ricci and Jacobi forms on the pattern's unit entries, on the
-exponent classes of ``curvature._exponent_layout`` and against
-``ExtensionSpec.einstein_target``, and keeps it as a sparse list of
-monomials.  A multistart damped
-least-squares loop on that model minimizes half the squared norm; the
-reported objective is recomputed from the tensor, and identical problem and
-seed reproduce the trajectory bit for bit.  A restart stops once its
+exponent classes that ``curvature._pair_classes`` reads off each product's
+two exact weights and against ``ExtensionSpec.einstein_target``, and keeps
+it as a sparse list of monomials.  A multistart damped least-squares loop
+on that model minimizes half the squared norm; the reported objective is
+recomputed from the tensor, and identical problem and seed reproduce the
+trajectory bit for bit.  A restart stops once its
 objective is at most ``(tolerance / 10) ** 2``, at an exactly zero gradient,
 when no damped step improves it, when a step improves it by at most a 1e-12
 share, or after ``MAX_ITERATIONS`` steps; ``converged`` then compares the
@@ -36,13 +36,12 @@ from .algebra import (
     _ricci_pairs,
     algebra_to_json,
     divergence_residual,
-    full_pattern,
     jacobi_components,
     make_spec,
+    sparsity_pattern,
 )
-from .curvature import _exponent_layout, _grouped_terms
+from .curvature import _grouped_terms, _pair_classes
 from .scalars import parse_rational
-from .verifier import sparsity_pattern
 
 Triple = tuple[int, int, int]
 
@@ -73,10 +72,11 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spectral", tuple(map(parse_rational, self.spectral)))
-        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
-            raise ValueError(f"restarts must be an integer of at least 1, got {self.restarts!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, least in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # numbers.Integral admits bool, which JSON input refuses too.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name in ("tolerance", "jacobi_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -139,9 +139,10 @@ class _QuadraticModel:
     exponent e_a = p_k - p_i - p_j.  In the tensor sum_a x_a E_a, a product
     of an entry of E_a and one of E_b that meets in the Ricci form (the
     pair list of the pattern's unit support, ``algebra._ricci_pairs``) adds
-    to the monomial x_a x_b, a <= b, in the Ricci class -(e_a + e_b)/2, and
-    one that meets in the Jacobi form (``algebra._jacobi_pairs``) adds to
-    the weighted Jacobi rows; the divergence rows are linear
+    to the monomial x_a x_b, a <= b, in the Ricci class -(e_a + e_b)/2 that
+    ``curvature._pair_classes`` reads off the two weights, and one that
+    meets in the Jacobi form (``algebra._jacobi_pairs``) adds to the
+    weighted Jacobi rows; the divergence rows are linear
     (``algebra._divergence_terms``) and the Einstein target is constant.
     The class layout is the constant class plus every class with a nonzero
     coefficient: it depends on the type and pattern, never on the values.
@@ -156,19 +157,7 @@ class _QuadraticModel:
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
         unit = StructureTensor(n, dict.fromkeys(pattern, 1.0)).support()  # sorted: entry a < v is triple a
-        # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
-        piece, names, pair_class = _exponent_layout(base.spectral, pattern)
-        zero = names.index(Fraction(0))
-        DIV, JAC = len(names), len(names) + 1
         iu = np.triu_indices(n)
-        target = base.einstein_target()[iu]
-        t = np.flatnonzero(target)
-        a, component, div = _divergence_terms(*unit.index[:, :v], base.eigenvalues())
-        # Entries (block, row in block, a, b, coeff); v is the constant slot.
-        chunks = [
-            np.broadcast_arrays(zero, t, v, v, -target[t]),
-            np.broadcast_arrays(DIV, component, a, v, div),
-        ]
         # Each product of two unit entries: a Ricci pair adds to the upper
         # triangle of the symmetric part, a Jacobi pair to its row (kind 1).
         ricci, jacobi = _ricci_pairs(unit, n), _jacobi_pairs(unit, n)
@@ -192,9 +181,20 @@ class _QuadraticModel:
         rest, b = np.divmod(rest, v)
         a, kind = np.divmod(rest, 2)
         coeff = np.where(kind == 1, jacobi_weight * coeff, coeff)
-        block = np.where(kind == 1, JAC, pair_class[piece[a], piece[b]])
+        # Row blocks: the exponent classes, then the divergence and the Jacobi rows.
+        names, ricci_class = _pair_classes(base.spectral, pattern, a, b)
+        zero = names.index(Fraction(0))
+        DIV, JAC = len(names), len(names) + 1
+        target = base.einstein_target()[iu]
+        r = np.flatnonzero(target)
+        e, component, div = _divergence_terms(*unit.index[:, :v], base.eigenvalues())
         nz = coeff != 0.0
-        chunks.append((block[nz], t[nz], a[nz], b[nz], coeff[nz]))
+        # Entries (block, row in block, a, b, coeff); v is the constant slot.
+        chunks = [
+            np.broadcast_arrays(zero, r, v, v, -target[r]),
+            np.broadcast_arrays(DIV, component, e, v, div),
+            (np.where(kind == 1, JAC, ricci_class)[nz], t[nz], a[nz], b[nz], coeff[nz]),
+        ]
         block, t, self.a, self.b, self.coeff = (np.concatenate(f) for f in zip(*chunks))
         # The layout: the constant class and every class with a coefficient.
         size = np.zeros(len(names) + 2, dtype=np.intp)

@@ -15,19 +15,17 @@ order that puts that direction last, takes its Ricci checks from
 ``curvature.ricci_at_identity`` (the block without the distinguished
 direction by zeroing the entries that touch it), and reports through one
 builder.
-``sparsity_pattern`` keeps the triples whose exact weight p_k - p_i - p_j
-(``algebra.exponents``) is 0 or minus an eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .algebra import ExtensionSpec, _maxabs, divergence_residual, exponents, full_pattern
+from .algebra import ExtensionSpec, _maxabs, divergence_residual
 from .curvature import ricci_at_identity, ricci_deformation, ricci_deformation_at
 from .scalars import format_rational
 
@@ -82,18 +80,6 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
         violated_conditions=violated,
         tolerance=tol,
     )
-
-
-def sparsity_pattern(p: Sequence[Fraction]) -> set[tuple[int, int, int]]:
-    """Triples (i, j, k), i < j, whose bracket entry may be nonzero.
-
-    These are exactly the triples with p_i + p_j - p_k in {0, p_1, ..., p_n};
-    all other structure constants must vanish for an Einstein extension.
-    """
-    triples = full_pattern(len(p))
-    e, s = exponents(p, triples)
-    allowed = {0, *(s * x for x in p)}
-    return {t for t, x in zip(triples, e) if -x in allowed}
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Guards on the public surface: every public function, class and method of
 ``einext`` has a caller outside the tests, and the package exports exactly
-the names of the README's library sketch and the errors they raise.
+the names of the README's library sketch and the errors they raise.  Every
+module of the package but ``__init__`` uses each name it imports, and the
+solver imports nothing from the verifier.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -86,3 +88,32 @@ def test_package_exports_the_sketch_names_and_their_errors():
         name for name, value in vars(einext).items() if public(name) and not inspect.ismodule(value)
     }
     assert exported == imported | EXPORTED_ERRORS
+
+
+def imports(path: Path) -> list[tuple[str, str]]:
+    """(module, bound name) of every import in a module, with the package's
+    own modules named without it: ``verifier`` for ``.verifier``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                module = node.module or alias.name  # ``from . import x`` imports module x
+                found.append((module.removeprefix("einext."), alias.asname or alias.name))
+    return found
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for _, name in imports(path) if name not in used]
+    assert unused == []
+
+
+def test_the_solver_does_not_import_the_verifier():
+    assert "verifier" not in {module for module, _ in imports(PACKAGE / "solver.py")}

@@ -336,6 +336,20 @@ def test_unknown_catalog_reference(capsys):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["verify", "--catalog", "nope"], "error: unknown catalog entry 'nope'"),
+        (["catalog", "--name", "heisenberg:x"], "error: bad catalog reference 'heisenberg:x'"),
+    ],
+)
+def test_catalog_errors_print_the_message(capsys, argv, start):
+    # A KeyError's str is the repr of its message, quotes and all.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(start)
+
+
 def test_env_var_tolerance(monkeypatch, capsys):
     spec = {
         "dim": 3,

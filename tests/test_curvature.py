@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einext import algebra, curvature
-from einext.algebra import StructureTensor, Support, _jacobi_pairs, _ricci_pairs, divergence_residual, make_spec
+from einext.algebra import (
+    StructureTensor,
+    Support,
+    _jacobi_pairs,
+    _ricci_pairs,
+    divergence_residual,
+    exponents,
+    make_spec,
+)
 from einext.catalog import entries as catalog_entries
 from einext.curvature import (
     _exp_sum,
@@ -18,9 +26,17 @@ from einext.curvature import (
     ricci_deformation,
     ricci_deformation_at,
 )
+from einext.solver import _QuadraticModel
 from einext.verifier import verify_extension
 
-from oracles import RICCI_COEFFS, jacobi_form_dense, koszul_ricci, ricci_form_dense, scalar_classes
+from oracles import (
+    RICCI_COEFFS,
+    class_layout,
+    jacobi_form_dense,
+    koszul_ricci,
+    ricci_form_dense,
+    scalar_classes,
+)
 from util import random_lie_tensor, random_sparse_tensor
 
 STATED_GRID = (-1.0, -0.3, 0.0, 0.7, 2.0)
@@ -224,6 +240,34 @@ def test_grouped_at_zero_matches_koszul_on_lie_tensors():
             oracle = koszul_ricci(rescaled)
             scale = max(1.0, max((abs(v) for _, v in rescaled.items()), default=0.0) ** 2)
             assert np.abs(ricci_deformation_at(spec, u) - oracle).max() <= 1e-10 * scale
+
+
+def test_classes_past_int64_match_the_oracles():
+    # Eigenvalue denominators of 10**30 and more scale the exact weights past
+    # 2**62, so each product's class is looked up on Python ints.
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        mu, _ = random_lie_tensor(rng, max_dim=4)
+        pattern = tuple(t for t, _ in mu.items())
+        if not pattern:
+            continue
+        spectral = [
+            int(c) + Fraction(int(a), 10**30 + int(d))
+            for c, a, d in zip(*rng.integers([-3, 1, 0], [4, 10**6, 10**9], size=(mu.dim, 3)).T)
+        ]
+        assert max(map(abs, exponents(spectral, pattern)[0])) >= 2**62
+        oracle = set(class_layout(spectral, pattern))
+        grouped = ricci_deformation(make_spec(mu, spectral))
+        assert set(grouped) <= oracle
+        summed = _exp_sum(grouped, 0.0, (mu.dim, mu.dim))
+        assert np.abs(summed - koszul_ricci(mu)).max() <= 1e-10
+        # The model drops only classes whose coefficients cancel exactly.
+        base = make_spec(StructureTensor(mu.dim), spectral)
+        keys = set(_QuadraticModel(base, pattern, 10.0).keys)
+        assert keys <= oracle
+        scale = max([1.0, *(np.abs(C).max() for C in grouped.values())])
+        for q, C in grouped.items():
+            assert q in keys or np.abs(C).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import StructureTensor, full_pattern, make_spec
+from einext.algebra import StructureTensor, full_pattern, make_spec, sparsity_pattern
 from einext.catalog import entries
 from einext.curvature import _grouped_terms
 from einext.solver import (
@@ -17,7 +17,7 @@ from einext.solver import (
     _stack_residual,
     search,
 )
-from einext.verifier import classify_type_0001, sparsity_pattern, verify_extension
+from einext.verifier import classify_type_0001, verify_extension
 
 from oracles import class_layout
 from util import dense, residual_vector
@@ -263,6 +263,8 @@ def test_problem_validation():
         ("jacobi_weight", float("nan")),
         ("seed", -1),
         ("seed", 1.5),
+        ("restarts", True),
+        ("seed", False),
     ]:
         with pytest.raises(ValueError, match=field):
             SearchProblem(spectral=F(1, 1, 2), **{field: bad})

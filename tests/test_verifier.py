@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import StructureTensor, algebra_from_json, make_spec
+from einext.algebra import StructureTensor, algebra_from_json, make_spec, sparsity_pattern
 from einext.catalog import entries as catalog_entries
 from einext.curvature import ricci_at_identity
 from einext.verifier import (
@@ -15,7 +15,6 @@ from einext.verifier import (
     classify_type_0001,
     classify_type_1110,
     classify_type_1112,
-    sparsity_pattern,
     _violated,
     verify_extension,
 )
