@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -209,7 +210,7 @@ class StructureTensor:
         upper: dict[tuple[int, int, int], float] = {}  # mu[i,j|k], i < j
         for (i, j, k), value in (entries or {}).items():
             for idx in (i, j, k):
-                if not 1 <= idx <= dim:
+                if not 1 <= _require_int(idx, "mu[{},{}|{}] index", i, j, k) <= dim:
                     raise StructureError(f"index {idx} outside 1..{dim}")
             v = _float(value, "mu[{},{}|{}]", i, j, k)
             if i == j:
@@ -487,10 +488,12 @@ def standard_modification(
 # ---------------------------------------------------------------------------
 
 
-def _require_int(value, field: str) -> int:
-    # int() would truncate 3.7 to 3, and a JSON true is a Python int.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructureError(f"{field} must be an integer, got {value!r}")
+def _require_int(value, field: str, *args) -> int:
+    """value, or StructureError naming ``field.format(*args)`` when it is not
+    an integer: int() would truncate 3.7 to 3, and True is an Integral.  A
+    plain int skips the abstract-class check, which is slow on every index."""
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+        raise StructureError(f"{field.format(*args)} must be an integer, got {value!r}")
     return value
 
 

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success / verification pass, 3 verification failure or
 non-convergence, 2 input or validation error.  Diagnostics go to stderr.
+Each command returns its JSON payload and whether it passed; ``main`` alone
+writes stdout and maps that verdict to 0 or 3.
 The default tolerance can be set through the EINEXT_TOL environment
 variable and overridden per call with --tol.
 """
@@ -122,9 +124,9 @@ def _read_json_input(raw: str) -> dict:
 
 def _load_spec(args: argparse.Namespace) -> tuple[ExtensionSpec, Optional[tuple[int, ...]]]:
     """The spec, and the abelian part h of the input's decomposition or None."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return catalog_mod.lookup(args.catalog).spec, None
-    if getattr(args, "input", None):
+    if args.input:
         data = _read_json_input(args.input)
         _, spec, h = algebra_from_json(data)
         if spec is None:
@@ -144,29 +146,22 @@ def _types_json(types) -> list:
     return sorted([int(x) for x in p.entries] for p in types)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.report_both:
-        report = enumeration_report(args.dim, args.cap)
-        _emit(
-            {
-                "dim": args.dim,
-                "unfiltered": _types_json(report.unfiltered),
-                "cone_filtered": _types_json(report.cone_filtered),
-                "cone_rejected": _types_json(report.cone_rejected),
-                "consistent": report.consistent,
-            },
-            args.pretty,
-        )
-        return EXIT_OK
-    if args.cone_filter:
-        types = enumeration_report(args.dim, args.cap).cone_filtered
-    else:
-        types = enumerate_types(args.dim, args.cap)
-    _emit(_types_json(types), args.pretty)
-    return EXIT_OK
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
+    if not (args.report_both or args.cone_filter):
+        return _types_json(enumerate_types(args.dim, args.cap)), True
+    report = enumeration_report(args.dim, args.cap)
+    if not args.report_both:
+        return _types_json(report.cone_filtered), True
+    return {
+        "dim": args.dim,
+        "unfiltered": _types_json(report.unfiltered),
+        "cone_filtered": _types_json(report.cone_filtered),
+        "cone_rejected": _types_json(report.cone_rejected),
+        "consistent": report.consistent,
+    }, True
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
     tol = _tolerance(args)
     spec, h = _load_spec(args)
     report = verify_extension(spec, tol)
@@ -176,8 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload["derivation_violation"] = check.max_violation
     if h is not None:
         payload["twist"] = _twist(spec, h, tol)
-    _emit(payload, args.pretty)
-    return EXIT_OK if report.einstein else EXIT_FAIL
+    return payload, report.einstein
 
 
 def _twist(spec: ExtensionSpec, h: tuple[int, ...], tol: float) -> dict:
@@ -196,15 +190,14 @@ _CLASSIFIERS = {
 }
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
     tol = _tolerance(args)
     spec, _ = _load_spec(args)
     report = _CLASSIFIERS[args.type](spec, tol)
-    _emit(report.to_json(), args.pretty)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return report.to_json(), report.passed
 
 
-def _cmd_curvature(args: argparse.Namespace) -> int:
+def _cmd_curvature(args: argparse.Namespace) -> tuple[object, bool]:
     if args.u is not None:
         _require_finite("--u", args.u)
     spec, _ = _load_spec(args)
@@ -218,11 +211,10 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
                 f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
             ) from exc
         payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
-    _emit(payload, args.pretty)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> tuple[object, bool]:
     entries = [catalog_mod.lookup(args.name)] if args.name else catalog_mod.entries()
     payload = [
         {
@@ -234,17 +226,15 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         }
         for entry in entries
     ]
-    _emit(payload if args.name is None else payload[0], args.pretty)
-    return EXIT_OK
+    return (payload if args.name is None else payload[0]), True
 
 
-def _cmd_cone(args: argparse.Namespace) -> int:
+def _cmd_cone(args: argparse.Namespace) -> tuple[object, bool]:
     cert = cone_membership(SpectralVector(_parse_spectral(args.spectral)))
-    _emit(cert.as_dict(), args.pretty)
-    return EXIT_OK if cert.feasible else EXIT_FAIL
+    return cert.as_dict(), cert.feasible
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> tuple[object, bool]:
     spectral = _parse_spectral(args.spectral)
     pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
     problem = SearchProblem(
@@ -256,8 +246,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         jacobi_weight=args.jacobi_weight,
     )
     result = search(problem)
-    _emit(result.to_json(), args.pretty)
-    return EXIT_OK if result.converged else EXIT_FAIL
+    return result.to_json(), result.converged
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP, help="dimension cap (default %(default)s)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
-    def add_spec_input(p):
+    def add_spec_input(p, tol=True):
         p.add_argument("--input", help="algebra JSON: path, inline object, or - for stdin")
         p.add_argument("--catalog", help="catalog reference, e.g. table1:3 or heisenberg:2")
-        p.add_argument("--tol", type=float, default=None)
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
 
     p_verify = sub.add_parser("verify", help="check the Einstein conditions", parents=[common])
     add_spec_input(p_verify)
@@ -298,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=_cmd_classify)
 
     p_curv = sub.add_parser("curvature", help="grouped curvature report", parents=[common])
-    p_curv.add_argument("--input", help="algebra JSON: path, inline object, or - for stdin")
-    p_curv.add_argument("--catalog", help="catalog reference")
+    add_spec_input(p_curv, tol=False)
     p_curv.add_argument("--u", type=float, default=None, help="also evaluate at this deformation time")
     p_curv.set_defaults(func=_cmd_curvature)
 
@@ -338,7 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # curvature kernel's bincount sums past float64 without either, so
         # curvature raises OverflowError for an entry that is not finite.
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            payload, passed = args.func(args)
+        _emit(payload, args.pretty)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
         # MemoryError: a "dim" too large to allocate its n x n arrays.  A
         # KeyError's str is the repr of its message, quotes and all.
@@ -347,6 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OverflowError, FloatingPointError):
         print(f"error: {OVERFLOW_MESSAGE}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ best objective with ``tolerance``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,6 +32,7 @@ from .algebra import (
     StructureTensor,
     _divergence_terms,
     _jacobi_pairs,
+    _require_int,
     _ricci_pairs,
     algebra_to_json,
     divergence_residual,
@@ -52,7 +52,8 @@ MAX_ITERATIONS = 200
 
 def _normalize_pattern(pattern: Sequence[Triple], dim: int) -> tuple[Triple, ...]:
     seen = set()
-    for (i, j, k) in pattern:
+    for triple in pattern:
+        i, j, k = (_require_int(x, "pattern triple {} entry", triple) for x in triple)
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim) or i == j:
             raise ValueError(f"bad pattern triple ({i},{j}|{k})")
         seen.add((i, j, k) if i < j else (j, i, k))
@@ -74,12 +75,11 @@ class SearchProblem:
         object.__setattr__(self, "spectral", tuple(map(parse_rational, self.spectral)))
         for name, least in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            # numbers.Integral admits bool, which JSON input refuses too.
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            if _require_int(value, name) < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name in ("tolerance", "jacobi_weight"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         pattern = sparsity_pattern(self.spectral) if self.pattern is None else self.pattern
         object.__setattr__(self, "pattern", _normalize_pattern(pattern, self.dim))

@@ -131,6 +131,18 @@ def test_index_validation():
         StructureTensor(0)
 
 
+@pytest.mark.parametrize("index", [1.5, 2.0, True])
+def test_indices_that_are_not_integers_are_refused(index):
+    # np.intp would truncate 1.5 to 1, and True reads as 1.
+    with pytest.raises(StructureError, match=rf"^mu\[{index},2\|3\] index must be an integer, got {index}$"):
+        StructureTensor(3, {(index, 2, 3): 1.0})
+
+
+def test_numpy_integer_indices_are_read():
+    mu = StructureTensor(3, {(np.int64(1), np.int32(2), np.intp(3)): 1.0})
+    assert mu.items() == StructureTensor(3, {(1, 2, 3): 1.0}).items()
+
+
 def test_lie_flag_enforces_jacobi():
     StructureTensor(3, {(1, 2, 3): 1.0, (1, 3, 2): -1.0, (2, 3, 1): 1.0}, lie=True)
     with pytest.raises(StructureError):

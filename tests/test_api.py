@@ -2,7 +2,8 @@
 ``einext`` has a caller outside the tests, and the package exports exactly
 the names of the README's library sketch and the errors they raise.  Every
 module of the package but ``__init__`` uses each name it imports, and the
-solver imports nothing from the verifier.
+solver imports nothing from the verifier.  The command line has one writer:
+only ``main`` calls ``_emit``, and no command handler picks an exit code.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -117,3 +118,23 @@ def test_every_imported_name_is_used():
 
 def test_the_solver_does_not_import_the_verifier():
     assert "verifier" not in {module for module, _ in imports(PACKAGE / "solver.py")}
+
+
+def test_main_alone_writes_stdout_and_picks_the_exit_code():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    emitters = [
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_emit"
+    ]
+    assert emitters == ["main"]
+    verdicts = {
+        f.name
+        for f in functions
+        if f.name.startswith("_cmd_")
+        for node in ast.walk(f)
+        if isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_FAIL")
+    }
+    assert verdicts == set()

@@ -606,6 +606,33 @@ def test_verify_stdin(capsys, monkeypatch):
     assert json.loads(out)["einstein"] is True
 
 
+def test_verify_reads_an_input_file(capsys, tmp_path):
+    _, algebra, _ = run_cli(capsys, "catalog", "--name", "table1:3")
+    path = tmp_path / "table1_3.json"
+    path.write_text(json.dumps(json.loads(algebra)["algebra"]), encoding="utf-8")
+    from_file = run_cli(capsys, "verify", "--input", str(path))
+    assert from_file == run_cli(capsys, "verify", "--catalog", "table1:3")
+    assert from_file[0] == 0
+
+
+def test_unreadable_input_path_is_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "--input", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ")
+
+
+def test_json_array_on_stdin_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1,2]"))
+    code, out, err = run_cli(capsys, "verify", "--input", "-")
+    assert (code, out, err) == (2, "", "error: expected a JSON object in <stdin>\n")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["classify", "--type", "1112"], ["curvature"]])
+def test_no_input_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: provide --input or --catalog\n")
+
+
 def test_pretty_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "--catalog", "table1:2", "--pretty")
     assert code == 0

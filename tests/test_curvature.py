@@ -219,6 +219,19 @@ def test_ricci_at_identity_matches_koszul_on_lie_tensors():
         assert np.abs(ricci_at_identity(mu) - koszul_ricci(mu)).max() <= 1e-10
 
 
+def test_ricci_past_float64_raises_overflow():
+    # The products 1e400 overflow to inf without a warning under this errstate;
+    # np.bincount would carry it on, so the kernel's own check must raise.
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="Ricci form overflows"):
+        ricci_at_identity(StructureTensor(3, {(1, 2, 3): 1e200}))
+
+
+def test_exp_sum_past_float64_raises_overflow():
+    # Finite weights times a large class leave float64.
+    with pytest.raises(OverflowError, match="overflows float64 at u = 200.0"):
+        _exp_sum({Fraction(-1): np.full((2, 2), 1e300)}, 200.0, (2, 2))
+
+
 def test_grouped_at_zero_matches_koszul_on_lie_tensors():
     # away from u = 0 the deformed metric is the undeformed metric of the
     # rescaled bracket, again a Lie bracket, so the oracle pins every u

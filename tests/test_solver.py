@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -265,9 +266,23 @@ def test_problem_validation():
         ("seed", 1.5),
         ("restarts", True),
         ("seed", False),
+        ("tolerance", True),
+        ("jacobi_weight", False),
     ]:
         with pytest.raises(ValueError, match=field):
             SearchProblem(spectral=F(1, 1, 2), **{field: bad})
+
+
+@pytest.mark.parametrize("triple", [(1, 2, 2.5), (1.5, 2, 3), (1, 2.0, 3), (1, 2, True)])
+def test_pattern_entries_that_are_not_integers_are_refused(triple):
+    with pytest.raises(ValueError, match=rf"^pattern triple {re.escape(str(triple))} entry must be an integer"):
+        SearchProblem(spectral=F(1, 1, 2), pattern=[triple])
+
+
+def test_numpy_integer_pattern_is_read():
+    problem = SearchProblem(spectral=F(1, 1, 2), pattern=[(np.int64(1), 2, 3)])
+    assert problem.pattern == ((1, 2, 3),)
+    assert search(problem).converged
 
 
 def test_restarts_stop_at_the_objective_floor():
