@@ -204,6 +204,7 @@ class StructureTensor:
         *,
         lie: bool = False,
     ):
+        dim = int(_require_int(dim, "dim"))
         if dim < 1:
             raise StructureError(f"dimension must be positive, got {dim}")
         self.dim = dim

@@ -6,11 +6,20 @@ Each command returns its JSON payload and whether it passed; ``main`` alone
 writes stdout and maps that verdict to 0 or 3.
 The default tolerance can be set through the EINEXT_TOL environment
 variable and overridden per call with --tol.
+
+A cold process loads only what its command runs.  Each command checks its
+flags and reads its input first, refusing NaN, Infinity and number literals
+past float64 as the JSON is parsed, then imports the library modules it
+calls: an input error exits before numpy loads, and ``enumerate`` never
+loads the curvature, solver or verifier code.  Its numeric calls then run
+under ``_float_errors_raise``.  A flag that was not given is not passed on,
+so the library's defaults have one home.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,35 +28,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import catalog as catalog_mod
-from .algebra import (
-    ExtensionSpec,
-    StructureError,
-    algebra_from_json,
-    algebra_to_json,
-    full_pattern,
-    is_derivation,
-    standard_modification,
-)
-from .curvature import extension_ricci
 from .scalars import parse_rational
-from .solver import SearchProblem, search
-from .spectral import (
-    DEFAULT_DIMENSION_CAP,
-    SpectralVector,
-    cone_membership,
-    enumerate_types,
-    enumeration_report,
-)
-from .verifier import (
-    DEFAULT_TOL,
-    classify_type_0001,
-    classify_type_1110,
-    classify_type_1112,
-    verify_extension,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,18 +48,35 @@ def _require_finite(name: str, value: float, nonnegative: bool = False) -> float
     return value
 
 
-def _tolerance(args: argparse.Namespace) -> float:
-    """``--tol``, else ``EINEXT_TOL``, else ``verifier.DEFAULT_TOL``."""
+def _tolerance(args: argparse.Namespace) -> Optional[float]:
+    """``--tol``, else ``EINEXT_TOL``, else None for ``verifier.DEFAULT_TOL``."""
     if args.tol is not None:
         return _require_finite("--tol", args.tol, nonnegative=True)
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return DEFAULT_TOL
+        return None
     try:
         value = float(raw)
     except ValueError as exc:
         raise InputError(f"bad {TOL_ENV_VAR} value {raw!r}") from exc
     return _require_finite(TOL_ENV_VAR, value, nonnegative=True)
+
+
+def _given(**settings) -> dict:
+    """The settings whose flag was given, as keyword arguments."""
+    return {name: value for name, value in settings.items() if value is not None}
+
+
+@contextlib.contextmanager
+def _float_errors_raise():
+    """An overflow in numpy arithmetic, or the inf - inf it leaves, raises
+    instead of warning and carrying a non-finite value on; the curvature
+    kernel's bincount sums past float64 without either, so curvature raises
+    OverflowError for an entry that is not finite."""
+    import numpy as np
+
+    with np.errstate(over="raise", invalid="raise"):
+        yield
 
 
 OVERFLOW_MESSAGE = (
@@ -99,7 +97,8 @@ def _emit(payload, pretty: bool) -> None:
 
 
 def _read_json_input(raw: str) -> dict:
-    """Accept inline JSON, '-' for stdin, or a file path."""
+    """Accept inline JSON, '-' for stdin, or a file path.  NaN, Infinity,
+    -Infinity and a number past float64 such as 1e999 are refused."""
     if raw.strip().startswith("{"):
         text, origin = raw, "<inline>"
     elif raw == "-":
@@ -111,8 +110,18 @@ def _read_json_input(raw: str) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read {raw!r}: {exc}") from exc
         origin = raw
+
+    def refuse(literal: str):
+        raise InputError(f"{literal} in {origin} is not a finite float64 number")
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            refuse(literal)
+        return value
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {origin} at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -122,17 +131,27 @@ def _read_json_input(raw: str) -> dict:
     return data
 
 
-def _load_spec(args: argparse.Namespace) -> tuple[ExtensionSpec, Optional[tuple[int, ...]]]:
-    """The spec, and the abelian part h of the input's decomposition or None."""
+def _read_spec(args: argparse.Namespace) -> Optional[dict]:
+    """The algebra JSON of ``--input``, or None when ``--catalog`` names the spec."""
     if args.catalog:
-        return catalog_mod.lookup(args.catalog).spec, None
+        return None
     if args.input:
-        data = _read_json_input(args.input)
-        _, spec, h = algebra_from_json(data)
-        if spec is None:
-            raise InputError("input JSON has no 'spectral' entry")
-        return spec, h
+        return _read_json_input(args.input)
     raise InputError("provide --input or --catalog")
+
+
+def _load_spec(args: argparse.Namespace, data: Optional[dict]) -> tuple:
+    """The spec, and the abelian part h of the input's decomposition or None."""
+    if data is None:
+        from . import catalog
+
+        return catalog.lookup(args.catalog).spec, None
+    from .algebra import algebra_from_json
+
+    _, spec, h = algebra_from_json(data)
+    if spec is None:
+        raise InputError("input JSON has no 'spectral' entry")
+    return spec, h
 
 
 def _parse_spectral(text: str) -> tuple[Fraction, ...]:
@@ -147,9 +166,13 @@ def _types_json(types) -> list:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
-    if not (args.report_both or args.cone_filter):
-        return _types_json(enumerate_types(args.dim, args.cap)), True
-    report = enumeration_report(args.dim, args.cap)
+    from .spectral import enumerate_types, enumeration_report
+
+    cap = _given(cap=args.cap)
+    with _float_errors_raise():
+        if not (args.report_both or args.cone_filter):
+            return _types_json(enumerate_types(args.dim, **cap)), True
+        report = enumeration_report(args.dim, **cap)
     if not args.report_both:
         return _types_json(report.cone_filtered), True
     return {
@@ -163,19 +186,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
     tol = _tolerance(args)
-    spec, h = _load_spec(args)
-    report = verify_extension(spec, tol)
-    payload = asdict(report)
-    check = is_derivation(spec, tol)
-    payload["is_derivation"] = check.ok
-    payload["derivation_violation"] = check.max_violation
-    if h is not None:
-        payload["twist"] = _twist(spec, h, tol)
+    data = _read_spec(args)
+    from .algebra import is_derivation
+    from .verifier import DEFAULT_TOL, verify_extension
+
+    tol = DEFAULT_TOL if tol is None else tol
+    with _float_errors_raise():
+        spec, h = _load_spec(args, data)
+        report = verify_extension(spec, tol)
+        payload = asdict(report)
+        check = is_derivation(spec, tol)
+        payload["is_derivation"] = check.ok
+        payload["derivation_violation"] = check.max_violation
+        if h is not None:
+            payload["twist"] = _twist(spec, h, tol)
     return payload, report.einstein
 
 
-def _twist(spec: ExtensionSpec, h: tuple[int, ...], tol: float) -> dict:
+def _twist(spec, h: tuple[int, ...], tol: float) -> dict:
     """The standard modification along h with its own verification, or why it is refused."""
+    from .algebra import StructureError, algebra_to_json, standard_modification
+    from .verifier import verify_extension
+
     try:
         twisted = standard_modification(spec, h, tol)
     except StructureError as exc:
@@ -183,70 +215,83 @@ def _twist(spec: ExtensionSpec, h: tuple[int, ...], tol: float) -> dict:
     return {"mu": algebra_to_json(twisted.algebra)["mu"], **asdict(verify_extension(twisted, tol))}
 
 
-_CLASSIFIERS = {
-    "0001": classify_type_0001,
-    "1110": classify_type_1110,
-    "1112": classify_type_1112,
-}
-
-
 def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
     tol = _tolerance(args)
-    spec, _ = _load_spec(args)
-    report = _CLASSIFIERS[args.type](spec, tol)
-    return report.to_json(), report.passed
+    data = _read_spec(args)
+    from .verifier import classify_type_0001, classify_type_1110, classify_type_1112
+
+    classify = {
+        "0001": classify_type_0001,
+        "1110": classify_type_1110,
+        "1112": classify_type_1112,
+    }[args.type]
+    with _float_errors_raise():
+        spec, _ = _load_spec(args, data)
+        report = classify(spec, **_given(tol=tol))
+        return report.to_json(), report.passed
 
 
 def _cmd_curvature(args: argparse.Namespace) -> tuple[object, bool]:
     if args.u is not None:
         _require_finite("--u", args.u)
-    spec, _ = _load_spec(args)
-    report = extension_ricci(spec)
-    payload = report.to_json()
-    if args.u is not None:
-        try:
-            values = report.evaluate_extension(args.u)
-        except OverflowError as exc:
-            raise InputError(
-                f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
-            ) from exc
-        payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
+    data = _read_spec(args)
+    from .curvature import extension_ricci
+
+    with _float_errors_raise():
+        spec, _ = _load_spec(args, data)
+        report = extension_ricci(spec)
+        payload = report.to_json()
+        if args.u is not None:
+            try:
+                values = report.evaluate_extension(args.u)
+            except OverflowError as exc:
+                raise InputError(
+                    f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
+                ) from exc
+            payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
     return payload, True
 
 
 def _cmd_catalog(args: argparse.Namespace) -> tuple[object, bool]:
-    entries = [catalog_mod.lookup(args.name)] if args.name else catalog_mod.entries()
-    payload = [
-        {
-            "name": entry.name,
-            "expected_pass": entry.expected_pass,
-            "expected_constant": entry.expected_constant,
-            "note": entry.note,
-            "algebra": algebra_to_json(entry.spec.algebra, entry.spec),
-        }
-        for entry in entries
-    ]
+    from . import catalog
+    from .algebra import algebra_to_json
+
+    with _float_errors_raise():
+        entries = [catalog.lookup(args.name)] if args.name else catalog.entries()
+        payload = [
+            {
+                "name": entry.name,
+                "expected_pass": entry.expected_pass,
+                "expected_constant": entry.expected_constant,
+                "note": entry.note,
+                "algebra": algebra_to_json(entry.spec.algebra, entry.spec),
+            }
+            for entry in entries
+        ]
     return (payload if args.name is None else payload[0]), True
 
 
 def _cmd_cone(args: argparse.Namespace) -> tuple[object, bool]:
-    cert = cone_membership(SpectralVector(_parse_spectral(args.spectral)))
-    return cert.as_dict(), cert.feasible
+    spectral = _parse_spectral(args.spectral)
+    from .spectral import SpectralVector, cone_membership
+
+    with _float_errors_raise():
+        cert = cone_membership(SpectralVector(spectral))
+        return cert.as_dict(), cert.feasible
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[object, bool]:
     spectral = _parse_spectral(args.spectral)
-    pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
-    problem = SearchProblem(
-        spectral=spectral,
-        pattern=pattern,
-        restarts=args.restarts,
-        seed=args.seed,
-        tolerance=args.tol,
-        jacobi_weight=args.jacobi_weight,
+    from .algebra import full_pattern
+    from .solver import SearchProblem, search
+
+    settings = _given(
+        restarts=args.restarts, seed=args.seed, tolerance=args.tol, jacobi_weight=args.jacobi_weight
     )
-    result = search(problem)
-    return result.to_json(), result.converged
+    with _float_errors_raise():
+        pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
+        result = search(SearchProblem(spectral=spectral, pattern=pattern, **settings))
+        return result.to_json(), result.converged
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit unfiltered and cone-filtered sets with their difference",
     )
-    p_enum.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP, help="dimension cap (default %(default)s)")
+    p_enum.add_argument("--cap", type=int, help="dimension cap (default: spectral.DEFAULT_DIMENSION_CAP)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     def add_spec_input(p, tol=True):
@@ -283,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_classify = sub.add_parser("classify", help="run a structural type classifier", parents=[common])
-    p_classify.add_argument("--type", choices=sorted(_CLASSIFIERS), required=True)
+    p_classify.add_argument("--type", choices=("0001", "1110", "1112"), required=True)
     add_spec_input(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -304,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search structure constants for a type", parents=[common])
     p_search.add_argument("--spectral", required=True, help="comma-separated rationals, e.g. 1,1,2")
-    p_search.add_argument("--restarts", type=int, default=SearchProblem.restarts)
-    p_search.add_argument("--seed", type=int, default=SearchProblem.seed)
-    p_search.add_argument("--tol", type=float, default=SearchProblem.tolerance)
+    p_search.add_argument("--restarts", type=int)
+    p_search.add_argument("--seed", type=int)
+    p_search.add_argument("--tol", type=float)
     p_search.add_argument("--pattern", choices=("auto", "full"), default="auto")
-    p_search.add_argument("--jacobi-weight", type=float, default=SearchProblem.jacobi_weight)
+    p_search.add_argument("--jacobi-weight", type=float)
     p_search.set_defaults(func=_cmd_search)
 
     return parser
@@ -322,12 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        # An overflow in numpy arithmetic, or the inf - inf it leaves, raises
-        # here instead of warning and carrying a non-finite value on; the
-        # curvature kernel's bincount sums past float64 without either, so
-        # curvature raises OverflowError for an entry that is not finite.
-        with np.errstate(over="raise", invalid="raise"):
-            payload, passed = args.func(args)
+        payload, passed = args.func(args)
         _emit(payload, args.pretty)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
         # MemoryError: a "dim" too large to allocate its n x n arrays.  A

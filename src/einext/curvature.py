@@ -42,10 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+# The package's modules first: ``algebra`` then compiles before numpy loads,
+# which keeps the peak memory of a cold start lower.
 from .algebra import ExtensionSpec, StructureTensor, divergence_residual, exponents
 from .scalars import format_rational
+
+import numpy as np
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)

@@ -21,12 +21,14 @@ best objective with ``tolerance``.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+# The package's modules first: ``algebra`` then compiles before numpy loads,
+# which keeps the peak memory of a cold start lower.
 from .algebra import (
     ExtensionSpec,
     StructureTensor,
@@ -43,6 +45,8 @@ from .algebra import (
 from .curvature import _grouped_terms, _pair_classes
 from .scalars import parse_rational
 
+import numpy as np
+
 Triple = tuple[int, int, int]
 
 # Box of every pattern variable and the Levenberg-Marquardt steps per restart.
@@ -53,6 +57,8 @@ MAX_ITERATIONS = 200
 def _normalize_pattern(pattern: Sequence[Triple], dim: int) -> tuple[Triple, ...]:
     seen = set()
     for triple in pattern:
+        if not isinstance(triple, Sized) or len(triple) != 3:
+            raise ValueError(f"pattern triple {triple!r} must have 3 entries")
         i, j, k = (_require_int(x, "pattern triple {} entry", triple) for x in triple)
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim) or i == j:
             raise ValueError(f"bad pattern triple ({i},{j}|{k})")
@@ -79,7 +85,8 @@ class SearchProblem:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name in ("tolerance", "jacobi_weight"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         pattern = sparsity_pattern(self.spectral) if self.pattern is None else self.pattern
         object.__setattr__(self, "pattern", _normalize_pattern(pattern, self.dim))

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+# The package's modules first: ``algebra`` then compiles before numpy loads,
+# which keeps the peak memory of a cold start lower.
 from .algebra import ExtensionSpec, _maxabs, divergence_residual
 from .curvature import ricci_at_identity, ricci_deformation, ricci_deformation_at
 from .scalars import format_rational
+
+import numpy as np
 
 DEFAULT_TOL = 1e-9
 U_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)

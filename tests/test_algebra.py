@@ -143,6 +143,19 @@ def test_numpy_integer_indices_are_read():
     assert mu.items() == StructureTensor(3, {(1, 2, 3): 1.0}).items()
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, True])
+def test_dimensions_that_are_not_integers_are_refused(dim):
+    # 2.5 used to reach numpy as an array size, and True built dimension 1.
+    with pytest.raises(StructureError, match=rf"^dim must be an integer, got {dim}$"):
+        StructureTensor(dim, {(1, 2, 1): 1.0})
+
+
+def test_numpy_integer_dimension_is_read():
+    mu = StructureTensor(np.int64(3), {(1, 2, 3): 1.0})
+    assert type(mu.dim) is int
+    assert mu.items() == StructureTensor(3, {(1, 2, 3): 1.0}).items()
+
+
 def test_lie_flag_enforces_jacobi():
     StructureTensor(3, {(1, 2, 3): 1.0, (1, 3, 2): -1.0, (2, 3, 1): 1.0}, lie=True)
     with pytest.raises(StructureError):

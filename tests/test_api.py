@@ -4,6 +4,8 @@ the names of the README's library sketch and the errors they raise.  Every
 module of the package but ``__init__`` uses each name it imports, and the
 solver imports nothing from the verifier.  The command line has one writer:
 only ``main`` calls ``_emit``, and no command handler picks an exit code.
+``cli`` and ``__init__`` import neither numpy nor the package's numeric
+modules when they load.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -13,7 +15,10 @@ names need a look by hand."""
 
 import ast
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 import einext
 
@@ -79,23 +84,42 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def test_package_exports_the_sketch_names_and_their_errors():
+    # The exports resolve on first access, so they are read through
+    # ``__all__``, ``dir`` and ``getattr`` rather than the module's dict.
     imported = {
         alias.name
         for node in ast.walk(sketch())
         if isinstance(node, ast.ImportFrom) and node.module == "einext"
         for alias in node.names
     }
-    exported = {
-        name for name, value in vars(einext).items() if public(name) and not inspect.ismodule(value)
-    }
-    assert exported == imported | EXPORTED_ERRORS
+    expected = imported | EXPORTED_ERRORS
+    assert set(einext.__all__) == expected
+    listed = {name for name in dir(einext) if public(name) and not inspect.ismodule(getattr(einext, name))}
+    assert listed == expected
+    for name in expected:
+        value = getattr(einext, name)
+        assert not inspect.ismodule(value)
+        assert value.__module__.startswith("einext.")
+        assert vars(sys.modules[value.__module__])[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        einext.no_such_name
 
 
-def imports(path: Path) -> list[tuple[str, str]]:
-    """(module, bound name) of every import in a module, with the package's
-    own modules named without it: ``verifier`` for ``.verifier``."""
+def walk(node: ast.AST, into_functions: bool):
+    """Every node under ``node``, like ``ast.walk``, entering function bodies only when asked."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if into_functions or not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from walk(child, into_functions)
+
+
+def imports(path: Path, module_level: bool = False) -> list[tuple[str, str]]:
+    """(module, bound name) of every import in a module, or with
+    ``module_level`` of every import that runs when it loads, outside every
+    function body; the package's own modules are named without it:
+    ``verifier`` for ``.verifier``."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in walk(ast.parse(path.read_text(encoding="utf-8")), not module_level):
         if isinstance(node, ast.Import):
             found += [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -114,6 +138,19 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}: {name}" for _, name in imports(path) if name not in used]
     assert unused == []
+
+
+def test_the_command_line_and_the_package_import_no_numerics_up_front():
+    # A cold command loads only the modules it runs: ``cli`` and ``__init__``
+    # import numpy and the package's modules inside the code that uses them.
+    package = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "scalars"}
+    for name in ("cli.py", "__init__.py"):
+        eager = [
+            module
+            for module, _ in imports(PACKAGE / name, module_level=True)
+            if module.split(".")[0] in ("numpy", "einext") or module in package
+        ]
+        assert eager == [], name
 
 
 def test_the_solver_does_not_import_the_verifier():

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +162,80 @@ def test_infinite_eigenvalue_is_input_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A fresh interpreter runs the command line and then writes the names of
+# the modules it loaded as the last line of stderr.
+CHILD = (
+    "import json, sys\n"
+    "from einext.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "sys.stderr.write('\\n' + json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_child(code, argv=(), stdin=""):
+    """Exit code, stdout, stderr and the loaded modules of ``python -c code argv``."""
+    env = {key: value for key, value in os.environ.items() if key != "EINEXT_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=300
+    )
+    err, _, modules = proc.stderr.rpartition("\n")
+    return proc.returncode, proc.stdout, err, set(json.loads(modules))
+
+
+def test_import_einext_loads_neither_numpy_nor_a_submodule():
+    code, _, _, modules = run_child("import json, sys, einext; sys.stderr.write(json.dumps(sorted(sys.modules)))")
+    assert code == 0
+    assert "numpy" not in modules
+    assert [name for name in modules if name.startswith("einext.")] == []
+
+
+SPEC_MODULES = {"algebra", "curvature", "verifier", "solver", "catalog"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["enumerate", "--dim", "4"], SPEC_MODULES),
+        (["cone", "--spectral=-3,-2,-1,1,2,3"], SPEC_MODULES),
+        (["verify", "--catalog", "table1:3"], {"spectral", "solver", "exactlp", "ratlinalg"}),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2"], {"spectral", "solver"}),
+        (["curvature", "--catalog", "table1:3"], {"spectral", "solver"}),
+        (["catalog", "--name", "heisenberg:2"], {"spectral", "solver"}),
+        (["search", "--spectral", "1,1,2", "--restarts", "1"], {"spectral", "verifier", "catalog"}),
+    ],
+    ids=["enumerate", "cone", "verify", "classify", "curvature", "catalog", "search"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, unused):
+    code, out, err, modules = run_child(CHILD, argv)
+    assert code in (0, 3), err
+    strict_json(out)
+    assert "numpy" in modules
+    assert sorted(modules & {f"einext.{name}" for name in unused}) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEISENBERG_JSON % ("NaN", "2"),
+        HEISENBERG_JSON % ("2.0", "Infinity"),
+        HEISENBERG_JSON % ("-Infinity", "2"),
+        HEISENBERG_JSON % ("1e999", "2"),
+        HEISENBERG_JSON % ("2.0", "-1e999"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "1e999", "minus-1e999"],
+)
+def test_non_finite_json_is_refused_before_numpy_loads(text):
+    code, out, err, modules = run_child(CHILD, ["verify", "--input", "-"], stdin=text)
+    assert (code, out) == (2, "")
+    assert "finite" in err and "Traceback" not in err
+    assert "numpy" not in modules
 
 
 def test_unused_param_is_input_error(capsys):

@@ -268,6 +268,8 @@ def test_problem_validation():
         ("seed", False),
         ("tolerance", True),
         ("jacobi_weight", False),
+        ("tolerance", "1e-10"),
+        ("jacobi_weight", "1"),
     ]:
         with pytest.raises(ValueError, match=field):
             SearchProblem(spectral=F(1, 1, 2), **{field: bad})
@@ -276,6 +278,12 @@ def test_problem_validation():
 @pytest.mark.parametrize("triple", [(1, 2, 2.5), (1.5, 2, 3), (1, 2.0, 3), (1, 2, True)])
 def test_pattern_entries_that_are_not_integers_are_refused(triple):
     with pytest.raises(ValueError, match=rf"^pattern triple {re.escape(str(triple))} entry must be an integer"):
+        SearchProblem(spectral=F(1, 1, 2), pattern=[triple])
+
+
+@pytest.mark.parametrize("triple", [(1, 2), (1, 2, 3, 1), 5, None])
+def test_pattern_triples_of_other_lengths_are_refused(triple):
+    with pytest.raises(ValueError, match=rf"^pattern triple {re.escape(repr(triple))} must have 3 entries$"):
         SearchProblem(spectral=F(1, 1, 2), pattern=[triple])
 
 
