@@ -350,13 +350,6 @@ def sparsity_pattern(p: Sequence[Fraction]) -> set[tuple[int, int, int]]:
     return {t for t, x in zip(triples, e) if -x in allowed}
 
 
-def jacobi_components(mu: StructureTensor) -> np.ndarray:
-    """Independent Jacobi sums, one block of l-values per triple i < j < k."""
-    n, support = mu.dim, mu.support()
-    pairs = _jacobi_pairs(support, n)
-    return np.bincount(pairs.slot, pairs.products(support.value), minlength=n * math.comb(n, 3))
-
-
 def jacobi_residual(mu: StructureTensor) -> float:
     """Maximum absolute violation of the Jacobi identity; only the Jacobi
     sums that some product reaches are formed."""

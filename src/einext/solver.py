@@ -9,13 +9,15 @@ the polarised Ricci and Jacobi forms on the pattern's unit entries, on the
 exponent classes that ``curvature._pair_classes`` reads off each product's
 two exact weights and against ``ExtensionSpec.einstein_target``, and keeps
 it as a sparse list of monomials.  A multistart damped least-squares loop
-on that model minimizes half the squared norm; the reported objective is
-recomputed from the tensor, and identical problem and seed reproduce the
-trajectory bit for bit.  A restart stops once its
-objective is at most ``(tolerance / 10) ** 2``, at an exactly zero gradient,
+on that model minimizes half the squared norm, and identical problem and
+seed reproduce the trajectory bit for bit.  A restart stops once its
+objective is at most ``(tolerance / 100) ** 2``, at an exactly zero gradient,
 when no damped step improves it, when a step improves it by at most a 1e-12
-share, or after ``MAX_ITERATIONS`` steps; ``converged`` then compares the
-best objective with ``tolerance``.
+share, or after ``MAX_ITERATIONS`` steps.  The reported residual is the best
+restart's objective; ``converged`` is the verdict of
+``verifier.verify_extension`` on the best constants at ``tolerance``
+(``verifier.DEFAULT_TOL`` unless given), computed from the tensor and not
+from the model, together with a Jacobi residual of at most ``tolerance``.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .algebra import (
     _require_int,
     _ricci_pairs,
     algebra_to_json,
-    divergence_residual,
-    jacobi_components,
+    jacobi_residual,
     make_spec,
     sparsity_pattern,
 )
-from .curvature import _grouped_terms, _pair_classes
+from .curvature import _pair_classes
 from .scalars import parse_rational
+from .verifier import DEFAULT_TOL, verify_extension
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class SearchProblem:
     pattern: Optional[tuple[Triple, ...]] = None
     restarts: int = 8
     seed: int = 0
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOL
     jacobi_weight: float = 10.0
 
     def __post_init__(self) -> None:
@@ -117,26 +119,6 @@ class SearchResult:
             "pattern": [list(t) for t in self.pattern],
             "restarts": self.restart_summaries,
         }
-
-
-def _stack_residual(
-    spec: ExtensionSpec,
-    keys: Sequence[Fraction],
-    jacobi_weight: float,
-) -> np.ndarray:
-    n = spec.dim
-    classes = _grouped_terms(spec)
-    target = spec.einstein_target()
-    iu = np.triu_indices(n)
-    rows = []
-    for q in keys:
-        C = classes.get(q, np.zeros((n, n)))
-        if q == 0:
-            C = C - target
-        rows.append(C[iu])
-    rows.append(divergence_residual(spec))
-    rows.append(jacobi_weight * jacobi_components(spec.algebra))
-    return np.concatenate(rows)
 
 
 class _QuadraticModel:
@@ -276,12 +258,9 @@ def search(problem: SearchProblem) -> SearchResult:
     """Multistart least-squares search; reproducible for a fixed seed."""
     base = make_spec(StructureTensor(problem.dim), problem.spectral)
     fun = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
-
-    def direct(values: np.ndarray) -> np.ndarray:
-        spec = replace(base, algebra=problem.build_tensor(values))
-        return _stack_residual(spec, fun.keys, problem.jacobi_weight)
-
-    floor = (problem.tolerance / 10) ** 2
+    # Well inside the verdict's max-abs bound, since verify's u-grid sums the
+    # classes with weights of up to e^4.
+    floor = (problem.tolerance / 100) ** 2
     rng = np.random.default_rng(problem.seed)
     summaries = []
     candidates = []
@@ -301,14 +280,14 @@ def search(problem: SearchProblem) -> SearchResult:
         candidates.append((objective, float(np.linalg.norm(x)), tuple(x), x))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    best = candidates[0][3]
+    objective, _, _, best = candidates[0]
     best_mu = problem.build_tensor(best)
-    final = direct(best)
-    objective = 0.5 * float(final @ final)
+    # ``replace`` starts the spec without the zero tensor's cached classes.
+    report = verify_extension(replace(base, algebra=best_mu), problem.tolerance)
     return SearchResult(
         best_mu=best_mu,
         residual=objective,
-        converged=objective <= problem.tolerance,
+        converged=report.einstein and jacobi_residual(best_mu) <= problem.tolerance,
         restart_summaries=summaries,
         pattern=problem.pattern,
     )

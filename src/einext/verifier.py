@@ -5,7 +5,10 @@ metric: the divergence condition must hold, every nonzero-exponent class of
 the grouped Ricci representation must vanish, and the constant class must
 equal (tr D) diag(p) - tr(D^2) id (``ExtensionSpec.einstein_target``), on
 the classes ``curvature.ricci_deformation`` keeps on the spec.  A direct
-evaluation on a small grid of deformation times cross-checks them.
+evaluation on a small grid of deformation times, divided by the largest
+float weight |p_k - p_i - p_j| of an entry when that exceeds 1, cross-checks
+them at the scale of the products.  ``solver.search`` reports ``converged``
+from this verdict too, so it has one home.
 
 The classifiers check the algebraic certificates of the three eigenvalue
 types with a multiplicity-free eigenvalue: (0,...,0,1), (1,...,1,0) and
@@ -71,7 +74,12 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
         if q != 0:
             residuals[f"exponent {format_rational(q)}"] = _maxabs(C)
     residuals["target"] = _maxabs(classes.get(0, 0.0) - target)
-    residuals["u_grid"] = _maxabs(ricci_deformation_at(spec, U_GRID) - target)
+    # On the divided grid no entry grows by more than exp(|u|), so scaling mu
+    # and p by c scales the rounding of cancelling products by c^2 alone.
+    (i, j, k), _ = spec.algebra.support()
+    p = spec.eigenvalues()
+    u = np.divide(U_GRID, max(1.0, _maxabs(p[k] - p[i] - p[j])))
+    residuals["u_grid"] = _maxabs(ricci_deformation_at(spec, u) - target)
 
     violated = _violated(residuals, tol)
     einstein = not violated

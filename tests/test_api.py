@@ -1,11 +1,10 @@
 """Guards on the public surface: every public function, class and method of
 ``einext`` has a caller outside the tests, and the package exports exactly
 the names of the README's library sketch and the errors they raise.  Every
-module of the package but ``__init__`` uses each name it imports, and the
-solver imports nothing from the verifier.  The command line has one writer:
-only ``main`` calls ``_emit``, and no command handler picks an exit code.
-``cli`` and ``__init__`` import neither numpy nor the package's numeric
-modules when they load.
+module of the package but ``__init__`` uses each name it imports.  The
+command line has one writer: only ``main`` calls ``_emit``, and no command
+handler picks an exit code.  ``cli`` and ``__init__`` import neither numpy
+nor the package's numeric modules when they load.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -151,10 +150,6 @@ def test_the_command_line_and_the_package_import_no_numerics_up_front():
             if module.split(".")[0] in ("numpy", "einext") or module in package
         ]
         assert eager == [], name
-
-
-def test_the_solver_does_not_import_the_verifier():
-    assert "verifier" not in {module for module, _ in imports(PACKAGE / "solver.py")}
 
 
 def test_main_alone_writes_stdout_and_picks_the_exit_code():

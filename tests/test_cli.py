@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import algebra_from_json
+from einext.algebra import algebra_from_json, jacobi_residual
 from einext.cli import main
 
 
@@ -208,7 +208,7 @@ SPEC_MODULES = {"algebra", "curvature", "verifier", "solver", "catalog"}
         (["classify", "--type", "1112", "--catalog", "heisenberg:2"], {"spectral", "solver"}),
         (["curvature", "--catalog", "table1:3"], {"spectral", "solver"}),
         (["catalog", "--name", "heisenberg:2"], {"spectral", "solver"}),
-        (["search", "--spectral", "1,1,2", "--restarts", "1"], {"spectral", "verifier", "catalog"}),
+        (["search", "--spectral", "1,1,2", "--restarts", "1"], {"spectral", "catalog"}),
     ],
     ids=["enumerate", "cone", "verify", "classify", "curvature", "catalog", "search"],
 )
@@ -619,6 +619,15 @@ def test_search_cli_pattern_full(capsys):
     )
     assert code == 0
     assert json.loads(out)["converged"] is True
+
+
+def test_search_without_jacobi_weight_is_not_converged(capsys):
+    # The model then drops the Jacobi rows, so its best point is Einstein
+    # data far from a Lie algebra, which the Jacobi clause refuses.
+    code, out, _ = run_cli(capsys, "search", "--spectral", "1,1,1,1,2", "--jacobi-weight", "0", "--seed", "0")
+    payload = json.loads(out)
+    assert (code, payload["converged"]) == (3, False)
+    assert jacobi_residual(algebra_from_json({"dim": 5, "mu": payload["mu"]})[0]) > 1.0
 
 
 @pytest.mark.parametrize(

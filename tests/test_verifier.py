@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from einext.algebra import StructureTensor, algebra_from_json, make_spec, sparsity_pattern
 from einext.catalog import entries as catalog_entries
 from einext.curvature import ricci_at_identity
+from einext.solver import SearchProblem, search
 from einext.verifier import (
     TypeMismatchError,
     classify_type_0001,
@@ -19,6 +21,7 @@ from einext.verifier import (
     verify_extension,
 )
 
+from test_golden import HAND_BUILT
 from util import permuted, random_sparse_tensor, relation_exists
 
 
@@ -274,27 +277,62 @@ def test_passing_specs_satisfy_structural_constraints():
 FILIFORM = make_spec(
     StructureTensor(4, {(1, 2, 3): math.sqrt(20), (1, 3, 4): -math.sqrt(20)}, lie=True), [1, 2, 3, 4]
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([FILIFORM] + [entry.spec for entry in catalog_entries()]),
-    st.integers(-300, 300).filter(bool).map(lambda k: Fraction(k, 100)),
+# Einstein specs on which D is no derivation: their products of nonzero
+# weight cancel only up to rounding.
+ROTATED, SKEW, SKEW_REVERSED = (
+    algebra_from_json(HAND_BUILT[name])[1] for name in ("0001-rotated", "1110-skew", "1110-skew-reversed")
 )
-@example(FILIFORM, Fraction(1, 10))
-def test_scaling_keeps_einstein_with_constant_times_c_squared(spec, c):
-    # Scaling mu and p by c scales the extended metric by 1/c^2 (for c < 0
-    # after flipping the frame and the extension direction), so the Einstein
-    # constant scales by c^2.  The scaled spec is read back from JSON with
-    # the eigenvalues as decimal floats.
+
+
+def scaled(spec, c: Fraction):
+    """The spec with mu and p times c, read back from JSON with the
+    eigenvalues as decimal floats."""
     data = {
         "dim": spec.dim,
         "mu": [{"i": i, "j": j, "k": k, "v": float(c) * v} for (i, j, k), v in spec.algebra.items()],
         "spectral": [float(c * x) for x in spec.spectral],
     }
-    _, scaled, _ = algebra_from_json(json.loads(json.dumps(data)))
-    assert scaled.spectral == tuple(c * x for x in spec.spectral)
-    report = verify_extension(scaled)
+    _, out, _ = algebra_from_json(json.loads(json.dumps(data)))
+    assert out.spectral == tuple(c * x for x in spec.spectral)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([FILIFORM, ROTATED, SKEW, SKEW_REVERSED] + [entry.spec for entry in catalog_entries()]),
+    st.integers(-4000, 4000).filter(bool).map(lambda k: Fraction(k, 100)),
+)
+@example(FILIFORM, Fraction(1, 10))
+@example(ROTATED, Fraction(20))
+@example(ROTATED, Fraction(-40))
+def test_scaling_keeps_einstein_with_constant_times_c_squared(spec, c):
+    # Scaling mu and p by c scales the extended metric by 1/c^2 (for c < 0
+    # after flipping the frame and the extension direction), so the Einstein
+    # constant scales by c^2.
+    report = verify_extension(scaled(spec, c))
     assert report.einstein, report.violated_conditions
     expected = float(c * c) * verify_extension(spec).einstein_constant
     assert report.einstein_constant == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@functools.cache
+def search_output(spectral: tuple[int, ...]):
+    result = search(SearchProblem(spectral=tuple(map(Fraction, spectral)), restarts=4, seed=0))
+    return make_spec(result.best_mu, spectral)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 2, 3, 4, 5), (1, 1, 2, 3, 3), (2, 2, 3, 3, 4)]),
+    st.integers(100, 4000).map(lambda k: Fraction(k, 100)),
+    st.sampled_from([1, -1]),
+)
+@example((1, 2, 3, 4, 5), Fraction(40), 1)
+@example((1, 1, 2, 3, 3), Fraction(40), 1)
+def test_scaling_keeps_the_u_grid_of_search_outputs_at_the_scale_of_the_products(spectral, c, sign):
+    # The outputs' class residuals, about 1e-11, grow like c^2 and so cross
+    # any absolute tolerance at some c: only the cross-check's growth is
+    # bounded, and verify must not overflow.
+    spec = search_output(spectral)
+    report = verify_extension(scaled(spec, sign * c))
+    assert report.residuals["u_grid"] <= 100 * float(c * c) * verify_extension(spec).residuals["u_grid"]

@@ -4,7 +4,8 @@ over the library that only tests need: the dense n^3 array of a tensor,
 a batch of cone LPs in Fractions through one simplex call, the roots
 orthogonal to a type by their exact weights, the canonical form of a type,
 relabelling a frame, the first relation p_k = p_i + p_j, and the solver's
-residual of a given tensor."""
+residual of a given tensor, stacked term by term from the tensor as the
+cross-check of the solver's quadratic model."""
 
 from __future__ import annotations
 
@@ -14,12 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
-from einext.algebra import StructureTensor, exponents, full_pattern, make_spec
+from einext.algebra import (
+    ExtensionSpec,
+    StructureTensor,
+    _jacobi_pairs,
+    divergence_residual,
+    exponents,
+    full_pattern,
+    make_spec,
+)
 from einext.curvature import _grouped_terms
 from einext.exactlp import Tableaux, cone_decompose
 from einext.ratlinalg import _exact, extend, images, projector_keys, projectors
 from einext.scalars import scaled_to_integers
-from einext.solver import _stack_residual
 from einext.spectral import SpectralVector, build_root_set
 
 
@@ -154,6 +162,32 @@ def relation_exists(p: Sequence[Fraction]):
     """First (i, j, k), i < j, with p_k = p_i + p_j; None when no relation holds."""
     triples = full_pattern(len(p))
     return next((t for t, e in zip(triples, exponents(p, triples)[0]) if e == 0), None)
+
+
+def jacobi_components(mu: StructureTensor) -> np.ndarray:
+    """Independent Jacobi sums, one block of l-values per triple i < j < k."""
+    n, support = mu.dim, mu.support()
+    pairs = _jacobi_pairs(support, n)
+    return np.bincount(pairs.slot, pairs.products(support.value), minlength=n * math.comb(n, 3))
+
+
+def _stack_residual(spec: ExtensionSpec, keys: Sequence[Fraction], jacobi_weight: float) -> np.ndarray:
+    """The rows of the solver's model, formed from the tensor: each class of
+    ``keys`` entrywise on the upper triangle (the constant one against the
+    Einstein target), the divergence and the weighted Jacobi components."""
+    n = spec.dim
+    classes = _grouped_terms(spec)
+    target = spec.einstein_target()
+    iu = np.triu_indices(n)
+    rows = []
+    for q in keys:
+        C = classes.get(q, np.zeros((n, n)))
+        if q == 0:
+            C = C - target
+        rows.append(C[iu])
+    rows.append(divergence_residual(spec))
+    rows.append(jacobi_weight * jacobi_components(spec.algebra))
+    return np.concatenate(rows)
 
 
 def residual_vector(mu: StructureTensor, spectral, jacobi_weight: float = 1.0) -> np.ndarray:
