@@ -30,8 +30,8 @@ once per spec.  The Einstein target of the constant class is
 ``ExtensionSpec.einstein_target``.
 
 ``ricci_deformation_at`` evaluates the rescaled constants at numeric
-deformation times, a stack of them in one call, with float weights and
-without the exponent bookkeeping; ``verify_extension`` and the tests
+deformation times, a stack of them in one call, with exact weights rounded
+once and without the exponent classes; ``verify_extension`` and the tests
 compare the two.
 """
 
@@ -151,14 +151,16 @@ def ricci_deformation_at(spec: ExtensionSpec, u) -> np.ndarray:
     1-D array of them (one operator each, stacked).
 
     The deformed metric at time u is the undeformed one of the rescaled
-    constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k], with float
-    weights, so this is independent of the exponent bookkeeping it
-    cross-checks.
+    constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k].  Each weight
+    is exact, formed on the integer-scaled eigenvalues c = s p and rounded
+    once in (c_k - c_i - c_j) / s, so a weight that is 0 is 0.0; this is
+    independent of the exponent classes it cross-checks.
     """
     u = np.asarray(u, dtype=float)
     (i, j, k), value = spec.algebra.support()
-    p = spec.eigenvalues()
-    rescaled = value * np.exp(np.multiply.outer(u, p[k] - p[i] - p[j]))
+    c, s = spec._scaled
+    weight = np.asarray((c[k] - c[i] - c[j]) / s, dtype=float)
+    rescaled = value * np.exp(np.multiply.outer(u, weight))
     return _ricci(spec.algebra, rescaled).reshape(u.shape + (spec.dim, spec.dim))
 
 

@@ -8,8 +8,9 @@ pattern variables; the solver assembles it exactly from the pair lists of
 the polarised Ricci and Jacobi forms on the pattern's unit entries, on the
 exponent classes that ``curvature._pair_classes`` reads off each product's
 two exact weights and against ``ExtensionSpec.einstein_target``, and keeps
-it as a sparse list of monomials.  A multistart damped least-squares loop
-on that model minimizes half the squared norm, and identical problem and
+it as a sparse list of monomials on the rows some monomial reaches (the
+others are 0).  A multistart damped least-squares loop on that model
+minimizes half the squared norm, and identical problem and
 seed reproduce the trajectory bit for bit.  A restart stops once its
 objective is at most ``(tolerance / 100) ** 2``, at an exactly zero gradient,
 when no damped step improves it, when a step improves it by at most a 1e-12
@@ -135,12 +136,13 @@ class _QuadraticModel:
     (``algebra._divergence_terms``) and the Einstein target is constant.
     The class layout is the constant class plus every class with a nonzero
     coefficient: it depends on the type and pattern, never on the values.
+    The model keeps the rows some monomial reaches, at positions ``rows``.
 
     The coefficients are COO arrays (row, a, b, coeff) with a <= b over the
     variables and a constant slot x_v = 1, so a linear term is (row, a, v)
     and a constant (row, v, v); the quadratic ones are summed exactly, one
-    per monomial and row.  One ``np.bincount`` evaluates the model and two
-    build its exact Jacobian.
+    per monomial and row.  One ``np.bincount`` evaluates the model and one
+    more its exact Jacobian.
     """
 
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
@@ -190,24 +192,25 @@ class _QuadraticModel:
         size[block] = size[zero] = iu[0].size
         size[DIV], size[JAC] = n, math.comb(n, 3) * n
         self.keys = [names[c] for c in np.flatnonzero(size[:DIV])]
-        self.row = (np.cumsum(size) - size)[block] + t
-        self.size = int(size.sum())
+        self.rows, self.row = np.unique((np.cumsum(size) - size)[block] + t, return_inverse=True)
+        self.size = len(self.rows)
         self.nvars = v
-        self._jac_a = self.row * (v + 1) + self.a
-        self._jac_b = self.row * (v + 1) + self.b
+        # d/dx_a of coeff x_a x_b is coeff x_b and the other way round; the slot has none.
+        da, db = self.a < v, self.b < v
+        self._slot = np.concatenate([self.row[da] * v + self.a[da], self.row[db] * v + self.b[db]])
+        self._partner = np.concatenate([self.b[da], self.a[db]])
+        self._dcoeff = np.concatenate([self.coeff[da], self.coeff[db]])
+        self._xx = np.ones(v + 1)  # x and the constant slot
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        xx = np.append(x, 1.0)
-        return np.bincount(self.row, self.coeff * xx[self.a] * xx[self.b], minlength=self.size)
+        self._xx[:-1] = x
+        return np.bincount(self.row, self.coeff * self._xx[self.a] * self._xx[self.b], minlength=self.size)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Exact derivative of the model at x."""
-        xx = np.append(x, 1.0)
-        flat = self.size * (self.nvars + 1)
-        jac = np.bincount(self._jac_a, self.coeff * xx[self.b], minlength=flat)
-        jac += np.bincount(self._jac_b, self.coeff * xx[self.a], minlength=flat)
-        # The last column is the derivative by the constant slot.
-        return jac.reshape(self.size, self.nvars + 1)[:, :-1]
+        self._xx[:-1] = x
+        jac = np.bincount(self._slot, self._dcoeff * self._xx[self._partner], minlength=self.size * self.nvars)
+        return jac.reshape(self.size, self.nvars)
 
 
 def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray, list[float]]:
@@ -215,28 +218,31 @@ def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray,
     # polish flat directions geometrically.  An exactly zero gradient (an
     # empty pattern, say) stops a restart at any objective.
     lo, hi = BOUNDS
-    x = np.clip(x0, lo, hi)
+    x = np.minimum(np.maximum(x0, lo), hi)
     r = fun(x)
     objective = 0.5 * float(r @ r)
     trace = [objective]
     damping = 1e-3
-    eye = np.eye(x.size)
     for _ in range(MAX_ITERATIONS):
         if objective <= floor:
             break
         jac = fun.jacobian(x)
-        grad = jac.T @ r
-        if not grad.any():
+        descent = -(jac.T @ r)
+        if not descent.any():
             break
-        hess = jac.T @ jac
+        # J^T J, whose diagonal each attempt sets to the undamped one plus the damping.
+        damped = jac.T @ jac
+        diagonal = damped.ravel()[:: x.size + 1]
+        undamped = diagonal.copy()
         accepted = False
         for _attempt in range(25):
+            np.add(undamped, damping, out=diagonal)
             try:
-                step = np.linalg.solve(hess + damping * eye, -grad)
+                step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
                 damping *= 4.0
                 continue
-            candidate = np.clip(x + step, lo, hi)
+            candidate = np.minimum(np.maximum(x + step, lo), hi)
             r_new = fun(candidate)
             objective_new = 0.5 * float(r_new @ r_new)
             if objective_new < objective:

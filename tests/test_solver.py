@@ -160,7 +160,7 @@ def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(29)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=len(problem.pattern))
-        r = residual_fn(x)
+        r = residual_fn(x)[model.rows]
         assert np.abs(model(x) - r).max() <= 1e-9 * max(1.0, np.abs(r).max())
         grad = model.jacobian(x).T @ r
         fd = np.zeros_like(x)
@@ -191,10 +191,20 @@ MODEL_CASES = [(t, None) for t in SEARCH_TYPES] + [
 
 
 def check_model(problem, model, direct, points):
+    # The model keeps the rows some monomial reaches, at positions
+    # ``model.rows`` of the direct stack; every row it drops vanishes at x up
+    # to rounding, since its coefficients cancel exactly.
     for x in points:
         r = direct(x)
-        assert model(x).shape == r.shape
-        assert np.abs(model(x) - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
+        bound = 1e-12 * max(1.0, np.abs(r).max())
+        assert model(x).shape == model.rows.shape
+        assert np.abs(model(x) - r[model.rows]).max(initial=0.0) <= bound
+        assert np.abs(np.delete(r, model.rows)).max(initial=0.0) <= bound
+    # A later call leaves an earlier output as it was.
+    first = model(points[0]), model.jacobian(points[0])
+    kept = [a.copy() for a in first]
+    model(points[0] + 1.0), model.jacobian(points[0] + 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
 
 @pytest.mark.parametrize("spectral, pattern", MODEL_CASES)
@@ -219,6 +229,7 @@ def typed_patterns(draw):
 @settings(max_examples=30, deadline=None)
 @given(typed_patterns(), st.integers(0, 2**32 - 1), st.floats(0.0, 20.0))
 @example(((0, 1, 0), ((1, 2, 1), (1, 2, 2))), 0, 10.0)
+@example(((0, 0, 0), ((1, 2, 1), (1, 2, 3))), 0, 0.0)
 def test_assembled_model_property(case, seed, jacobi_weight):
     spectral, pattern = case
     problem, model, direct = assembled(spectral, pattern, jacobi_weight)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import compress
 from unittest import mock
@@ -336,6 +337,15 @@ def types_of():
 @pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 409)])
 def test_type_counts(types_of, dim, count):
     assert len(types_of(dim)) == count
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_two_eigenvalues_one_of_them_simple_only_in_the_type_1_to_2(types_of, dim):
+    # The paper's classification: with two distinct eigenvalues, one of them
+    # of multiplicity one, the type is (1, ..., 1, 2).
+    counts = [Counter(p.entries) for p in types_of(dim)]
+    two = [tuple(sorted(c.elements())) for c in counts if len(c) == 2 and 1 in c.values()]
+    assert two == [(1,) * (dim - 1) + (2,)]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

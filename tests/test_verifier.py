@@ -303,6 +303,8 @@ def scaled(spec, c: Fraction):
     st.integers(-4000, 4000).filter(bool).map(lambda k: Fraction(k, 100)),
 )
 @example(FILIFORM, Fraction(1, 10))
+@example(FILIFORM, Fraction(199, 5))
+@example(FILIFORM, Fraction(749, 20))
 @example(ROTATED, Fraction(20))
 @example(ROTATED, Fraction(-40))
 def test_scaling_keeps_einstein_with_constant_times_c_squared(spec, c):
