@@ -83,6 +83,18 @@ def projectors(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[:, 1:][:, _triangle(n)[2]], keys[:, 0]
 
 
+def permuted_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The keys of sigma Q sigma^t / d, with sigma a stable sort of the indices i
+    by (Q_ii, sorted row i of Q): a permuted representative of each key's S_n
+    orbit, equal on most keys of one orbit, and fixed when applied again."""
+    Q, d = projectors(keys, n)
+    N = len(Q)
+    invariant = np.concatenate([np.diagonal(Q, axis1=1, axis2=2)[..., None], np.sort(Q, axis=2)], axis=2)
+    columns = invariant.reshape(N * n, n + 1).T[::-1]
+    order = np.lexsort([*columns, np.repeat(np.arange(N), n)]).reshape(N, n) % n
+    return projector_keys(Q[np.arange(N)[:, None, None], order[:, :, None], order[:, None, :]], d)
+
+
 def images(vectors: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """The rows ``vectors @ Q[k]``, shape (N, R, n): d P r for each r, zero for r in W."""
     vectors, Q = _widen(vectors.shape[1] * _top(vectors) * _top(Q), vectors, Q)

@@ -25,6 +25,11 @@ def parse_rational(value: RationalLike) -> Fraction:
     same float.  Strings may be integers, decimals, or "num/den".
     Non-finite values, booleans and a zero denominator are refused.
     """
+    # Exact types first: the Rational ABC check below is slow, and bool is not int.
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:

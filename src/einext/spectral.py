@@ -7,6 +7,15 @@ entry and the entry sum are nonzero and every root orthogonal to it lies
 in W.  Cone membership is decided by an exact simplex, with a checkable
 certificate either way; the types of an enumeration are decided together,
 as one batch of LPs stacked with numpy, in one simplex call.
+
+A type is an unordered multiset, so S_n acts on every stage of the walk
+over those subspaces, and the walk keeps one permuted representative of
+each subspace it builds (:func:`einext.ratlinalg.permuted_keys`): not a
+canonical form, since two of one orbit may keep two keys, but enough.
+Every subspace V = W + span(rho) spanned by roots, of rank r + 1, has a W
+of rank r spanned by roots; if W = tau R for a kept R, then tau^-1 V = R +
+span(tau^-1 rho) is a child of R, as S_n permutes the roots.  So, level by
+level, each orbit keeps a representative, and the types are S_n-invariant.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exactlp import Tableaux, cone_decompose
-from .ratlinalg import _exact, _top, _widen, distinct, extend, images, narrowest, projector_keys, projectors, reject
+from .ratlinalg import _exact, _top, _widen, distinct, extend, images, narrowest, permuted_keys, projector_keys, projectors, reject
 from .scalars import parse_rational, scaled_to_integers
 
 DEFAULT_DIMENSION_CAP = 7
@@ -168,12 +177,15 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     of a chunk, which decide maximality and give the children, built in one
     broadcast.  Hyperplanes are never stored: the level below yields them.
 
-    Only subspaces through the root (1,2|3) are walked, plus the zero one.
-    S_n permutes the roots transitively, so each nonzero W spanned by roots
-    is sigma W' for a permutation sigma and a W' spanned by (1,2|3) and
-    further roots, which the walk adds one by one.  Permuting indices
-    commutes with the projector and fixes 1_n, and the admissibility
-    checks and the canonical form are permutation invariant.
+    The walk runs on orbits of S_n.  Permuting indices commutes with the
+    projector and fixes 1_n, and the admissibility checks and the canonical
+    form are permutation invariant, so sigma W has the type of W.  Each
+    child is stored as sigma Q sigma^t / d, with sigma sorting the indices
+    by (Q_ii, sorted row i of Q), before the dedup: one orbit then keeps
+    one key or a few.  No orbit is lost: a subspace of rank r + 1 spanned
+    by roots is tau (R + span(rho)) for a stored R of rank r, a permutation
+    tau and a root rho, and that child of R is built.  The zero subspace
+    grows only by the root (1,2|3), as S_n permutes the roots transitively.
     """
     roots = _roots(dim)[1]
     chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
@@ -200,7 +212,7 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
             candidates = [sums[~(moved & (U.sum(axis=2) == 0)).any(axis=1)]]
             if rank < dim - 2:
                 # The zero subspace grows only by the start root (1,2|3).
-                pending.append(narrowest(distinct(extend(keys, U[:, :1] if rank == 0 else U))))
+                pending.append(narrowest(distinct(permuted_keys(extend(keys, U[:, :1] if rank == 0 else U), dim))))
                 if 2 * sum(map(len, pending)) > len(stored):
                     stored, pending = distinct(np.concatenate([stored, *pending])), []
             else:

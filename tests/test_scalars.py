@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -56,6 +57,28 @@ def test_parse_rational_rejects_garbage():
             parse_rational(value)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_affine("1/0*t")
+
+
+def test_exact_int_and_fraction_take_the_fast_path():
+    half = Fraction(1, 2)
+    assert parse_rational(half) is half
+    assert type(parse_rational(7)) is Fraction and parse_rational(7) == 7
+    assert type(parse_rational(-(10**40))) is Fraction and parse_rational(-(10**40)) == -(10**40)
+
+    class Half(Fraction):
+        pass
+
+    # A subclass is no exact type: it is converted to a plain Fraction.
+    assert type(parse_rational(Half(1, 2))) is Fraction and parse_rational(Half(1, 2)) == half
+
+
+def test_bool_and_numpy_scalars_still_take_the_general_path():
+    # bool is a subclass of int, and numpy's integers are Rational but not int.
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError):
+            parse_rational(value)
+    for value in (np.int64(-3), np.int32(5), np.uint8(200), np.int64(2**62)):
+        assert type(parse_rational(value)) is Fraction and parse_rational(value) == int(value)
 
 
 def test_float_reads_as_its_decimal():

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, permutations
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,7 @@ from einext.spectral import (
 )
 
 from einext import spectral
+from einext.ratlinalg import permuted_keys, projector_keys, projectors
 from einext.scalars import parse_rational, scaled_to_integers
 
 from oracles import admissibility_defects, cone_simplex
@@ -334,18 +335,27 @@ def types_of():
     return get
 
 
-@pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 409)])
+@pytest.mark.parametrize("dim, count", [(3, 2), (4, 9), (5, 51), (6, 409), (7, 4308)])
 def test_type_counts(types_of, dim, count):
     assert len(types_of(dim)) == count
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+# The types of dims 6 and 7 by their number of distinct eigenvalues.
+DISTINCT_EIGENVALUES = {
+    6: {1: 1, 2: 4, 3: 25, 4: 73, 5: 153, 6: 153},
+    7: {1: 1, 2: 5, 3: 41, 4: 189, 5: 643, 6: 1545, 7: 1884},
+}
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
 def test_two_eigenvalues_one_of_them_simple_only_in_the_type_1_to_2(types_of, dim):
     # The paper's classification: with two distinct eigenvalues, one of them
     # of multiplicity one, the type is (1, ..., 1, 2).
     counts = [Counter(p.entries) for p in types_of(dim)]
     two = [tuple(sorted(c.elements())) for c in counts if len(c) == 2 and 1 in c.values()]
     assert two == [(1,) * (dim - 1) + (2,)]
+    if dim in DISTINCT_EIGENVALUES:
+        assert Counter(map(len, counts)) == DISTINCT_EIGENVALUES[dim]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -475,6 +485,45 @@ def test_nonscalar_types_admit_sum_relation():
                 for k in range(dim)
             )
             assert found, f"no sum relation in {ints}"
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_walk_without_the_orbit_quotient_gives_the_same_types(types_of, monkeypatch, dim):
+    # Every child kept as it is, not as a permuted representative of its
+    # S_n orbit: the walk stores more subspaces and finds the same types.
+    monkeypatch.setattr(spectral, "permuted_keys", lambda keys, n: keys)
+    assert enumerate_types(dim) == types_of(dim)
+
+
+@st.composite
+def root_subspace_keys(draw):
+    """Keys of the complements of spans of random roots, in one dimension."""
+    n = draw(st.integers(3, 6))
+    roots = build_root_set(n)
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        chosen = draw(st.lists(st.sampled_from(roots), max_size=n - 1))
+        Q, d, _ = complement_projector([t.vector(n) for t in chosen], n)
+        keys.append(projector_keys(Q[None], [d])[0])
+    return np.array(keys), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_subspace_keys())
+def test_permuted_keys_permute_each_projector(keyed):
+    keys, n = keyed
+    out = permuted_keys(keys, n)
+    assert out.dtype == np.int64 and out.shape == keys.shape
+    assert (out[:, 0] == keys[:, 0]).all()
+    perms = np.array(list(permutations(range(n))))
+    (Q, _), (P, _) = projectors(keys, n), projectors(out, n)
+    for q, p in zip(Q, P):
+        assert (q[perms[:, :, None], perms[:, None, :]] == p).all(axis=(1, 2)).any()
+    assert (permuted_keys(out, n) == out).all()
+    # The same on Python integers, also past int64.
+    assert (permuted_keys(keys.astype(object), n) == out).all()
+    big = permuted_keys(keys.astype(object) * 3**40, n)
+    assert big.dtype == object and (big == out.astype(object) * 3**40).all()
 
 
 def test_walk_on_python_integers_matches_int64(monkeypatch):
