@@ -273,10 +273,10 @@ def _cmd_catalog(args: argparse.Namespace) -> tuple[object, bool]:
 
 def _cmd_cone(args: argparse.Namespace) -> tuple[object, bool]:
     spectral = _parse_spectral(args.spectral)
-    from .spectral import SpectralVector, cone_membership
+    from .spectral import cone_membership
 
     with _float_errors_raise():
-        cert = cone_membership(SpectralVector(spectral))
+        cert = cone_membership(spectral)
         return cert.as_dict(), cert.feasible
 
 

@@ -45,20 +45,9 @@ def narrowest(rows: np.ndarray) -> np.ndarray:
 
 
 def distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer array: sorted by a hash of their values, with
-    equal hashes compared, or by value on a collision or for Python integers."""
+    """The distinct rows of an integer array, sorted by value."""
     if len(rows) < 2:
         return rows
-    if rows.dtype != object:
-        # sum_c row[c] K^(C-1-c) mod 2^64, on blocks of rows widened to 64 bits
-        powers = np.cumprod(np.full(rows.shape[1], 0x9E3779B97F4A7C15, np.uint64))
-        powers = np.r_[powers[-2::-1], 1].astype(np.uint64)
-        blocks = np.array_split(rows, len(rows) // 2**16 + 1)
-        hashes = np.concatenate([block.astype(np.uint64) @ powers for block in blocks])
-        order = np.argsort(hashes)
-        repeat = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
-        if (rows[order[repeat]] == rows[order[repeat + 1]]).all():
-            return rows[np.sort(np.delete(order, repeat + 1))]
     rows = rows[np.lexsort(rows.T[::-1])]
     return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
 

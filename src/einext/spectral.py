@@ -184,8 +184,7 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     by (Q_ii, sorted row i of Q), before the dedup: one orbit then keeps
     one key or a few.  No orbit is lost: a subspace of rank r + 1 spanned
     by roots is tau (R + span(rho)) for a stored R of rank r, a permutation
-    tau and a root rho, and that child of R is built.  The zero subspace
-    grows only by the root (1,2|3), as S_n permutes the roots transitively.
+    tau and a root rho, and that child of R is built.
     """
     roots = _roots(dim)[1]
     chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
@@ -211,8 +210,7 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
             # its image sums to zero, and lies in W when its image vanishes.
             candidates = [sums[~(moved & (U.sum(axis=2) == 0)).any(axis=1)]]
             if rank < dim - 2:
-                # The zero subspace grows only by the start root (1,2|3).
-                pending.append(narrowest(distinct(permuted_keys(extend(keys, U[:, :1] if rank == 0 else U), dim))))
+                pending.append(narrowest(distinct(permuted_keys(extend(keys, U), dim))))
                 if 2 * sum(map(len, pending)) > len(stored):
                     stored, pending = distinct(np.concatenate([stored, *pending])), []
             else:

@@ -601,6 +601,9 @@ def test_cone_cli(capsys):
     assert json.loads(out)["feasible"] is False
     code, _, err = run_cli(capsys, "cone", "--spectral", "0,1,1")
     assert code == 2
+    code, out, err = run_cli(capsys, "cone", "--spectral=1")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
 
 
 def test_search_cli_deterministic(capsys):

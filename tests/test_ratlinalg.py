@@ -4,7 +4,7 @@ import numpy as np
 from oracles import gram_schmidt
 from util import complement_projector
 
-from einext.ratlinalg import distinct, extend, images, projector_keys, projectors, reject
+from einext.ratlinalg import distinct, extend, images, narrowest, projector_keys, projectors, reject
 
 
 def fraction_projector(vectors, dim):
@@ -112,12 +112,23 @@ def test_distinct_keeps_one_row_of_each_value():
     rng = np.random.default_rng(13)
     rows = rng.integers(-2, 3, size=(300, 4))
     expected = set(map(tuple, rows.tolist()))
-    for dtype in (np.int16, np.int64, object):
+    for dtype in (np.int16, np.int32, np.int64, object):
         out = distinct(rows.astype(dtype))
         assert len(out) == len(expected) and set(map(tuple, out.tolist())) == expected
-    # Two different rows with one hash are both kept.
-    collide = np.array([[0, 0], [1, 2**64 - 0x9E3779B97F4A7C15], [0, 0]], dtype=np.int64)
-    assert sorted(distinct(collide).tolist()) == [[0, 0], [1, 2**64 - 0x9E3779B97F4A7C15]]
+    # Two different rows are both kept, and a repeat of one is dropped.
+    repeated = np.array([[0, 0], [1, 2**64 - 0x9E3779B97F4A7C15], [0, 0]], dtype=np.int64)
+    assert sorted(distinct(repeated).tolist()) == [[0, 0], [1, 2**64 - 0x9E3779B97F4A7C15]]
+
+
+def test_narrowest_stores_rows_in_the_fewest_bits():
+    for top, dtype in ((2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)):
+        rows = np.array([[0, top], [-top, 1]], dtype=np.int64)
+        out = narrowest(rows)
+        assert out.dtype == dtype and out.tolist() == rows.tolist()
+    # Wider int64 and Python-integer keys are returned as given.
+    for rows in (np.array([[2**40, -1]]), np.array([[2**70, -1]], dtype=object)):
+        assert narrowest(rows) is rows
+    assert narrowest(np.array([[1, 2]], dtype=object)).dtype == np.int16
 
 
 def test_reject_is_one_exact_gram_schmidt_step():
