@@ -21,7 +21,8 @@ level, each orbit keeps a representative, and the types are S_n-invariant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence
@@ -38,7 +39,7 @@ _CHUNK_ENTRIES = 2**13
 
 
 class DimensionError(ValueError):
-    """Dimension below 2."""
+    """Dimension below 2, or not an integer."""
 
 
 class DimensionCapError(ValueError):
@@ -59,24 +60,42 @@ class RootTriple(NamedTuple):
         return f"({self.i},{self.j}|{self.k})"
 
 
-def build_root_set(dim: int) -> list[RootTriple]:
-    """All root triples in dimension ``dim``, in lexicographic order."""
+def _require_dim(dim: int) -> None:
+    # 3.0 and 2.5 are refused by name, before range() would refuse them; True
+    # is an Integral, and is refused as below 2.
+    if not isinstance(dim, numbers.Integral):
+        raise DimensionError(f"dimension must be an integer, got {dim!r}")
     if dim < 2:
         raise DimensionError(f"dimension must be at least 2, got {dim}")
+
+
+def build_root_set(dim: int) -> list[RootTriple]:
+    """All root triples in dimension ``dim``, in lexicographic order."""
+    _require_dim(dim)
     pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
     return [RootTriple(i, j, k) for i, j in pairs for k in range(1, dim + 1) if k not in (i, j)]
 
 
 @dataclass(frozen=True)
 class SpectralVector:
-    """Eigenvalue tuple of the deforming endomorphism, exact rationals."""
+    """Eigenvalue tuple of the deforming endomorphism, exact rationals.
+
+    The hash is taken once, from the entries' (numerator, denominator)
+    pairs, which equal vectors share: a set insertion hashes no Fraction.
+    """
 
     entries: tuple[Fraction, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(map(parse_rational, self.entries)))
-        if len(self.entries) < 2:
+        entries = tuple(map(parse_rational, self.entries))
+        if len(entries) < 2:
             raise DimensionError("spectral vector needs at least 2 entries")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash(tuple(map(Fraction.as_integer_ratio, entries))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -167,7 +186,7 @@ def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate
     return ConeCertificate(False, target, gens, witness=tuple(witness))
 
 
-def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
+def _enumerate_unfiltered(dim: int) -> set[tuple[int, ...]]:
     """Breadth-first walk, level by level, over the subspaces W spanned by roots.
 
     The candidate of W is the row sums of its projector Q / d onto the
@@ -185,6 +204,8 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
     one key or a few.  No orbit is lost: a subspace of rank r + 1 spanned
     by roots is tau (R + span(rho)) for a stored R of rank r, a permutation
     tau and a root rho, and that child of R is built.
+
+    Returns the types as integer tuples in canonical form.
     """
     roots = _roots(dim)[1]
     chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
@@ -220,7 +241,24 @@ def _enumerate_unfiltered(dim: int) -> set[SpectralVector]:
                 candidates.append(reject(sums, U).reshape(-1, dim))
             add_types(np.concatenate(candidates))
         level = distinct(np.concatenate([stored, *pending]))
-    return {SpectralVector(t) for t in found}
+    return found
+
+
+def _walk(dim: int, cap: int) -> list[tuple[int, ...]]:
+    """The walk's integer types, for an integer ``dim`` from 2 up to the cap."""
+    _require_dim(dim)
+    if dim > cap:
+        raise DimensionCapError(
+            f"dimension {dim} exceeds the enumeration cap {cap}; "
+            f"pass cap={dim} (--cap {dim} on the command line) explicitly to override"
+        )
+    return list(_enumerate_unfiltered(dim))
+
+
+def _vectors(types: list[tuple[int, ...]]) -> list[SpectralVector]:
+    """A SpectralVector of each integer type, all sharing one Fraction per entry value."""
+    shared = {x: Fraction(x) for x in {x for t in types for x in t}}
+    return [SpectralVector(tuple(map(shared.__getitem__, t))) for t in types]
 
 
 def enumerate_types(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> set[SpectralVector]:
@@ -230,14 +268,7 @@ def enumerate_types(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> set[SpectralV
     separate filter: :func:`cone_membership`, or :func:`enumeration_report`
     for both sets.
     """
-    if dim < 2:
-        raise DimensionError(f"dimension must be at least 2, got {dim}")
-    if dim > cap:
-        raise DimensionCapError(
-            f"dimension {dim} exceeds the enumeration cap {cap}; "
-            f"pass cap={dim} (--cap {dim} on the command line) explicitly to override"
-        )
-    return _enumerate_unfiltered(dim)
+    return set(_vectors(_walk(dim, cap)))
 
 
 @dataclass
@@ -260,7 +291,7 @@ class EnumerationReport:
 def enumeration_report(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> EnumerationReport:
     """The walk's types and those that pass the cone condition, all decided
     in one simplex call, read off each LP's final phase-one objective."""
-    unfiltered = enumerate_types(dim, cap=cap)
-    types = list(unfiltered)
-    feasible = _cone_lps([scaled_to_integers(p.entries)[0] for p in types])[2].feasible
-    return EnumerationReport(dim, unfiltered, set(compress(types, feasible)))
+    types = _walk(dim, cap)
+    vectors = _vectors(types)
+    feasible = _cone_lps(types)[2].feasible
+    return EnumerationReport(dim, set(vectors), set(compress(vectors, feasible)))

@@ -177,6 +177,34 @@ def test_spectral_vector_requires_two_entries():
         SpectralVector([1])
 
 
+def spellings(v):
+    """The inputs that read back as the Fraction v: itself, "num/den", and
+    the int or float of the same value where that is exact."""
+    forms = [v, f"{v.numerator}/{v.denominator}"]
+    if v.denominator == 1:
+        forms.append(v.numerator)
+    if v.denominator in (1, 2, 4):
+        forms.append(float(v))
+    return st.sampled_from(forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_fractions, min_size=2, max_size=6),
+    st.lists(small_fractions, min_size=2, max_size=6),
+    st.data(),
+)
+def test_spectral_vectors_are_equal_and_hash_equal_by_value(a, b, data):
+    # The hash is taken from (numerator, denominator) pairs when a vector is
+    # built: however an equal value is spelled, the pairs are the same.
+    u, v, w = (SpectralVector(data.draw(st.tuples(*map(spellings, x)))) for x in (a, a, b))
+    assert u == v and hash(u) == hash(v) and len({u, v}) == 1
+    assert (u == w) == (a == b) and len({u, w}) == 2 - (a == b)
+    i = data.draw(st.integers(0, len(a) - 1))
+    changed = SpectralVector([*a[:i], a[i] + data.draw(st.sampled_from([1, -1, Fraction(1, 2)])), *a[i + 1 :]])
+    assert changed != u and len({u, changed}) == 2
+
+
 # ---------------------------------------------------------------------------
 # Admissibility (the oracle the walk is checked against)
 # ---------------------------------------------------------------------------
@@ -438,6 +466,12 @@ def test_enumerate_cap():
     assert "7" in str(err.value)
     with pytest.raises(DimensionError):
         enumerate_types(1)
+    for dim in (3.0, 2.5):
+        for call in (enumerate_types, enumeration_report):
+            with pytest.raises(DimensionError, match="must be an integer, got " + str(dim)):
+                call(dim)
+    with pytest.raises(DimensionError, match="at least 2"):
+        enumerate_types(True)
 
 
 def test_emitted_types_invariants():
@@ -553,14 +587,17 @@ def test_permuted_keys_permute_each_projector(keyed):
 
 def test_walk_on_python_integers_matches_int64(monkeypatch):
     # With the int64 caps at 2 every projector and image takes the exact
-    # Python-integer path; the walk must give the same types.
+    # Python-integer path, and so does the cone batch the walk's integer
+    # types are handed to; the types and the verdicts must not change.
     import einext.ratlinalg as ratlinalg
 
-    expected = {dim: enumerate_types(dim) for dim in (3, 4, 5)}
+    expected = {dim: (enumerate_types(dim), enumeration_report(dim)) for dim in (3, 4, 5)}
     monkeypatch.setattr(ratlinalg, "_ENTRY_CAP", 2)
     monkeypatch.setattr(ratlinalg, "_PRODUCT_CAP", 2)
-    for dim, types in expected.items():
+    for dim, (types, report) in expected.items():
         assert enumerate_types(dim) == types
+        low = enumeration_report(dim)
+        assert (low.unfiltered, low.cone_filtered) == (report.unfiltered, report.cone_filtered)
 
 
 @settings(max_examples=12, deadline=None)
