@@ -74,8 +74,8 @@ class PairList(NamedTuple):
     coeff: np.ndarray
 
     def products(self, values: np.ndarray) -> np.ndarray:
-        """coeff * v[left] * v[right] for S = T = v, a vector or a stack (..., m) of them."""
-        return self.coeff * values[..., self.left] * values[..., self.right]
+        """coeff * v[left] * v[right] for S = T = v."""
+        return self.coeff * values[self.left] * values[self.right]
 
 
 def _float(value, name: str, *args) -> float:
@@ -262,13 +262,11 @@ class ExtensionSpec:
     rational eigenvalues; :func:`make_spec` reads them from other input.
     ``_classes`` and ``_divergence`` keep what ``curvature.ricci_deformation`` and
     :func:`divergence_residual` form once; ``dataclasses.replace`` starts without them.
-    ``_scaled`` is (c = s p, s) of ``scalars.scaled_to_integers``, c in int64 or past it Python ints.
     """
 
     algebra: StructureTensor
     spectral: tuple[Fraction, ...]
     _p: np.ndarray = field(init=False, repr=False)
-    _scaled: tuple[np.ndarray, int] = field(init=False, repr=False)
     _classes: Optional[dict] = field(init=False, repr=False, default=None)
     _divergence: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
@@ -278,13 +276,9 @@ class ExtensionSpec:
             raise StructureError(
                 f"{len(self.spectral)} eigenvalues for dimension {self.algebra.dim}"
             )
-        c, s = scaled_to_integers(self.spectral)
-        exact = max(map(abs, c), default=0) < 2**51 and s < 2**53  # so c_k - c_i - c_j and s are exact floats
-        c = np.array(c, dtype=np.int64 if exact else object)
-        p = c / s if exact else np.array([_float(x, "eigenvalue p_{}", i) for i, x in enumerate(self.spectral, 1)])
-        p.flags.writeable = c.flags.writeable = False
+        p = np.array([_float(x, "eigenvalue p_{}", i) for i, x in enumerate(self.spectral, 1)])
+        p.flags.writeable = False
         object.__setattr__(self, "_p", p)
-        object.__setattr__(self, "_scaled", (c, s))
 
     @property
     def dim(self) -> int:

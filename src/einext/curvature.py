@@ -7,10 +7,10 @@ to rescaled constants.  The form is a pair list on the nonzero entries
 (``StructureTensor.ricci_pairs``, formed once per tensor): every product of
 two entries that meets in one of its four contractions, with its output
 slot and coefficient.  ``_ricci`` evaluates it with one ``np.bincount``
-over that list, for one vector of values, a stack of them, or one vector
-split into classes, so the cost follows the nonzero constants, not n^4;
-it refuses an entry that is not finite, since bincount sums past float64
-silently.  Splitting mu by the exact
+over that list, for one vector of values or one vector split into
+classes, so the cost follows the nonzero constants, not n^4; it refuses an
+entry that is not finite, since bincount sums past float64 silently.
+Splitting mu by the exact
 exponent e = p_k - p_i - p_j turns the deformed Ricci operator into a finite
 sum of matrix coefficients times exponentials exp(-2 u q), one class per
 exact value of the half-integer combination q of the rational eigenvalues
@@ -27,12 +27,9 @@ sum_q exp(-2 u q) C_q for the deformed operator and for both non-constant
 blocks of the extension.  ``ricci_deformation`` keeps the classes on the
 spec, so ``extension_ricci`` and ``verifier.verify_extension`` form them
 once per spec.  The Einstein target of the constant class is
-``ExtensionSpec.einstein_target``.
-
-``ricci_deformation_at`` evaluates the rescaled constants at numeric
-deformation times, a stack of them in one call, with exact weights rounded
-once and without the exponent classes; ``verify_extension`` and the tests
-compare the two.
+``ExtensionSpec.einstein_target``.  The direct evaluation of the rescaled
+constants at numeric deformation times is not needed for the verdict; it
+is a test oracle that cross-checks the classes.
 """
 
 from __future__ import annotations
@@ -96,21 +93,16 @@ def _pair_classes(
 
 def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1) -> np.ndarray:
     """Ricci operators of values on mu's support, one bincount over its pair
-    list (``StructureTensor.ricci_pairs``).
+    list (``StructureTensor.ricci_pairs``), stacked (groups, n, n).
 
-    ``values`` is one vector or a stack (g, m) of them, each giving its
-    (n, n) operator, stacked (g, n, n).  With a per-pair ``group`` the
-    products of one vector go to ``groups`` operators instead: the form is
-    bilinear, so the products of each group add up separately.
+    With a per-pair ``group`` the products go to ``groups`` operators: the
+    form is bilinear, so the products of each group add up separately.
     np.bincount sums past float64 silently, so an operator entry that is
     not finite raises OverflowError.
     """
     n, pairs = mu.dim, mu.ricci_pairs()
-    products = pairs.products(values)
-    if values.ndim == 2:
-        group, groups = np.arange(len(values))[:, None], len(values)
     bins = pairs.slot if group is None else group * (n * n) + pairs.slot
-    G = np.bincount(bins.ravel(), products.ravel(), minlength=groups * n * n).reshape(groups, n, n)
+    G = np.bincount(bins, pairs.products(values), minlength=groups * n * n).reshape(groups, n, n)
     R = 0.5 * (G + G.swapaxes(1, 2))
     if not np.isfinite(R).all():
         raise OverflowError("the Ricci form overflows float64: an entry is not finite")
@@ -144,24 +136,6 @@ def ricci_deformation(spec: ExtensionSpec) -> dict[Fraction, np.ndarray]:
     if spec._classes is None:
         object.__setattr__(spec, "_classes", _grouped_terms(spec))
     return dict(spec._classes)
-
-
-def ricci_deformation_at(spec: ExtensionSpec, u) -> np.ndarray:
-    """Direct evaluation of the deformed Ricci operator at u, a number or a
-    1-D array of them (one operator each, stacked).
-
-    The deformed metric at time u is the undeformed one of the rescaled
-    constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k].  Each weight
-    is exact, formed on the integer-scaled eigenvalues c = s p and rounded
-    once in (c_k - c_i - c_j) / s, so a weight that is 0 is 0.0; this is
-    independent of the exponent classes it cross-checks.
-    """
-    u = np.asarray(u, dtype=float)
-    (i, j, k), value = spec.algebra.support()
-    c, s = spec._scaled
-    weight = np.asarray((c[k] - c[i] - c[j]) / s, dtype=float)
-    rescaled = value * np.exp(np.multiply.outer(u, weight))
-    return _ricci(spec.algebra, rescaled).reshape(u.shape + (spec.dim, spec.dim))
 
 
 def ricci_at_identity(mu: StructureTensor, without: Optional[int] = None) -> np.ndarray:

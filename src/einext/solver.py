@@ -264,8 +264,9 @@ def search(problem: SearchProblem) -> SearchResult:
     """Multistart least-squares search; reproducible for a fixed seed."""
     base = make_spec(StructureTensor(problem.dim), problem.spectral)
     fun = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
-    # Well inside the verdict's max-abs bound, since verify's u-grid sums the
-    # classes with weights of up to e^4.
+    # Well inside the verdict's max-abs bound: at the floor every model row is
+    # below tol / 70, which leaves room for the rounding by which verify's
+    # classes, formed from the tensor, differ from the model's.
     floor = (problem.tolerance / 100) ** 2
     rng = np.random.default_rng(problem.seed)
     summaries = []

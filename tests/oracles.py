@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's grouped/vectorized code paths:
 the Ricci oracle goes through the Koszul connection and a full curvature
-contraction with plain loops, the dense Ricci, Jacobi and divergence
+contraction with plain loops, the direct deformation evaluates the Ricci
+form on the rescaled constants at each time instead of summing the
+exponent classes, the dense Ricci, Jacobi and divergence
 forms contract whole n^3 arrays with einsum where the library walks the
 nonzero entries, the dense accumulation adds entries into an n^3 array
 where the library keeps only the nonzero support, the scalar oracle sums
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from einext.curvature import _ricci
 from einext.scalars import scaled_to_integers
 
 from util import dense
@@ -91,6 +94,25 @@ def koszul_ricci(mu) -> np.ndarray:
                 total += (first - second - third)[a]
             ric[i, j] = total
     return ric
+
+
+def ricci_deformation_at(spec, u) -> np.ndarray:
+    """Direct evaluation of the deformed Ricci operator at u, a number or a
+    1-D array of them (one operator each, stacked), without the exponent
+    classes it cross-checks.
+
+    The deformed metric at time u is the undeformed one of the rescaled
+    constants mu_u[i,j,k] = exp(u (p_k - p_i - p_j)) mu[i,j,k].  Each weight
+    is exact, formed on the integer-scaled eigenvalues c = s p as Python ints
+    and rounded once in (c_k - c_i - c_j) / s, so a weight that is 0 is 0.0.
+    """
+    u = np.asarray(u, dtype=float)
+    (i, j, k), value = spec.algebra.support()
+    c, s = scaled_to_integers(spec.spectral)
+    c = np.array(c, dtype=object)
+    weight = ((c[k] - c[i] - c[j]) / s).astype(float)
+    R = [_ricci(spec.algebra, value * np.exp(t * weight))[0] for t in u.ravel()]
+    return np.reshape(R, u.shape + (spec.dim, spec.dim))
 
 
 RICCI_COEFFS = (-0.5, -1.0, 0.25, -0.5)

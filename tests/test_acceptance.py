@@ -11,12 +11,12 @@ import numpy as np
 
 from einext.algebra import is_derivation, make_spec, sparsity_pattern
 from einext.catalog import e2, entries, heisenberg, table1
-from einext.curvature import _exp_sum, extension_ricci, ricci_at_identity, ricci_deformation, ricci_deformation_at
+from einext.curvature import _exp_sum, extension_ricci, ricci_at_identity, ricci_deformation
 from einext.solver import SearchProblem, search
 from einext.spectral import cone_membership, enumerate_types, enumeration_report
 from einext.verifier import classify_type_1112, verify_extension
 
-from oracles import admissibility_defects, koszul_ricci
+from oracles import admissibility_defects, koszul_ricci, ricci_deformation_at
 from util import dense, random_lie_tensor, random_sparse_tensor, relation_exists
 
 KNOWN_DIM4_TYPES = {

@@ -23,11 +23,10 @@ from einext.algebra import (
     standard_modification,
 )
 
-from einext.curvature import ricci_deformation_at
 from einext.scalars import parse_rational
 from einext.verifier import classify_type_0001, verify_extension
 
-from oracles import dense_accumulation, divergence_bruteforce, divergence_form_dense
+from oracles import dense_accumulation, divergence_bruteforce, divergence_form_dense, ricci_deformation_at
 from util import dense, random_lie_tensor, random_sparse_tensor
 
 

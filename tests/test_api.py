@@ -1,7 +1,9 @@
 """Guards on the public surface: every public function, class and method of
 ``einext`` has a caller outside the tests, and the package exports exactly
 the names of the README's library sketch and the errors they raise.  Every
-module of the package but ``__init__`` uses each name it imports.  The
+module of the package but ``__init__`` uses each name it imports, and no
+name that ``tests/oracles.py`` or ``tests/util.py`` defines is defined in
+the package too, so a cross-check is never kept in the library.  The
 command line has one writer: only ``main`` calls ``_emit``, and no command
 handler picks an exit code.  ``cli`` and ``__init__`` import neither numpy
 nor the package's numeric modules when they load.
@@ -137,6 +139,26 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}: {name}" for _, name in imports(path) if name not in used]
     assert unused == []
+
+
+def defined(tree: ast.Module, nested: bool) -> set[str]:
+    """Names of the functions and classes of a module, nested ones too when
+    asked, and of its module-level assignments."""
+    nodes = ast.walk(tree) if nested else tree.body
+    names = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_no_test_oracle_or_helper_is_defined_in_the_package():
+    package = set()
+    for path in PACKAGE.glob("*.py"):
+        package |= defined(ast.parse(path.read_text(encoding="utf-8")), nested=True)
+    for name in ("oracles.py", "util.py"):
+        tree = ast.parse((ROOT / "tests" / name).read_text(encoding="utf-8"))
+        assert defined(tree, nested=False) & package == set(), name
 
 
 def test_the_command_line_and_the_package_import_no_numerics_up_front():

@@ -24,7 +24,6 @@ from einext.curvature import (
     extension_ricci,
     ricci_at_identity,
     ricci_deformation,
-    ricci_deformation_at,
 )
 from einext.solver import _QuadraticModel
 from einext.verifier import verify_extension
@@ -34,6 +33,7 @@ from oracles import (
     class_layout,
     jacobi_form_dense,
     koszul_ricci,
+    ricci_deformation_at,
     ricci_form_dense,
     scalar_classes,
 )
@@ -354,12 +354,11 @@ def test_pair_kernel_matches_dense_forms(case):
     )
     assert close(J, jacobi_form_dense(S, T), jacobi_form_dense(*absolute))
 
-    # A stack of values on a tensor's own support, and the deformation at a
+    # Each row of values on a tensor's own support, and the deformation at a
     # stack of times, each against the dense form of its own constants.
     mu = StructureTensor(n, dict(zip(triples, t)))
-    rows = np.array(stack).reshape(len(stack), len(triples))
-    for R, values in zip(_ricci(mu, np.concatenate([rows, -rows], axis=1)), rows):
-        assert is_ricci_of(R, dense(n, triples, values))
+    for values in np.array(stack).reshape(len(stack), len(triples)):
+        assert is_ricci_of(_ricci(mu, np.concatenate([values, -values]))[0], dense(n, triples, values))
     spec = make_spec(mu, p)
     us = np.array([-0.5, 0.0, 0.25])
     weights = [math.exp(u * (p[k - 1] - p[i - 1] - p[j - 1])) for u in us for i, j, k in triples]
