@@ -34,7 +34,7 @@ import numpy as np
 
 from .scalars import RationalLike, format_rational, parse_affine, parse_rational, scaled_to_integers
 
-DEFAULT_JACOBI_TOL = 1e-10
+DEFAULT_TOL = 1e-9
 
 
 class StructureError(ValueError):
@@ -230,7 +230,7 @@ class StructureTensor:
         self._ricci: Optional[PairList] = None
         if lie:
             res = jacobi_residual(self)
-            if not res <= DEFAULT_JACOBI_TOL:  # NaN too
+            if not res <= DEFAULT_TOL:  # NaN too
                 raise StructureError(f"Jacobi identity violated (residual {res:.3e})")
 
     def items(self) -> list[tuple[tuple[int, int, int], float]]:
@@ -365,7 +365,7 @@ class DerivationCheck(NamedTuple):
     max_violation: float
 
 
-def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_JACOBI_TOL) -> DerivationCheck:
+def is_derivation(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> DerivationCheck:
     """Whether D is a derivation: (p_k - p_i - p_j) mu[i,j|k] = 0 for all triples."""
     items = spec.algebra.items()
     e, s = exponents(spec.spectral, [t for t, _ in items])
@@ -394,7 +394,7 @@ def divergence_residual(spec: ExtensionSpec) -> np.ndarray:
 
 
 def standard_modification(
-    spec: ExtensionSpec, h: Iterable[int], tol: float = DEFAULT_JACOBI_TOL
+    spec: ExtensionSpec, h: Iterable[int], tol: float = DEFAULT_TOL
 ) -> ExtensionSpec:
     """Twist away the block-diagonal skew action of the abelian part h so D
     becomes a derivation; the ideal m is the complement of h in the frame.
@@ -534,7 +534,9 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
             raise StructureError(f"bad mu entry {item!r}: {exc}") from exc
         for name, idx in zip("ijk", key):
             _require_int(idx, f"mu index '{name}'")
-        entries[key] = entries.get(key, 0.0) + _float(value, "mu[{},{}|{}]", *key)
+        entries[key] = total = entries.get(key, 0.0) + _float(value, "mu[{},{}|{}]", *key)
+        if not math.isfinite(total):
+            raise StructureError("mu[%d,%d|%d] given more than once adds up past float64" % key)
     mu = StructureTensor(dim, entries)
     if not isinstance(data.get("spectral", []), list):
         raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import ExtensionSpec, StructureTensor, StructureError, _maxabs, make_spec
+from .algebra import DEFAULT_TOL, ExtensionSpec, StructureTensor, StructureError, _maxabs, make_spec
 from .curvature import ricci_at_identity
 
 
@@ -105,7 +105,7 @@ def identity_extension(flat: StructureTensor) -> CatalogEntry:
     Einstein exactly when the undeformed metric is Ricci flat.
     """
     worst = _maxabs(ricci_at_identity(flat))
-    if worst > 1e-10:
+    if worst > DEFAULT_TOL:
         raise StructureError(
             "identity extension requires a Ricci-flat base; "
             f"max |Ric| = {worst:.3e}"

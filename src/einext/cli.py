@@ -4,8 +4,6 @@ Exit codes: 0 success / verification pass, 3 verification failure or
 non-convergence, 2 input or validation error.  Diagnostics go to stderr.
 Each command returns its JSON payload and whether it passed; ``main`` alone
 writes stdout and maps that verdict to 0 or 3.
-The default tolerance can be set through the EINEXT_TOL environment
-variable and overridden per call with --tol.
 
 A cold process loads only what its command runs.  Each command checks its
 flags and reads its input first, refusing NaN, Infinity and number literals
@@ -22,7 +20,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -33,8 +30,6 @@ from .scalars import parse_rational
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FAIL = 3
-
-TOL_ENV_VAR = "EINEXT_TOL"
 
 
 class InputError(ValueError):
@@ -49,17 +44,10 @@ def _require_finite(name: str, value: float, nonnegative: bool = False) -> float
 
 
 def _tolerance(args: argparse.Namespace) -> Optional[float]:
-    """``--tol``, else ``EINEXT_TOL``, else None for ``verifier.DEFAULT_TOL``."""
+    """``--tol``, else None for ``algebra.DEFAULT_TOL``."""
     if args.tol is not None:
         return _require_finite("--tol", args.tol, nonnegative=True)
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise InputError(f"bad {TOL_ENV_VAR} value {raw!r}") from exc
-    return _require_finite(TOL_ENV_VAR, value, nonnegative=True)
+    return None
 
 
 def _given(**settings) -> dict:
@@ -185,17 +173,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
-    tol = _tolerance(args)
+    tol = _given(tol=_tolerance(args))
     data = _read_spec(args)
     from .algebra import is_derivation
-    from .verifier import DEFAULT_TOL, verify_extension
+    from .verifier import verify_extension
 
-    tol = DEFAULT_TOL if tol is None else tol
     with _float_errors_raise():
         spec, h = _load_spec(args, data)
-        report = verify_extension(spec, tol)
+        report = verify_extension(spec, **tol)
         payload = asdict(report)
-        check = is_derivation(spec, tol)
+        check = is_derivation(spec, **tol)
         payload["is_derivation"] = check.ok
         payload["derivation_violation"] = check.max_violation
         if h is not None:
@@ -203,20 +190,20 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
     return payload, report.einstein
 
 
-def _twist(spec, h: tuple[int, ...], tol: float) -> dict:
+def _twist(spec, h: tuple[int, ...], tol: dict) -> dict:
     """The standard modification along h with its own verification, or why it is refused."""
     from .algebra import StructureError, algebra_to_json, standard_modification
     from .verifier import verify_extension
 
     try:
-        twisted = standard_modification(spec, h, tol)
+        twisted = standard_modification(spec, h, **tol)
     except StructureError as exc:
         return {"refused": str(exc)}
-    return {"mu": algebra_to_json(twisted.algebra)["mu"], **asdict(verify_extension(twisted, tol))}
+    return {"mu": algebra_to_json(twisted.algebra)["mu"], **asdict(verify_extension(twisted, **tol))}
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
-    tol = _tolerance(args)
+    tol = _given(tol=_tolerance(args))
     data = _read_spec(args)
     from .verifier import classify_type_0001, classify_type_1110, classify_type_1112
 
@@ -227,7 +214,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
     }[args.type]
     with _float_errors_raise():
         spec, _ = _load_spec(args, data)
-        report = classify(spec, **_given(tol=tol))
+        report = classify(spec, **tol)
         return report.to_json(), report.passed
 
 

@@ -17,7 +17,7 @@ when no damped step improves it, when a step improves it by at most a 1e-12
 share, or after ``MAX_ITERATIONS`` steps.  The reported residual is the best
 restart's objective; ``converged`` is the verdict of
 ``verifier.verify_extension`` on the best constants at ``tolerance``
-(``verifier.DEFAULT_TOL`` unless given), computed from the tensor and not
+(``algebra.DEFAULT_TOL`` unless given), computed from the tensor and not
 from the model, together with a Jacobi residual of at most ``tolerance``.
 """
 
@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 # The package's modules first: ``algebra`` then compiles before numpy loads,
 # which keeps the peak memory of a cold start lower.
 from .algebra import (
+    DEFAULT_TOL,
     ExtensionSpec,
     StructureTensor,
     _divergence_terms,
@@ -46,7 +47,7 @@ from .algebra import (
 )
 from .curvature import _pair_classes
 from .scalars import parse_rational
-from .verifier import DEFAULT_TOL, verify_extension
+from .verifier import verify_extension
 
 import numpy as np
 

@@ -97,10 +97,6 @@ class SpectralVector:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 @functools.cache
 def _roots(dim: int) -> tuple[list[RootTriple], np.ndarray]:

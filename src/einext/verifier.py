@@ -28,13 +28,11 @@ from typing import Optional
 
 # The package's modules first: ``algebra`` then compiles before numpy loads,
 # which keeps the peak memory of a cold start lower.
-from .algebra import ExtensionSpec, _maxabs, divergence_residual
+from .algebra import DEFAULT_TOL, ExtensionSpec, _maxabs, divergence_residual
 from .curvature import ricci_at_identity, ricci_deformation
 from .scalars import format_rational
 
 import numpy as np
-
-DEFAULT_TOL = 1e-9
 
 
 class TypeMismatchError(ValueError):

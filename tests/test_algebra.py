@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einext.algebra import (
+    DEFAULT_TOL,
     CommutationError,
     DecompositionError,
     PatternViolationError,
@@ -410,7 +411,7 @@ def test_standard_modification_invariants(case):
         for a in h
         for l in m
         for k in m
-        if abs(T[a - 1, l - 1, k - 1]) > 1e-10 and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
+        if abs(T[a - 1, l - 1, k - 1]) > DEFAULT_TOL and p[k - 1] - p[l - 1] not in (p[a - 1], 0)
     ]
     if off_pattern:
         with pytest.raises(StructureError) as caught:
@@ -456,7 +457,7 @@ def test_standard_modification_is_isometric(case):
     spec, h = case
     # The entries below the tolerance that the twist drops change the metric
     # by their size, so the isometry is that of the rest.
-    big = {t: v for t, v in spec.algebra.items() if abs(v) > 1e-10}
+    big = {t: v for t, v in spec.algebra.items() if abs(v) > DEFAULT_TOL}
     spec = replace(spec, algebra=StructureTensor(spec.dim, big))
     try:
         out = standard_modification(spec, h)
@@ -549,7 +550,7 @@ def test_standard_modification_checks_jacobi_of_the_output():
         6,
         {(1, 2, 3): 1.0, (1, 2, 6): eps, (3, 4, 5): -eps * s, (3, 5, 4): eps * s, (6, 4, 5): s, (6, 5, 4): -s},
     )
-    assert jacobi_residual(mu) <= 1e-10
+    assert jacobi_residual(mu) <= DEFAULT_TOL
     with pytest.raises(StructureError, match=r"modified tensor violates Jacobi \(residual 5\.000e-07\)"):
         standard_modification(make_spec(mu, [1, -1, 0, 1, 1, 1]), (6,))
 

@@ -6,7 +6,8 @@ name that ``tests/oracles.py`` or ``tests/util.py`` defines is defined in
 the package too, so a cross-check is never kept in the library.  The
 command line has one writer: only ``main`` calls ``_emit``, and no command
 handler picks an exit code.  ``cli`` and ``__init__`` import neither numpy
-nor the package's numeric modules when they load.
+nor the package's numeric modules when they load.  No module reads the
+environment, and the tolerance has one default, ``algebra.DEFAULT_TOL``.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -192,3 +193,26 @@ def test_main_alone_writes_stdout_and_picks_the_exit_code():
         if isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_FAIL")
     }
     assert verdicts == set()
+
+
+def test_no_module_reads_the_environment():
+    # A verdict follows from the input and the flags alone.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spelled = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        spelled |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        spelled |= {module.split(".")[0] for module, _ in imports(path)}
+        assert spelled & {"os", "environ", "getenv"} == set(), path.stem
+
+
+def test_the_tolerance_has_one_default():
+    # Assigned once, and every other module reaches it under its own name.
+    assigned, imported = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            assigned += [f"{path.stem}.{name}" for name in names if name.endswith("_TOL")]
+        imported |= {name for _, name in imports(path) if name.endswith("_TOL")}
+    assert assigned == ["algebra.DEFAULT_TOL"]
+    assert imported <= {"DEFAULT_TOL"}

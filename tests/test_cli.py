@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einext.algebra import algebra_from_json, jacobi_residual
+from einext.algebra import DEFAULT_TOL, algebra_from_json, jacobi_residual
 from einext.cli import main
 
 
@@ -180,7 +180,7 @@ CHILD = (
 
 def run_child(code, argv=(), stdin=""):
     """Exit code, stdout, stderr and the loaded modules of ``python -c code argv``."""
-    env = {key: value for key, value in os.environ.items() if key != "EINEXT_TOL"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=300
@@ -373,6 +373,15 @@ def test_overflowing_eigenvalue_is_input_error(capsys):
             assert "overflows float64" in err
 
 
+def test_overflowing_repeated_entry_is_input_error(capsys):
+    # Neither value is infinite; their sum is, and the message says so.
+    entry = {"i": 1, "j": 2, "k": 3, "v": 1e308}
+    text = json.dumps({"dim": 3, "mu": [entry, entry], "spectral": [1, 1, 2]})
+    code, out, err = run_cli(capsys, "verify", "--input", text)
+    assert (code, out) == (2, "")
+    assert "mu[1,2|3] given more than once adds up past float64" in err
+
+
 def test_dimension_too_large_for_memory_is_input_error(capsys):
     # The constants are stored by their nonzero entries, so nothing of size
     # n^3 is allocated: the missing eigenvalues are refused first.
@@ -428,18 +437,16 @@ def test_catalog_errors_print_the_message(capsys, argv, start):
     assert err.startswith(start)
 
 
-def test_env_var_tolerance(monkeypatch, capsys):
+def test_tolerance_is_not_read_from_the_environment(monkeypatch, capsys):
     spec = {
         "dim": 3,
         "mu": [{"i": 1, "j": 2, "k": 3, "v": 1.0}],
         "spectral": [1, 1, 2],
     }
     monkeypatch.setenv("EINEXT_TOL", "100")
-    code, _, _ = run_cli(capsys, "verify", "--input", json.dumps(spec))
-    assert code == 0
-    monkeypatch.delenv("EINEXT_TOL")
-    code, _, _ = run_cli(capsys, "verify", "--input", json.dumps(spec))
+    code, out, _ = run_cli(capsys, "verify", "--input", json.dumps(spec))
     assert code == 3
+    assert json.loads(out)["tolerance"] == DEFAULT_TOL
 
 
 def test_classify_cli(capsys):
@@ -651,35 +658,21 @@ def test_search_non_finite_setting_is_input_error(capsys, setting, field):
 
 
 @pytest.mark.parametrize(
-    "argv, env, flag",
+    "argv, flag",
     [
-        (["verify", "--catalog", "table1:3", "--tol", "nan"], None, "--tol"),
-        (["verify", "--catalog", "table1:3", "--tol=-1"], None, "--tol"),
-        (["verify", "--catalog", "table1:3"], "nan", "EINEXT_TOL"),
-        (["verify", "--catalog", "table1:3"], "-1e-9", "EINEXT_TOL"),
-        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol=-1"], None, "--tol"),
-        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol", "inf"], None, "--tol"),
-        (["classify", "--type", "1112", "--catalog", "heisenberg:2"], "nan", "EINEXT_TOL"),
-        (["curvature", "--catalog", "table1:3", "--u", "nan"], None, "--u"),
-        (["curvature", "--catalog", "table1:3", "--u", "-inf"], None, "--u"),
+        (["verify", "--catalog", "table1:3", "--tol", "nan"], "--tol"),
+        (["verify", "--catalog", "table1:3", "--tol=-1"], "--tol"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol=-1"], "--tol"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2", "--tol", "inf"], "--tol"),
+        (["curvature", "--catalog", "table1:3", "--u", "nan"], "--u"),
+        (["curvature", "--catalog", "table1:3", "--u", "-inf"], "--u"),
     ],
 )
-def test_bad_tolerance_or_time_is_input_error(capsys, monkeypatch, argv, env, flag):
-    if env is None:
-        monkeypatch.delenv("EINEXT_TOL", raising=False)
-    else:
-        monkeypatch.setenv("EINEXT_TOL", env)
+def test_bad_tolerance_or_time_is_input_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert flag in err and "structure constants" not in err
-
-
-def test_tol_flag_overrides_bad_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("EINEXT_TOL", "nan")
-    code, out, _ = run_cli(capsys, "verify", "--catalog", "table1:3", "--tol", "1e-9")
-    assert code == 0
-    assert json.loads(out)["einstein"] is True
 
 
 def test_verify_stdin(capsys, monkeypatch):

@@ -38,8 +38,7 @@ def strict_json(text):
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
-def test_readme_command_runs(capsys, monkeypatch, argv):
-    monkeypatch.delenv("EINEXT_TOL", raising=False)
+def test_readme_command_runs(capsys, argv):
     code = main(argv[1:])
     payload = strict_json(capsys.readouterr().out)
     assert code in (0, 3)

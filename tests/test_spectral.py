@@ -414,7 +414,7 @@ def test_cone_filtered_counts_and_witnesses(types_of, dim, count):
 
 def oracle_certificate(p: SpectralVector) -> ConeCertificate:
     """The certificate of p from the per-LP simplex on Fractions."""
-    n, entries = p.dim, p.entries
+    n, entries = len(p.entries), p.entries
     target = tuple(sum(x * x for x in entries) - sum(entries) * x for x in entries)
     gens = tuple(perp_roots(entries))
     coeffs, witness = cone_simplex([t.vector(n) for t in gens], target)
