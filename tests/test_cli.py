@@ -449,6 +449,26 @@ def test_tolerance_is_not_read_from_the_environment(monkeypatch, capsys):
     assert json.loads(out)["tolerance"] == DEFAULT_TOL
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "--catalog", "table1:3"], "nan"),
+        (["verify", "--catalog", "table1:3"], "-1e-9"),
+        (["classify", "--type", "1112", "--catalog", "heisenberg:2"], "nan"),
+        (["verify", "--catalog", "table1:3", "--tol", "1e-9"], "nan"),
+    ],
+)
+def test_bad_tolerance_in_the_environment_is_ignored(capsys, monkeypatch, argv, env):
+    # A value that --tol would refuse changes nothing when it is only in the
+    # environment: the run is the same as without it.
+    monkeypatch.delenv("EINEXT_TOL", raising=False)
+    clean = run_cli(capsys, *argv)
+    monkeypatch.setenv("EINEXT_TOL", env)
+    assert run_cli(capsys, *argv) == clean
+    assert clean[0] in (0, 3) and clean[2] == ""
+    assert json.loads(clean[1])
+
+
 def test_classify_cli(capsys):
     code, out, _ = run_cli(capsys, "classify", "--type", "1112", "--catalog", "heisenberg:2")
     assert code == 0
