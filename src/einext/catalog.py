@@ -147,7 +147,11 @@ def lookup(name: str) -> CatalogEntry:
                 row = int(parts[1])
                 return table1(row, 1.0) if row == 4 else table1(row)
             if len(parts) == 3:
-                return table1(int(parts[1]), float(parts[2]))
+                param = float(parts[2])
+                # A nonzero literal that rounds to 0 would name the entry for 0.
+                if param == 0 and any(c in "123456789" for c in parts[2].lower().partition("e")[0]):
+                    raise ValueError(f"parameter {parts[2]!r} underflows float64")
+                return table1(int(parts[1]), param)
         elif kind == "heisenberg" and len(parts) == 2:
             return heisenberg(int(parts[1]))
         elif kind == "e2" and len(parts) == 1:

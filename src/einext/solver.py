@@ -11,7 +11,11 @@ two exact weights and against ``ExtensionSpec.einstein_target``, and keeps
 it as a sparse list of monomials on the rows some monomial reaches (the
 others are 0).  A multistart damped least-squares loop on that model
 minimizes half the squared norm, and identical problem and
-seed reproduce the trajectory bit for bit.  A restart stops once its
+seed reproduce the trajectory bit for bit.  Its start points are the PCG64
+stream of ``SeedSequence(seed)``, the numbers of
+``numpy.random.default_rng(seed).uniform(-3, 3)``, drawn by ``_PCG64``
+without loading numpy.random, so a seed's result does not depend on the
+installed numpy's ``Generator``.  A restart stops once its
 objective is at most ``(tolerance / 100) ** 2``, at an exactly zero gradient,
 when no damped step improves it, when a step improves it by at most a 1e-12
 share, or after ``MAX_ITERATIONS`` steps.  The reported residual is the best
@@ -214,6 +218,59 @@ class _QuadraticModel:
         return jac.reshape(self.size, self.nvars)
 
 
+_MASK32, _MASK53, _MASK64, _MASK128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hashmix(const: int, multiplier: int):
+    """SeedSequence's 32-bit hash, whose constant advances with each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` stream, bit for bit: ``SeedSequence(seed)``
+    seeds PCG64 (O'Neill 2014, XSL-RR 128/64) and ``uniform`` is numpy's
+    ``low + (high - low) * ((next64 >> 11) * 2**-53)``."""
+
+    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        seed = int(seed)
+        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        # Mix every pool word, then every seed word past the fourth, into the others.
+        for src in range(max(4, len(words))):
+            for dst in range(4):
+                if src != dst:
+                    hashed = hashmix(pool[src] if src < 4 else words[src])
+                    value = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashed) & _MASK32
+                    pool[dst] = value ^ value >> 16
+        # generate_state(4, uint64): eight hashed words, paired low word first.
+        hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+        hashed = [hashmix(pool[i % 4]) for i in range(8)]
+        s0, s1, s2, s3 = (low | high << 32 for low, high in zip(hashed[::2], hashed[1::2]))
+        # pcg64 set-seq seeding: state 0, step, add the seed, step.
+        self._inc = (s2 << 64 | s3) << 1 & _MASK128 | 1
+        self._state = ((self._inc + (s0 << 64 | s1)) * self.MULTIPLIER + self._inc) & _MASK128
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        state, inc, mult, span = self._state, self._inc, self.MULTIPLIER, high - low
+        out = []
+        for _ in range(size):
+            state = (state * mult + inc) & _MASK128
+            word = (state >> 64 ^ state) & _MASK64
+            # The top 53 bits of word rotated right by state >> 122.
+            out.append(low + span * (((word << 64 | word) >> (state >> 122) + 11 & _MASK53) * 2.0**-53))
+        self._state = state
+        return np.array(out)
+
+
 def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray, list[float]]:
     # The objective floor is the one absolute stop: below it, steps only
     # polish flat directions geometrically.  An exactly zero gradient (an
@@ -262,14 +319,15 @@ def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray,
 
 
 def search(problem: SearchProblem) -> SearchResult:
-    """Multistart least-squares search; reproducible for a fixed seed."""
+    """Multistart least-squares search; reproducible for a fixed seed, whose
+    start points are numpy's ``default_rng(seed).uniform(-3, 3)`` numbers."""
     base = make_spec(StructureTensor(problem.dim), problem.spectral)
     fun = _QuadraticModel(base, problem.pattern, problem.jacobi_weight)
     # Well inside the verdict's max-abs bound: at the floor every model row is
     # below tol / 70, which leaves room for the rounding by which verify's
     # classes, formed from the tensor, differ from the model's.
     floor = (problem.tolerance / 100) ** 2
-    rng = np.random.default_rng(problem.seed)
+    rng = _PCG64(problem.seed)
     summaries = []
     candidates = []
     # Without variables every restart is the same single point.

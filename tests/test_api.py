@@ -205,6 +205,17 @@ def test_no_module_reads_the_environment():
         assert spelled & {"os", "environ", "getenv"} == set(), path.stem
 
 
+def test_no_module_uses_numpy_random():
+    # search's start points come from solver._PCG64, not from numpy.random.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spelled = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        spelled |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        spelled |= {module for module, _ in imports(path)} | {f"{module}.{name}" for module, name in imports(path)}
+        found = [name for name in spelled if name.startswith(("np.random", "numpy.random")) or "default_rng" in name]
+        assert sorted(found) == [], path.stem
+
+
 def test_the_tolerance_has_one_default():
     # Assigned once, and every other module reaches it under its own name.
     assigned, imported = [], set()

@@ -211,3 +211,15 @@ def test_row4_names_keep_their_short_forms():
 def test_row4_name_looks_up_the_same_eigenvalues(p):
     entry = table1(4, p)
     assert lookup(entry.name).spec.spectral == entry.spec.spectral
+
+
+@pytest.mark.parametrize(
+    "literal, zero",
+    [("1e-400", "0e-400"), ("-1e-330", "0e-330"), ("2.5E-999", "0.0E-999"), ("0.0001e-400", "0.0000e-400")],
+)
+def test_row4_parameter_that_underflows_is_refused(literal, zero):
+    # float() reads each literal as 0, which would answer for table1:4:0;
+    # a literal that is zero still names that entry.
+    with pytest.raises(KeyError, match=f"bad catalog reference 'table1:4:{literal}'.*underflows"):
+        lookup(f"table1:4:{literal}")
+    assert lookup(f"table1:4:{zero}").name == "table1:4:0"

@@ -218,6 +218,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unused):
     strict_json(out)
     assert "numpy" in modules
     assert sorted(modules & {f"einext.{name}" for name in unused}) == []
+    # search draws its start points itself: numpy.random would pull in
+    # secrets and, through hashlib, OpenSSL.
+    assert sorted(modules & {"numpy.random", "secrets", "_hashlib"}) == []
 
 
 @pytest.mark.parametrize(
@@ -428,6 +431,11 @@ def test_unknown_catalog_reference(capsys):
     [
         (["verify", "--catalog", "nope"], "error: unknown catalog entry 'nope'"),
         (["catalog", "--name", "heisenberg:x"], "error: bad catalog reference 'heisenberg:x'"),
+        (["catalog", "--name", "table1:4:-1e-330"], "error: bad catalog reference 'table1:4:-1e-330'"),
+        (
+            ["classify", "--type", "0001", "--catalog", "table1:4:1e-400"],
+            "error: bad catalog reference 'table1:4:1e-400'",
+        ),
     ],
 )
 def test_catalog_errors_print_the_message(capsys, argv, start):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from einext.algebra import StructureTensor, full_pattern, jacobi_residual, make_spec, sparsity_pattern
 from einext.catalog import entries
 from einext.curvature import _grouped_terms
-from einext.solver import MAX_ITERATIONS, SearchProblem, _QuadraticModel, search
+from einext import solver
+from einext.solver import MAX_ITERATIONS, SearchProblem, _PCG64, _QuadraticModel, search
 from einext.spectral import enumeration_report
 from einext.verifier import classify_type_0001, verify_extension
 
@@ -355,3 +356,33 @@ def test_converged_agrees_with_verify(spectral, seeds, restarts):
         result = search(SearchProblem(spectral=F(*spectral), restarts=restarts, seed=seed))
         report = verify_extension(make_spec(result.best_mu, list(spectral)))
         assert result.converged == report.einstein, seed
+
+
+# numpy's Generator is the oracle of the start points.
+SEEDS = st.one_of(
+    st.integers(0, 2**130),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.lists(st.integers(0, 60), max_size=8))
+@example(0, list(range(61)))
+@example(2**32 - 1, [1, 0, 60])
+@example(2**32, [1, 0, 60])
+@example(2**64, [1, 0, 60])
+@example(2**130, [1, 0, 60])
+@example(np.uint64(2**64 - 1), [60])
+def test_start_points_are_numpy_s_stream_bit_for_bit(seed, sizes):
+    ours, theirs = _PCG64(seed), np.random.default_rng(seed)
+    for size in sizes:
+        assert ours.uniform(-3.0, 3.0, size).tolist() == theirs.uniform(-3.0, 3.0, size).tolist(), size
+
+
+@pytest.mark.parametrize("spectral", SEARCH_TYPES, ids=[",".join(map(str, t)) for t in SEARCH_TYPES])
+def test_search_results_are_those_of_numpy_s_generator(spectral, monkeypatch):
+    problems = [SearchProblem(spectral=F(*spectral), restarts=8, seed=seed) for seed in range(3)]
+    ours = [search(problem).to_json() for problem in problems]
+    monkeypatch.setattr(solver, "_PCG64", np.random.default_rng)
+    assert ours == [search(problem).to_json() for problem in problems]
