@@ -5,13 +5,14 @@ in an orthonormal frame (antisymmetric in i, j; indices 1-based), stored
 once as its read-only nonzero support, which every later layer reads.
 The polarised Ricci and Jacobi forms are pair lists on a support
 (:class:`PairList`): every product of two entries that meets in the form,
-found by one sorted join, so each, like the divergence, is evaluated with
-one ``np.bincount`` at a cost that follows the nonzero constants.  An
-:class:`ExtensionSpec` pairs such a tensor with the exact rational
-eigenvalues of the diagonal deforming endomorphism and their float image,
-also formed once.  :func:`make_spec` reads the eigenvalues, substituting the
-value of the one free parameter t into any affine form "a+b*t" on the way
-in, so every later layer compares plain Fractions.
+found by one sorted join (Ricci's keys and slots come from one gather
+through its four contraction tables, stacked at import), so each, like the
+divergence, is evaluated with one ``np.bincount`` at a cost that follows
+the nonzero constants.  An :class:`ExtensionSpec` pairs such a tensor with
+the exact rational eigenvalues of the diagonal deforming endomorphism and
+their float image, also formed once.  :func:`make_spec` reads the
+eigenvalues, substituting the value of the one free parameter t into any
+affine form "a+b*t" on the way in, so every later layer compares Fractions.
 
 The weight p_k - p_i - p_j with which D acts on mu[i,j|k] is computed
 exactly in one place, :func:`exponents`; :func:`sparsity_pattern` keeps the
@@ -102,12 +103,12 @@ def _frozen(arrays: tuple) -> tuple:
 def _join(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (l, r) with left_keys[l] == right_keys[r], l-major: one stable
     sort and two searchsorted, O(len + matches) memory."""
-    order = np.argsort(right_keys, kind="stable")
+    order = right_keys.argsort(kind="stable")
     ordered = right_keys[order]
-    lo = np.searchsorted(ordered, left_keys, "left")
-    count = np.searchsorted(ordered, left_keys, "right") - lo
-    left = np.repeat(np.arange(len(left_keys)), count)
-    right = order[np.arange(len(left)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    lo = ordered.searchsorted(left_keys, "left")
+    count = ordered.searchsorted(left_keys, "right") - lo
+    left = np.arange(len(left_keys)).repeat(count)
+    right = order[np.arange(len(left)) + (lo - (count.cumsum() - count)).repeat(count)]
     return left, right
 
 
@@ -128,6 +129,9 @@ _RICCI_COEFF, _S_KEY, _T_KEY, _S_SLOT, _T_SLOT = (
         (-0.5, (1, 2), (1, 2), (0, -1), (-1, 0)),
     )
 )
+# The index tables stacked for one gather; each contraction's key offset in n*n.
+_RICCI_TABLES = np.stack([_S_KEY, _T_KEY, _S_SLOT, _T_SLOT])
+_KEY_OFFSET = np.array([1, 1, 0, 0])[:, None, None] * np.arange(4)[:, None]
 
 
 def _ricci_pairs(support: Support, n: int) -> PairList:
@@ -136,23 +140,19 @@ def _ricci_pairs(support: Support, n: int) -> PairList:
         G[i, j] = -1/2 S[j,k,l] T[i,l,k] - S[l,k,k] T[l,j,i]
                   + 1/4 S[k,l,i] T[k,l,j] - 1/2 S[i,k,l] T[j,k,l];
 
-    the Ricci operator of T is the symmetric part of G(T, T).  One join
-    over the four contractions, their keys offset by term: an S entry meets
-    a T entry where the contracted indices agree, and each side gives its
-    part of the output slot.
+    the Ricci operator of T is the symmetric part of G(T, T).  One gather
+    and one multiply-add give both keys, offset by contraction, and both
+    slot parts of all four contractions; one join over the keys pairs each
+    S entry, l-major, with the T entries whose contracted indices agree.
     """
     m = len(support.value)
     # A zero row below the index, read by the -1 entries of the tables.
-    index = np.vstack([support.index, np.zeros((1, m), dtype=np.intp)])
-
-    def pair(columns):
-        return index[columns[:, 0]] * n + index[columns[:, 1]]
-
-    offset = np.arange(0, 4 * n * n, n * n)[:, None]
-    s_key = pair(_S_KEY) + offset
+    index = np.concatenate([support.index, np.zeros((1, m), dtype=np.intp)])
+    rows = index[_RICCI_TABLES]  # (table, contraction, first or second index, entry)
+    s_key, t_key, s_slot, t_slot = rows[:, :, 0] * n + rows[:, :, 1] + _KEY_OFFSET * (n * n)
     s_key[1, index[1] != index[2]] = -1
-    left, right = _join(s_key.ravel(), (pair(_T_KEY) + offset).ravel())
-    slot = pair(_S_SLOT).ravel()[left] + pair(_T_SLOT).ravel()[right]
+    left, right = _join(s_key.ravel(), t_key.ravel())
+    slot = s_slot.ravel()[left] + t_slot.ravel()[right]
     term, s = np.divmod(left, m)
     return PairList(*_frozen((s, right % m, slot, _RICCI_COEFF[term])))
 
@@ -296,7 +296,7 @@ class ExtensionSpec:
 
     def einstein_target(self) -> np.ndarray:
         """(tr D) diag(p) - tr(D^2) id, the constant Ricci class of an Einstein extension."""
-        return self.trace() * np.diag(self.eigenvalues()) - self.trace_sq() * np.eye(self.dim)
+        return np.diag(self.trace() * self._p - self.trace_sq())
 
 
 def make_spec(
@@ -378,7 +378,7 @@ def _divergence_terms(i, j, k, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i < j (0-based): mu[i,j|k] = v adds v (p_i - p_j) to component i when
     k = j, and to component j when k = i; zero weights are left out."""
     weight, on_j = p[i] - p[j], k == j
-    e = np.flatnonzero((on_j | (k == i)) & (weight != 0.0))
+    e = ((on_j | (k == i)) & (weight != 0.0)).nonzero()[0]
     return e, np.where(on_j, i, j)[e], weight[e]
 
 
@@ -524,7 +524,7 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
             f"'constant_structure' must be true (only homogeneous data is supported), "
             f"got {data['constant_structure']!r}"
         )
-    entries: dict[tuple[int, int, int], float] = {}
+    entries: dict = {}
     for item in data.get("mu", []):
         try:
             key, value = (item["i"], item["j"], item["k"]), item["v"]
@@ -533,17 +533,17 @@ def _parse_algebra_json(data: Mapping) -> tuple[StructureTensor, Optional[Extens
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"bad mu entry {item!r}: {exc}") from exc
         for name, idx in zip("ijk", key):
-            _require_int(idx, f"mu index '{name}'")
-        entries[key] = total = entries.get(key, 0.0) + _float(value, "mu[{},{}|{}]", *key)
-        if not math.isfinite(total):
-            raise StructureError("mu[%d,%d|%d] given more than once adds up past float64" % key)
+            _require_int(idx, "mu index '{}'", name)
+        if key in entries:  # a repeat adds up here; StructureTensor reads and checks each value
+            value = _float(entries[key], "mu[{},{}|{}]", *key) + _float(value, "mu[{},{}|{}]", *key)
+            if not math.isfinite(value):
+                raise StructureError("mu[%d,%d|%d] given more than once adds up past float64" % key)
+        entries[key] = value
     mu = StructureTensor(dim, entries)
     if not isinstance(data.get("spectral", []), list):
         raise StructureError(f"'spectral' must be a list, got {data['spectral']!r}")
     param = data.get("param")
-    spec = None
-    if "spectral" in data or param is not None:
-        spec = make_spec(mu, data.get("spectral", ()), param)
+    spec = make_spec(mu, data.get("spectral", ()), param) if "spectral" in data or param is not None else None
     h = None
     if "decomposition" in data:
         d = data["decomposition"]

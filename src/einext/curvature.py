@@ -42,12 +42,9 @@ from typing import Optional, Sequence
 # The package's modules first: ``algebra`` then compiles before numpy loads,
 # which keeps the peak memory of a cold start lower.
 from .algebra import ExtensionSpec, StructureTensor, divergence_residual, exponents
-from .scalars import format_rational
+from .scalars import ZERO, format_rational
 
 import numpy as np
-
-HALF = Fraction(1, 2)
-ZERO = Fraction(0)
 
 
 def _by_exponent(classes: dict) -> dict:
@@ -80,15 +77,15 @@ def _pair_classes(
     ``algebra.exponents`` as Python ints scaled by the lcm s of the
     denominators, so every class scaled by 2 s is an int too; the lookup
     runs on int64 while every scaled class is below 2**62, on Python ints
-    past it.
+    past it.  The constant class is the shared ``scalars.ZERO``.
     """
     weights, s = exponents(spectral, triples)
     distinct = sorted(set(weights))
     keys = sorted({0, *(-(e + f) for a, e in enumerate(distinct) for f in distinct[a:])})
     exact = np.int64 if max(-keys[0], keys[-1]) < 2**62 else object
     w = np.array(weights, dtype=exact)
-    index = np.searchsorted(np.array(keys, dtype=exact), -(w[left] + w[right]))
-    return [Fraction(q, 2 * s) for q in keys], index
+    index = np.array(keys, dtype=exact).searchsorted(-(w[left] + w[right]))
+    return [Fraction(q, 2 * s) if q else ZERO for q in keys], index
 
 
 def _ricci(mu: StructureTensor, values: np.ndarray, group=None, groups: int = 1) -> np.ndarray:
@@ -193,15 +190,15 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     """Ricci tensor of the extended metric in grouped form."""
     n = spec.dim
     classes = ricci_deformation(spec)
-    scal = {q: t for q, C in classes.items() if (t := float(np.trace(C))) != 0.0}
+    scal = {q: t for q, C in classes.items() if (t := float(C.trace())) != 0.0}
     div = divergence_residual(spec)
     mixed: dict[Fraction, np.ndarray] = {}
-    for i in np.flatnonzero(div):
-        mixed.setdefault(spec.spectral[i] * HALF, np.zeros(n))[i] = div[i]
+    for i in div.nonzero()[0]:
+        mixed.setdefault(spec.spectral[i] / 2, np.zeros(n))[i] = div[i]
     block = dict(classes)
     shift = spec.trace() * np.diag(spec.eigenvalues())
     if shift.any():
-        block[ZERO] = block.get(ZERO, np.zeros((n, n))) - shift
-        if not block[ZERO].any():
+        block[ZERO] = C = block.get(ZERO, 0.0) - shift
+        if not C.any():
             del block[ZERO]
     return CurvatureReport(n, classes, scal, -spec.trace_sq(), mixed, block)

@@ -15,6 +15,8 @@ from numbers import Rational
 from typing import Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
+ZERO = Fraction(0)
+MAX_EXPONENT = 5000
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -23,7 +25,10 @@ def parse_rational(value: RationalLike) -> Fraction:
     A float reads as the decimal of its shortest repr, so 0.1 is 1/10 and
     not the dyadic rational nearest to it; that decimal rounds back to the
     same float.  Strings may be integers, decimals, or "num/den".
-    Non-finite values, booleans and a zero denominator are refused.
+    Non-finite values, booleans and a zero denominator are refused, and so
+    is a decimal with an exponent past +-5,000 (``MAX_EXPONENT``), which
+    Fraction would expand exactly without bound; every float64 literal,
+    4,300 mantissa digits (Python's int limit) included, stays within it.
     """
     # Exact types first: the Rational ABC check below is slow, and bool is not int.
     if type(value) is Fraction:
@@ -37,6 +42,9 @@ def parse_rational(value: RationalLike) -> Fraction:
             if den == 0:
                 raise ValueError(f"{value!r} has a zero denominator")
             return Fraction(num, den)
+        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
+            raise ValueError(f"{value!r} has a decimal exponent past +-{MAX_EXPONENT}")
         return Fraction(text)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -69,14 +77,14 @@ def parse_affine(value: RationalLike) -> tuple[Fraction, Fraction]:
     being zero; anything else is a rational with slope 0.
     """
     if not (isinstance(value, str) and value.rstrip().endswith("t")):
-        return parse_rational(value), Fraction(0)
+        return parse_rational(value), ZERO
     body = value.strip()[:-1].rstrip()
     starred = body.endswith("*")
     if starred:
         body = body[:-1].rstrip()
     # The last sign past the first character that is not a decimal exponent's, as in "1e-3".
     split = max((m for m in range(1, len(body)) if body[m] in "+-" and body[m - 1] not in "eE"), default=0)
-    const = parse_rational(body[:split]) if split else Fraction(0)
+    const = parse_rational(body[:split]) if split else ZERO
     coeff = body[split:]
     sign = -1 if coeff.startswith("-") else 1
     coeff = coeff[1:].strip() if coeff[:1] in ("+", "-") else coeff.strip()

@@ -23,14 +23,13 @@ builder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 # The package's modules first: ``algebra`` then compiles before numpy loads,
 # which keeps the peak memory of a cold start lower.
 from .algebra import DEFAULT_TOL, ExtensionSpec, _maxabs, divergence_residual
 from .curvature import ricci_at_identity, ricci_deformation
-from .scalars import format_rational
+from .scalars import format_rational, scaled_to_integers
 
 import numpy as np
 
@@ -63,13 +62,11 @@ def verify_extension(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Verificat
     against (tr D) diag(p) - tr(D^2) id.
     """
     classes = ricci_deformation(spec)
-    residuals: dict[str, float] = {}
-    residuals["divergence"] = _maxabs(divergence_residual(spec))
+    residuals: dict[str, float] = {"divergence": _maxabs(divergence_residual(spec))}
     for q, C in sorted(classes.items()):
         if q != 0:
             residuals[f"exponent {format_rational(q)}"] = _maxabs(C)
     residuals["target"] = _maxabs(classes.get(0, 0.0) - spec.einstein_target())
-
     violated = _violated(residuals, tol)
     einstein = not violated
     return VerificationReport(
@@ -108,38 +105,36 @@ class ClassifierReport:
         return out
 
 
-def _relabelled(
-    spec: ExtensionSpec, lam: Fraction, nu: Fraction, type_name: str
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _relabelled(spec: ExtensionSpec, lam: int, nu: int, type_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slices A[a, b] = mu[o_a, s | o_b] and B[a, b] = mu[o_a, o_b | s]
     through the multiplicity-free eigenvalue's direction s, and the
     relabelling o = order that puts s last: frame index o_a becomes a.
 
-    Refuses anything that is not exactly (lam, ..., lam, nu) up to order;
-    near-miss types are never coerced.
+    Refuses anything that is not exactly (lam, ..., lam, nu) up to order,
+    compared as integers, each eigenvalue times the lcm of the denominators.
     """
-    values = spec.spectral
-    special = [i for i, v in enumerate(values) if v == nu]
-    rest = [i for i, v in enumerate(values) if v == lam]
-    if len(special) != 1 or len(rest) != len(values) - 1:
+    c, scale = scaled_to_integers(spec.spectral)
+    special = [i for i, x in enumerate(c) if x == nu * scale]
+    rest = [i for i, x in enumerate(c) if x == lam * scale]
+    if len(special) != 1 or len(rest) != len(c) - 1:
         raise TypeMismatchError(
             f"classifier {type_name} needs eigenvalues ({lam},...,{lam},{nu}) "
-            f"up to order; got {tuple(str(v) for v in values)}"
+            f"up to order; got {tuple(str(v) for v in spec.spectral)}"
         )
-    order = rest + special
+    order = np.array(rest + special)
     (i, j, k), value = spec.algebra.support()
-    label = np.array(order).argsort()  # frame index o_a -> a
+    label = order.argsort()  # frame index o_a -> a
     A, B = np.zeros((2, len(order), len(order)))
     for S, hit, column in ((A, j == special[0], k), (B, k == special[0], j)):
         S[label[i[hit]], label[column[hit]]] = value[hit]
     return A, B, order
 
 
-def _block_ricci(spec: ExtensionSpec, order: list[int]) -> np.ndarray:
+def _block_ricci(spec: ExtensionSpec, order: np.ndarray) -> np.ndarray:
     """Ricci operator of the block of the frame without the distinguished
     direction order[-1], relabelled by ``order``."""
     rest = order[:-1]
-    return ricci_at_identity(spec.algebra, without=order[-1] + 1)[np.ix_(rest, rest)]
+    return ricci_at_identity(spec.algebra, without=order[-1] + 1)[rest[:, None], rest]
 
 
 def _report(
@@ -154,7 +149,7 @@ def _report(
 def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (0,...,0,1): the distinguished direction splits off a line and
     the complementary block is Einstein with constant -1."""
-    A, B, order = _relabelled(spec, Fraction(0), Fraction(1), "0001")
+    A, B, order = _relabelled(spec, 0, 1, "0001")
     block = _block_ricci(spec, order)
     checks = {
         # mu[n, i | j] = -A[i, j], so A and B hold every entry touching e_n.
@@ -167,7 +162,7 @@ def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
 def classify_type_1110(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (1,...,1,0): transverse symmetric action with zero trace and
     squared norm n-1 over a Ricci-flat block."""
-    A, B, order = _relabelled(spec, Fraction(1), Fraction(0), "1110")
+    A, B, order = _relabelled(spec, 1, 0, "1110")
     # action[i, j] = mu[n, i | j], read as -mu[i, n | j]: eigh's last bits
     # depend on the signs of its zeros.
     action = -A[:-1, :-1]
@@ -194,7 +189,7 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     vector must couple to it with squared norm 4, and the undeformed Ricci
     operator must equal diag(-2, ..., -2, n-1).
     """
-    A, B, order = _relabelled(spec, Fraction(1), Fraction(2), "1112")
+    A, B, order = _relabelled(spec, 1, 2, "1112")
     n = len(A)
     action = -A[:-1, :-1]  # action[i, j] = mu[n, i | j]
     skew_defect = _maxabs(action - action.T) / 2.0
@@ -206,6 +201,6 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
         "distinguished_geodesic": _maxabs(A[:-1, -1]),
         "distinguished_action": _maxabs(action),
         "contact_coupling": coupling,
-        "ricci_at_identity": _maxabs(ricci_at_identity(spec.algebra)[np.ix_(order, order)] - expected),
+        "ricci_at_identity": _maxabs(ricci_at_identity(spec.algebra)[order[:, None], order] - expected),
     }
     return _report("1112", checks, tol, "k_contact_eta_einstein", gauge_obstruction=skew_defect > tol)

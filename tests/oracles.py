@@ -6,7 +6,8 @@ contraction with plain loops, the direct deformation evaluates the Ricci
 form on the rescaled constants at each time instead of summing the
 exponent classes, the dense Ricci, Jacobi and divergence
 forms contract whole n^3 arrays with einsum where the library walks the
-nonzero entries, the dense accumulation adds entries into an n^3 array
+nonzero entries, the Ricci pair list tries every ordered pair of entries
+for each contraction where the library joins sorted keys, the dense accumulation adds entries into an n^3 array
 where the library keeps only the nonzero support, the scalar oracle sums
 the scalar-curvature formula term by term instead of tracing the Ricci
 operator, the class-layout oracle
@@ -132,6 +133,34 @@ def ricci_form_dense(S: np.ndarray, T: np.ndarray, coeffs=RICCI_COEFFS) -> np.nd
         + coeffs[3] * np.einsum("...ikl,...jkl->...ij", S, T)
     )
     return 0.5 * (G + G.swapaxes(-1, -2))
+
+
+def ricci_pairs_bruteforce(index: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The pair list (left, right, slot, coeff) of the polarised Ricci form
+
+        G[i, j] = -1/2 S[j,k,l] T[i,l,k] - S[l,k,k] T[l,j,i]
+                  + 1/4 S[k,l,i] T[k,l,j] - 1/2 S[i,k,l] T[j,k,l]
+
+    on the support entries (the columns of ``index``, 0-based), by trying
+    every ordered pair (S entry l, T entry r) for each contraction in the
+    order of the formula, l-major and then r: a pair is kept where the
+    contracted indices agree, with the output slot i*n + j."""
+    terms = (  # coefficient, whether S entry s meets T entry t, and their slot
+        (-0.5, lambda s, t: (s[1], s[2]) == (t[2], t[1]), lambda s, t: t[0] * n + s[0]),
+        (-1.0, lambda s, t: s[1] == s[2] and s[0] == t[0], lambda s, t: t[2] * n + t[1]),
+        (0.25, lambda s, t: (s[0], s[1]) == (t[0], t[1]), lambda s, t: s[2] * n + t[2]),
+        (-0.5, lambda s, t: (s[1], s[2]) == (t[1], t[2]), lambda s, t: s[0] * n + t[0]),
+    )
+    entries = np.asarray(index).T.tolist()
+    pairs = [
+        (l, r, slot(s, t), coeff)
+        for coeff, meet, slot in terms
+        for l, s in enumerate(entries)
+        for r, t in enumerate(entries)
+        if meet(s, t)
+    ]
+    left, right, slot, coeff = zip(*pairs) if pairs else ((), (), (), ())
+    return tuple(np.array(x, dtype=np.intp) for x in (left, right, slot)) + (np.array(coeff, dtype=float),)
 
 
 def jacobi_form_dense(S: np.ndarray, T: np.ndarray) -> np.ndarray:

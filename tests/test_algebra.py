@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from einext.algebra import (
     PatternViolationError,
     StructureError,
     StructureTensor,
+    Support,
+    _ricci_pairs,
     algebra_from_json,
     algebra_to_json,
     divergence_residual,
@@ -23,11 +26,17 @@ from einext.algebra import (
     make_spec,
     standard_modification,
 )
-
+from einext.catalog import entries as catalog_entries
 from einext.scalars import parse_rational
 from einext.verifier import classify_type_0001, verify_extension
 
-from oracles import dense_accumulation, divergence_bruteforce, divergence_form_dense, ricci_deformation_at
+from oracles import (
+    dense_accumulation,
+    divergence_bruteforce,
+    divergence_form_dense,
+    ricci_deformation_at,
+    ricci_pairs_bruteforce,
+)
 from util import dense, random_lie_tensor, random_sparse_tensor
 
 
@@ -100,6 +109,41 @@ def entries_in_both_orders(draw):
         other = entries.get((j, i, k))
         entries[i, j, k] = other if other is not None and draw(st.booleans()) else draw(_STORED_VALUE)
     return n, entries
+
+
+@st.composite
+def ricci_supports(draw):
+    """A support of dimension 1-8 and the dimension: half the time a tensor's
+    own, from entries given in either order, some cancelling; otherwise the
+    two orders of raw triples, unsorted and with repeats.  Dimension 1 and
+    no draws give the empty support."""
+    n = draw(st.integers(1, 8))
+    triples = []
+    for _ in range(draw(st.integers(0, 12 if n > 1 else 0))):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        triples.append((i, j, draw(st.integers(1, n))))
+        if draw(st.integers(0, 3)) == 0:
+            triples.append(draw(st.sampled_from(triples)))  # a repeat
+    if draw(st.booleans()):
+        entries = {}
+        for i, j, k in triples:
+            other = entries.get((j, i, k))
+            entries[i, j, k] = other if other is not None and draw(st.booleans()) else 1.0
+        return StructureTensor(n, entries).support(), n
+    index = np.array(triples, dtype=np.intp).reshape(-1, 3).T - 1
+    index = np.concatenate([index, index[[1, 0, 2]]], axis=1)
+    return Support(index, np.ones(index.shape[1])), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(ricci_supports())
+def test_ricci_pairs_are_the_bruteforce_pairs_in_order(case):
+    # The order fixes the summation order of every bincount over the list,
+    # so it is pinned too, not only the set of pairs.
+    support, n = case
+    pairs = _ricci_pairs(support, n)
+    for got, expected in zip(pairs, ricci_pairs_bruteforce(support.index, n)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,6 +303,22 @@ def test_divergence_without_terms_is_float():
 # ---------------------------------------------------------------------------
 # ExtensionSpec
 # ---------------------------------------------------------------------------
+
+
+def _random_rational_types(count, seed=34):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+
+
+def test_einstein_target_is_the_dense_formula():
+    specs = [entry.spec for entry in catalog_entries()]
+    specs += [make_spec(StructureTensor(len(p)), p) for p in _random_rational_types(200)]
+    for spec in specs:
+        p = spec.eigenvalues()
+        dense_target = spec.trace() * np.diag(p) - spec.trace_sq() * np.eye(spec.dim)
+        assert np.array_equal(spec.einstein_target(), dense_target)
 
 
 def test_spec_validation():

@@ -347,6 +347,26 @@ def test_zero_denominator_is_input_error(capsys, argv):
     assert "'1/0'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "--spectral=1e-99999999,1,2"],
+        ["search", "--spectral=1,1e99999999,2"],
+        ["verify", "--input", HEISENBERG_JSON % ('"1e-99999999"', "2")],
+        ["verify", "--input", HEISENBERG_JSON % ("1.0", '"2E+99_999_999"')],
+        ["verify", "--input", json.dumps({"dim": 3, "mu": [], "spectral": [1, "1e-99999999*t", 2], "param": 1})],
+    ],
+)
+def test_huge_decimal_exponent_is_input_error(argv):
+    # Fraction would expand 10**exponent exactly and never finish: a child
+    # process, so that a hang fails on the timeout instead of stalling the suite.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = "import sys\nfrom einext.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "decimal exponent past +-5000" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_overflowing_curvature_is_input_error(capsys):
     for command in (["verify"], ["classify", "--type", "1112"]):
         code, out, err = run_cli(capsys, *command, "--input", HEISENBERG_JSON % ("1e200", "2"))

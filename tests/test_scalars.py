@@ -59,6 +59,20 @@ def test_parse_rational_rejects_garbage():
         parse_affine("1/0*t")
 
 
+def test_decimal_exponent_is_bounded():
+    # Every literal float64 can hold still reads: the bound is past 4,300
+    # mantissa digits (Python's int limit) plus float64's exponent range.
+    assert parse_rational("1e5000") == 10**5000
+    assert parse_rational("-2.5E-5000") == Fraction(-5, 2 * 10**5000)
+    assert parse_rational("1e+0000001") == 10
+    assert float(parse_rational("1" + "0" * 4299 + "e-4600")) == 1e-301  # 4,300 digits
+    for text in ("1e5001", "1e-5001", "1e-99999999", " 3E+99_999_999 ", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent past|Exceeds the limit"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match=r"^'1e-99999999' has a decimal exponent past \+-5000$"):
+        parse_affine("1e-99999999*t")
+
+
 def test_exact_int_and_fraction_take_the_fast_path():
     half = Fraction(1, 2)
     assert parse_rational(half) is half

@@ -260,6 +260,23 @@ def test_classifiers_refuse_wrong_types():
         classify_type_1112(make_spec(StructureTensor(3), [2, 2, 4]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_classifiers_refuse_types_a_float_cannot_tell_apart(n):
+    # Each near miss moves one nonzero eigenvalue by 10^-20, so it rounds to
+    # the classifier's own type in float64; the exact comparison refuses it,
+    # and accepts the exact type in another spelling.
+    for classify, lam, nu in ((classify_type_0001, 0, 1), (classify_type_1110, 1, 0), (classify_type_1112, 1, 2)):
+        exact = [Fraction(lam)] * (n - 1) + [Fraction(nu)]
+        for at in {0, n - 1} - {a for a in range(n) if exact[a] == 0}:
+            for delta in (Fraction(1, 10**20), -Fraction(1, 10**20)):
+                near = exact[:at] + [exact[at] + delta] + exact[at + 1 :]
+                assert [float(x) for x in near] == [float(x) for x in exact]
+                with pytest.raises(TypeMismatchError):
+                    classify(make_spec(StructureTensor(n), near))
+        exact = [Fraction(3 * nu, 3)] + [f"{2 * lam}/2"] * (n - 1)
+        assert classify(make_spec(StructureTensor(n), exact)).checks  # accepted as the type
+
+
 # ---------------------------------------------------------------------------
 # properties tying verification to the structural constraints
 # ---------------------------------------------------------------------------
