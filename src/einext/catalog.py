@@ -8,6 +8,7 @@ deformation is not a derivation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,7 @@ def table1(row: int, param: Optional[float] = None) -> CatalogEntry:
     with eigenvalues (1, p, 0) and Einstein constant -(1 + p^2).  The
     eigenvalue p is exact: a float reads as the decimal it shows, so
     ``table1(4, 0.1)`` has p = 1/10 (:func:`einext.scalars.parse_rational`).
+    A p whose constant overflows float64, |p| past about 1.34e154, is refused.
     """
     if row in (1, 2, 3) and param is not None:
         raise ValueError(f"row {row} takes no parameter")
@@ -54,11 +56,14 @@ def table1(row: int, param: Optional[float] = None) -> CatalogEntry:
         p = float(param)
         mu = StructureTensor(3, {(3, 1, 1): p, (3, 2, 2): -1.0}, lie=True)
         spec = make_spec(mu, [1, p, 0])
+        constant = -(1.0 + p * p)
+        if constant == -math.inf:
+            raise ValueError(f"the Einstein constant -(1 + p^2) overflows float64 at p = {p!r}")
         return CatalogEntry(
             f"table1:4:{repr(p).removesuffix('.0')}",  # the shortest repr reads back as p
             spec,
             True,
-            -(1.0 + p * p),
+            constant,
             "solvable family; extension is a product of two hyperbolic planes",
         )
     raise ValueError(f"table row must be 1..4, got {row}")

@@ -2,27 +2,27 @@
 
 Exit codes: 0 success / verification pass, 3 verification failure or
 non-convergence, 2 input or validation error.  Diagnostics go to stderr.
-Each command returns its JSON payload and whether it passed; ``main`` alone
-writes stdout and maps that verdict to 0 or 3.
 
-A cold process loads only what its command runs.  Each command checks its
-flags and reads its input first, refusing NaN, Infinity and number literals
-past float64 as the JSON is parsed, then imports the library modules it
-calls: an input error exits before numpy loads, and ``enumerate`` never
-loads the curvature, solver or verifier code.  Its numeric calls then run
-under ``_float_errors_raise``.  A flag that was not given is not passed on,
-so the library's defaults have one home.
+``main`` runs a request in one order: parse, read, compute, emit.  ``_read``
+checks the flags and reads the input before numpy loads, refusing NaN,
+Infinity and number literals past float64 as the JSON is parsed, so an input
+error exits without loading it.  ``main`` then loads the command's first
+package module, which compiles before numpy loads, and runs the command's
+compute step ``(args, data) -> (payload, passed)`` in its one float-error
+scope.  Each step imports the library modules it calls, so ``enumerate``
+never loads the curvature, solver or verifier code.  ``main`` alone writes
+stdout and maps the verdict to 0 or 3.  A flag that was not given is not
+passed on, so the library's defaults have one home.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import importlib
 import json
 import math
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import parse_rational
@@ -36,35 +36,15 @@ class InputError(ValueError):
     pass
 
 
-def _require_finite(name: str, value: float, nonnegative: bool = False) -> float:
-    if not math.isfinite(value) or (nonnegative and value < 0):
+def _require_finite(name: str, value: Optional[float], nonnegative: bool = False) -> None:
+    if value is not None and (not math.isfinite(value) or (nonnegative and value < 0)):
         kind = "finite and nonnegative" if nonnegative else "finite"
         raise InputError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _tolerance(args: argparse.Namespace) -> Optional[float]:
-    """``--tol``, else None for ``algebra.DEFAULT_TOL``."""
-    if args.tol is not None:
-        return _require_finite("--tol", args.tol, nonnegative=True)
-    return None
 
 
 def _given(**settings) -> dict:
     """The settings whose flag was given, as keyword arguments."""
     return {name: value for name, value in settings.items() if value is not None}
-
-
-@contextlib.contextmanager
-def _float_errors_raise():
-    """An overflow in numpy arithmetic, or the inf - inf it leaves, raises
-    instead of warning and carrying a non-finite value on; the curvature
-    kernel's bincount sums past float64 without either, so curvature raises
-    OverflowError for an entry that is not finite."""
-    import numpy as np
-
-    with np.errstate(over="raise", invalid="raise"):
-        yield
 
 
 OVERFLOW_MESSAGE = (
@@ -74,11 +54,9 @@ OVERFLOW_MESSAGE = (
 
 
 def _emit(payload, pretty: bool) -> None:
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     try:
-        if pretty:
-            text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-        else:
-            text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        text = json.dumps(payload, allow_nan=False, **layout)
     except ValueError as exc:  # an infinity or NaN in the result
         raise InputError(OVERFLOW_MESSAGE) from exc
     sys.stdout.write(text + "\n")
@@ -119,8 +97,19 @@ def _read_json_input(raw: str) -> dict:
     return data
 
 
-def _read_spec(args: argparse.Namespace) -> Optional[dict]:
-    """The algebra JSON of ``--input``, or None when ``--catalog`` names the spec."""
+def _read(args: argparse.Namespace) -> object:
+    """The command's input: the rationals of ``--spectral`` (``cone``,
+    ``search``); the algebra JSON of ``--input`` once ``--tol`` and ``--u``
+    are checked, or None for ``--catalog``; None for a command with neither."""
+    if "spectral" in args:
+        try:
+            return tuple(parse_rational(part) for part in args.spectral.split(","))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad spectral vector {args.spectral!r}: {exc}") from exc
+    if "catalog" not in args:
+        return None
+    _require_finite("--tol", getattr(args, "tol", None), nonnegative=True)
+    _require_finite("--u", getattr(args, "u", None))
     if args.catalog:
         return None
     if args.input:
@@ -142,25 +131,17 @@ def _load_spec(args: argparse.Namespace, data: Optional[dict]) -> tuple:
     return spec, h
 
 
-def _parse_spectral(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad spectral vector {text!r}: {exc}") from exc
-
-
 def _types_json(types) -> list:
     return sorted([int(x) for x in p.entries] for p in types)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
+def _cmd_enumerate(args: argparse.Namespace, _) -> tuple[object, bool]:
     from .spectral import enumerate_types, enumeration_report
 
     cap = _given(cap=args.cap)
-    with _float_errors_raise():
-        if not (args.report_both or args.cone_filter):
-            return _types_json(enumerate_types(args.dim, **cap)), True
-        report = enumeration_report(args.dim, **cap)
+    if not (args.report_both or args.cone_filter):
+        return _types_json(enumerate_types(args.dim, **cap)), True
+    report = enumeration_report(args.dim, **cap)
     if not args.report_both:
         return _types_json(report.cone_filtered), True
     return {
@@ -172,21 +153,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[object, bool]:
     }, True
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[object, bool]:
-    tol = _given(tol=_tolerance(args))
-    data = _read_spec(args)
+def _cmd_verify(args: argparse.Namespace, data: Optional[dict]) -> tuple[object, bool]:
     from .algebra import is_derivation
     from .verifier import verify_extension
 
-    with _float_errors_raise():
-        spec, h = _load_spec(args, data)
-        report = verify_extension(spec, **tol)
-        payload = asdict(report)
-        check = is_derivation(spec, **tol)
-        payload["is_derivation"] = check.ok
-        payload["derivation_violation"] = check.max_violation
-        if h is not None:
-            payload["twist"] = _twist(spec, h, tol)
+    tol = _given(tol=args.tol)
+    spec, h = _load_spec(args, data)
+    report = verify_extension(spec, **tol)
+    payload = asdict(report)
+    check = is_derivation(spec, **tol)
+    payload["is_derivation"] = check.ok
+    payload["derivation_violation"] = check.max_violation
+    if h is not None:
+        payload["twist"] = _twist(spec, h, tol)
     return payload, report.einstein
 
 
@@ -202,9 +181,7 @@ def _twist(spec, h: tuple[int, ...], tol: dict) -> dict:
     return {"mu": algebra_to_json(twisted.algebra)["mu"], **asdict(verify_extension(twisted, **tol))}
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
-    tol = _given(tol=_tolerance(args))
-    data = _read_spec(args)
+def _cmd_classify(args: argparse.Namespace, data: Optional[dict]) -> tuple[object, bool]:
     from .verifier import classify_type_0001, classify_type_1110, classify_type_1112
 
     classify = {
@@ -212,73 +189,69 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[object, bool]:
         "1110": classify_type_1110,
         "1112": classify_type_1112,
     }[args.type]
-    with _float_errors_raise():
-        spec, _ = _load_spec(args, data)
-        report = classify(spec, **tol)
-        return report.to_json(), report.passed
+    spec, _ = _load_spec(args, data)
+    report = classify(spec, **_given(tol=args.tol))
+    return report.to_json(), report.passed
 
 
-def _cmd_curvature(args: argparse.Namespace) -> tuple[object, bool]:
-    if args.u is not None:
-        _require_finite("--u", args.u)
-    data = _read_spec(args)
+def _cmd_curvature(args: argparse.Namespace, data: Optional[dict]) -> tuple[object, bool]:
     from .curvature import extension_ricci
 
-    with _float_errors_raise():
-        spec, _ = _load_spec(args, data)
-        report = extension_ricci(spec)
-        payload = report.to_json()
-        if args.u is not None:
-            try:
-                values = report.evaluate_extension(args.u)
-            except OverflowError as exc:
-                raise InputError(
-                    f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
-                ) from exc
-            payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
+    spec, _ = _load_spec(args, data)
+    report = extension_ricci(spec)
+    payload = report.to_json()
+    if args.u is not None:
+        try:
+            values = report.evaluate_extension(args.u)
+        except OverflowError as exc:
+            raise InputError(
+                f"--u {args.u!r} is too far from 0: exp(-2 u q) C_q overflows float64"
+            ) from exc
+        payload["evaluated_at"] = {"u": args.u, "extension_ricci": values.tolist()}
     return payload, True
 
 
-def _cmd_catalog(args: argparse.Namespace) -> tuple[object, bool]:
+def _cmd_catalog(args: argparse.Namespace, _) -> tuple[object, bool]:
     from . import catalog
     from .algebra import algebra_to_json
 
-    with _float_errors_raise():
-        entries = [catalog.lookup(args.name)] if args.name else catalog.entries()
-        payload = [
-            {
-                "name": entry.name,
-                "expected_pass": entry.expected_pass,
-                "expected_constant": entry.expected_constant,
-                "note": entry.note,
-                "algebra": algebra_to_json(entry.spec.algebra, entry.spec),
-            }
-            for entry in entries
-        ]
+    entries = [catalog.lookup(args.name)] if args.name else catalog.entries()
+    payload = [
+        {
+            "name": entry.name,
+            "expected_pass": entry.expected_pass,
+            "expected_constant": entry.expected_constant,
+            "note": entry.note,
+            "algebra": algebra_to_json(entry.spec.algebra, entry.spec),
+        }
+        for entry in entries
+    ]
     return (payload if args.name is None else payload[0]), True
 
 
-def _cmd_cone(args: argparse.Namespace) -> tuple[object, bool]:
-    spectral = _parse_spectral(args.spectral)
+def _cmd_cone(args: argparse.Namespace, spectral: tuple) -> tuple[object, bool]:
     from .spectral import cone_membership
 
-    with _float_errors_raise():
-        cert = cone_membership(spectral)
+    cert = cone_membership(spectral)
+    try:
         return cert.as_dict(), cert.feasible
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        raise InputError(
+            f"--spectral {args.spectral!r}: the cone certificate has a number past Python's "
+            f"{sys.get_int_max_str_digits():,}-digit limit for integer string conversion"
+        ) from exc
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[object, bool]:
-    spectral = _parse_spectral(args.spectral)
+def _cmd_search(args: argparse.Namespace, spectral: tuple) -> tuple[object, bool]:
     from .algebra import full_pattern
     from .solver import SearchProblem, search
 
     settings = _given(
         restarts=args.restarts, seed=args.seed, tolerance=args.tol, jacobi_weight=args.jacobi_weight
     )
-    with _float_errors_raise():
-        pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
-        result = search(SearchProblem(spectral=spectral, pattern=pattern, **settings))
-        return result.to_json(), result.converged
+    pattern = None if args.pattern == "auto" else full_pattern(len(spectral))
+    result = search(SearchProblem(spectral=spectral, pattern=pattern, **settings))
+    return result.to_json(), result.converged
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit unfiltered and cone-filtered sets with their difference",
     )
     p_enum.add_argument("--cap", type=int, help="dimension cap (default: spectral.DEFAULT_DIMENSION_CAP)")
-    p_enum.set_defaults(func=_cmd_enumerate)
+    p_enum.set_defaults(func=_cmd_enumerate, loads="spectral")
 
     def add_spec_input(p, tol=True):
         p.add_argument("--input", help="algebra JSON: path, inline object, or - for stdin")
@@ -312,27 +285,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the Einstein conditions", parents=[common])
     add_spec_input(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, loads="algebra")
 
     p_classify = sub.add_parser("classify", help="run a structural type classifier", parents=[common])
     p_classify.add_argument("--type", choices=("0001", "1110", "1112"), required=True)
     add_spec_input(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    p_classify.set_defaults(func=_cmd_classify, loads="verifier")
 
     p_curv = sub.add_parser("curvature", help="grouped curvature report", parents=[common])
     add_spec_input(p_curv, tol=False)
     p_curv.add_argument("--u", type=float, default=None, help="also evaluate at this deformation time")
-    p_curv.set_defaults(func=_cmd_curvature)
+    p_curv.set_defaults(func=_cmd_curvature, loads="curvature")
 
     p_cat = sub.add_parser("catalog", help="emit catalog entries as algebra JSON", parents=[common])
     group = p_cat.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--name", default=None)
-    p_cat.set_defaults(func=_cmd_catalog)
+    p_cat.set_defaults(func=_cmd_catalog, loads="catalog")
 
     p_cone = sub.add_parser("cone", help="exact cone-membership certificate", parents=[common])
     p_cone.add_argument("--spectral", required=True, help="comma-separated rationals, e.g. -3,-2,-1,1,2,3")
-    p_cone.set_defaults(func=_cmd_cone)
+    p_cone.set_defaults(func=_cmd_cone, loads="spectral")
 
     p_search = sub.add_parser("search", help="search structure constants for a type", parents=[common])
     p_search.add_argument("--spectral", required=True, help="comma-separated rationals, e.g. 1,1,2")
@@ -341,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--tol", type=float)
     p_search.add_argument("--pattern", choices=("auto", "full"), default="auto")
     p_search.add_argument("--jacobi-weight", type=float)
-    p_search.set_defaults(func=_cmd_search)
+    p_search.set_defaults(func=_cmd_search, loads="algebra")
 
     return parser
 
@@ -354,7 +327,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on bad flags, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        payload, passed = args.func(args)
+        data = _read(args)
+        # The command's first package module (``loads``) compiles before
+        # numpy loads, which keeps the peak memory of a cold start lower.
+        importlib.import_module(f".{args.loads}", __package__)
+        import numpy as np
+
+        # An overflow in numpy arithmetic, or the inf - inf it leaves, raises
+        # instead of warning and carrying a non-finite value on; the curvature
+        # kernel's bincount sums past float64 without either, so curvature
+        # raises OverflowError for an entry that is not finite.
+        with np.errstate(over="raise", invalid="raise"):
+            payload, passed = args.func(args, data)
         _emit(payload, args.pretty)
     except (InputError, ValueError, KeyError, MemoryError) as exc:
         # MemoryError: a "dim" too large to allocate its n x n arrays.  A

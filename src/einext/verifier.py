@@ -193,8 +193,14 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     n = len(A)
     action = -A[:-1, :-1]  # action[i, j] = mu[n, i | j]
     skew_defect = _maxabs(action - action.T) / 2.0
-    # Python floats, so a square past float64 raises OverflowError.
-    coupling = max((abs(sum(x**2 for x in row) - 4.0) for row in B[:-1, :-1].tolist()), default=0.0)
+    # Each transverse row's squared norm over its nonzero entries in column
+    # order, the float the whole row gives; Python floats, so a square past
+    # float64 raises OverflowError.
+    rows, columns = B[:-1, :-1].nonzero()
+    norms = [0.0] * (n - 1)
+    for a, x in zip(rows.tolist(), B[rows, columns].tolist()):
+        norms[a] += x**2
+    coupling = max((abs(norm - 4.0) for norm in norms), default=0.0)
     expected = np.diag([-2.0] * (n - 1) + [float(n - 1)])
     checks = {
         "transverse_trace": abs(float(np.einsum("kk->", A))),

@@ -5,7 +5,8 @@ module of the package but ``__init__`` uses each name it imports, and no
 name that ``tests/oracles.py`` or ``tests/util.py`` defines is defined in
 the package too, so a cross-check is never kept in the library.  The
 command line has one writer: only ``main`` calls ``_emit``, and no command
-handler picks an exit code.  ``cli`` and ``__init__`` import neither numpy
+handler picks an exit code; and one reader and one float-error scope, both
+entered by ``main`` alone.  ``cli`` and ``__init__`` import neither numpy
 nor the package's numeric modules when they load.  No module reads the
 environment, and the tolerance has one default, ``algebra.DEFAULT_TOL``.
 
@@ -193,6 +194,33 @@ def test_main_alone_writes_stdout_and_picks_the_exit_code():
         if isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_FAIL")
     }
     assert verdicts == set()
+
+
+def test_main_alone_reads_the_input_and_enters_the_float_error_scope():
+    # Each command is a compute step (args, data) -> (payload, passed): main
+    # reads the input, then runs the step in the one np.errstate scope.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = {
+        f.name: {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+    }
+
+    def reached(name: str) -> set:
+        """The names a function calls, directly or through the module's functions."""
+        seen, todo = set(), [name]
+        while todo:
+            new = calls[todo.pop()] - seen
+            seen |= new
+            todo += sorted(new & calls.keys())
+        return seen
+
+    assert {name for name in calls if "_read_json_input" in reached(name)} == {"_read", "main"}
+    assert {name for name in calls if "errstate" in reached(name)} == {"main"}
 
 
 def test_no_module_reads_the_environment():

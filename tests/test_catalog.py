@@ -223,3 +223,13 @@ def test_row4_parameter_that_underflows_is_refused(literal, zero):
     with pytest.raises(KeyError, match=f"bad catalog reference 'table1:4:{literal}'.*underflows"):
         lookup(f"table1:4:{literal}")
     assert lookup(f"table1:4:{zero}").name == "table1:4:0"
+
+
+@pytest.mark.parametrize("literal", ["1e200", "-1e155", "1.4e154"])
+def test_row4_parameter_whose_constant_overflows_is_refused(literal):
+    # -(1 + p^2) would be stored as -inf, a constant no JSON can carry.
+    with pytest.raises(ValueError, match="overflows float64"):
+        table1(4, float(literal))
+    with pytest.raises(KeyError, match=rf"bad catalog reference 'table1:4:{literal}'.*-\(1 \+ p\^2\) overflows"):
+        lookup(f"table1:4:{literal}")
+    assert lookup("table1:4:1.34e154").expected_constant == -1.7956e308  # a p just below the bound is kept

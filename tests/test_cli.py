@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einext.algebra import DEFAULT_TOL, algebra_from_json, jacobi_residual
+from einext import cli
 from einext.cli import main
 
 
@@ -659,6 +660,43 @@ def test_cone_cli(capsys):
     code, out, err = run_cli(capsys, "cone", "--spectral=1")
     assert (code, out) == (2, "")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spectral", ["1e-2200,1,2", "1e-5000,1,2"])
+def test_cone_certificate_past_the_digit_limit_is_input_error(capsys, spectral):
+    # The certificate is found, but it has a number Python will not print
+    # under its int-to-str digit limit, which stays as it is.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "cone", f"--spectral={spectral}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --spectral '{spectral}': ")
+    assert f"{limit:,}-digit limit" in err and "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--name", "table1:4:1e200"],
+        ["verify", "--catalog", "table1:4:1e200"],
+        ["curvature", "--catalog", "table1:4:1e200"],
+        ["classify", "--type", "0001", "--catalog", "table1:4:1e200"],
+    ],
+)
+def test_catalog_parameter_whose_constant_overflows_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad catalog reference 'table1:4:1e200': ")
+    assert "-(1 + p^2) overflows float64" in err and "curvature" not in err
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_a_non_finite_result_is_refused_before_stdout(capsys, monkeypatch, pretty):
+    # The emitter's guard is the last check before stdout: a compute step
+    # that returns inf exits 2 rather than print the non-standard Infinity.
+    monkeypatch.setattr(cli, "_cmd_catalog", lambda args, data: ({"value": [1.0, math.inf]}, True))
+    code, out, err = run_cli(capsys, "catalog", "--list", *pretty)
+    assert (code, out, err) == (2, "", f"error: {cli.OVERFLOW_MESSAGE}\n")
 
 
 def test_search_cli_deterministic(capsys):

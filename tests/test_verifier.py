@@ -23,7 +23,7 @@ from einext.verifier import (
 
 from oracles import ricci_deformation_at
 from test_golden import HAND_BUILT
-from util import permuted, random_sparse_tensor, relation_exists
+from util import dense, permuted, random_sparse_tensor, relation_exists
 
 
 def heisenberg3(strength=2.0):
@@ -229,6 +229,43 @@ def test_classify_1112_heisenberg_family():
     weak = classify_type_1112(make_spec(heisenberg3(1.0), [1, 1, 2]))
     assert not weak.passed
     assert weak.checks["contact_coupling"] == pytest.approx(3.0)
+
+
+def contact_coupling_dense(spec, s: int) -> float:
+    """The contact coupling over the dense transverse block mu[a, b | s]:
+    every entry squared, zeros included, b in frame order."""
+    rest = [a for a in range(spec.dim) if a != s]
+    block = dense(spec.algebra)[np.ix_(rest, rest, [s])][..., 0]
+    return max((abs(sum(x**2 for x in row) - 4.0) for row in block.tolist()), default=0.0)
+
+
+def coupling_cases():
+    """Catalog, hand-built and random algebras, with the eigenvalue 2 on each direction in turn."""
+    algebras = [entry.spec.algebra for entry in catalog_entries()]
+    algebras += [algebra_from_json(data)[0] for data in HAND_BUILT.values()]
+    rng = np.random.default_rng(1112)
+    for _ in range(40):
+        n = int(rng.integers(1, 10))
+        triples = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(1, n + 1)]
+        # Magnitudes far apart, so a different summation order shows in the last bits.
+        values = {t: float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 3)) for t in triples if rng.random() < 0.5}
+        algebras.append(StructureTensor(n, values))
+    for mu in algebras:
+        for s in range(mu.dim):
+            yield make_spec(mu, [1] * s + [2] + [1] * (mu.dim - s - 1)), s
+
+
+def test_contact_coupling_sums_only_the_nonzero_entries_to_the_same_float():
+    cases = list(coupling_cases())
+    assert len(cases) > 250
+    for spec, s in cases:
+        assert classify_type_1112(spec).checks["contact_coupling"] == contact_coupling_dense(spec, s)
+
+
+def test_contact_coupling_square_past_float64_raises():
+    spec = make_spec(StructureTensor(3, {(1, 2, 3): 1e160}, lie=True), [1, 1, 2])
+    with pytest.raises(OverflowError):
+        classify_type_1112(spec)
 
 
 def test_classify_1112_implies_verify():
