@@ -157,17 +157,10 @@ def _ricci_pairs(support: Support, n: int) -> PairList:
     return PairList(*_frozen((s, right % m, slot, _RICCI_COEFF[term])))
 
 
-def _triple_index(i: np.ndarray, j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """Position of i < j < k (0-based) among the triples of range(n) in
-    lexicographic order: the triples with a first index below i, then those
-    with first index i and a second below j, then k."""
-    first = (n * (n - 1) * (n - 2) - (n - i) * (n - i - 1) * (n - i - 2)) // 6
-    return first + ((n - i - 1) * (n - i - 2) - (n - j) * (n - j - 1)) // 2 + k - j - 1
-
-
 def _jacobi_pairs(support: Support, n: int) -> PairList:
     """The polarised Jacobi form on a support: sum_m S[i,j,m] T[m,k,l] +
-    cyclic in (i, j, k), slot t*n + l for the t-th triple i < j < k.
+    cyclic in (i, j, k), slot ((i*n + j)*n + k)*n + l for i < j < k: the
+    slots of the sums follow the lexicographic order of (i, j, k, l).
 
     S entries with i < j meet T entries at m; the cyclic sum is the sum of
     these products over the orders of (i, j, k) with i < j, each with the
@@ -179,7 +172,7 @@ def _jacobi_pairs(support: Support, n: int) -> PairList:
     keep = (k != i) & (k != j)
     left, right, i, j, k, l = (x[keep] for x in (left, right, i, j, k, l))
     lo, hi = np.minimum(i, k), np.maximum(j, k)
-    slot = _triple_index(lo, i + j + k - lo - hi, hi, n) * n + l
+    slot = ((lo * n + i + j + k - lo - hi) * n + hi) * n + l
     sign = np.where((i < k) & (k < j), -1.0, 1.0)
     return PairList(*_frozen((left, right, slot, sign)))
 

@@ -62,6 +62,14 @@ def _emit(payload, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _digit_limit_message(args: argparse.Namespace) -> str:
+    """Names the input with a number past Python's int-to-str digit limit, which stays as it is."""
+    source = f"--catalog {args.catalog}" if getattr(args, "catalog", None) else "--input"
+    source = f"--spectral {args.spectral!r}" if "spectral" in args else source
+    limit = sys.get_int_max_str_digits()
+    return f"{source}: a number past Python's {limit:,}-digit limit for integer string conversion"
+
+
 def _read_json_input(raw: str) -> dict:
     """Accept inline JSON, '-' for stdin, or a file path.  NaN, Infinity,
     -Infinity and a number past float64 such as 1e999 are refused."""
@@ -233,13 +241,7 @@ def _cmd_cone(args: argparse.Namespace, spectral: tuple) -> tuple[object, bool]:
     from .spectral import cone_membership
 
     cert = cone_membership(spectral)
-    try:
-        return cert.as_dict(), cert.feasible
-    except ValueError as exc:  # str() of an int past the interpreter's digit limit
-        raise InputError(
-            f"--spectral {args.spectral!r}: the cone certificate has a number past Python's "
-            f"{sys.get_int_max_str_digits():,}-digit limit for integer string conversion"
-        ) from exc
+    return cert.as_dict(), cert.feasible
 
 
 def _cmd_search(args: argparse.Namespace, spectral: tuple) -> tuple[object, bool]:
@@ -343,6 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, ValueError, KeyError, MemoryError) as exc:
         # MemoryError: a "dim" too large to allocate its n x n arrays.  A
         # KeyError's str is the repr of its message, quotes and all.
+        if type(exc) is ValueError and "integer string conversion" in str(exc):
+            exc = InputError(_digit_limit_message(args))
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OverflowError, FloatingPointError):

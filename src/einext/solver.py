@@ -50,6 +50,7 @@ from .algebra import (
     sparsity_pattern,
 )
 from .curvature import _pair_classes
+from .ratlinalg import _triangle
 from .scalars import parse_rational
 from .verifier import verify_extension
 
@@ -153,23 +154,19 @@ class _QuadraticModel:
     def __init__(self, base: ExtensionSpec, pattern: Sequence[Triple], jacobi_weight: float):
         n, v = base.dim, len(pattern)
         unit = StructureTensor(n, dict.fromkeys(pattern, 1.0)).support()  # sorted: entry a < v is triple a
-        iu = np.triu_indices(n)
+        upper_i, upper_j, upper = _triangle(n)
         # Each product of two unit entries: a Ricci pair adds to the upper
         # triangle of the symmetric part, a Jacobi pair to its row (kind 1).
         ricci, jacobi = _ricci_pairs(unit, n), _jacobi_pairs(unit, n)
-        row, col = np.divmod(ricci.slot, n)
-        upper = np.zeros((n, n), dtype=np.intp)
-        upper[iu] = np.arange(iu[0].size)
         var = np.tile(np.arange(v), 2)
         x = var[np.concatenate([ricci.left, jacobi.left])]
         y = var[np.concatenate([ricci.right, jacobi.right])]
-        kind = np.repeat([0, 1], [len(row), len(jacobi.slot)])
-        t = np.concatenate([upper[np.minimum(row, col), np.maximum(row, col)], jacobi.slot])
-        w = np.concatenate(
-            [np.where(row == col, 1.0, 0.5) * ricci.products(unit.value), jacobi.products(unit.value)]
-        )
-        # Sum them exactly (dyadic) per (a, kind, b, t), in that order.
-        rows = max(iu[0].size, n * math.comb(n, 3))
+        kind = np.repeat([0, 1], [len(ricci.slot), len(jacobi.slot)])
+        t = np.concatenate([upper.ravel()[ricci.slot], jacobi.slot])
+        diagonal = ricci.slot % (n + 1) == 0
+        w = np.concatenate([np.where(diagonal, 1.0, 0.5) * ricci.products(unit.value), jacobi.products(unit.value)])
+        # Sum them exactly (dyadic) per (a, kind, b, t), in that order; t < n^4.
+        rows = n**4
         key = ((np.minimum(x, y) * 2 + kind) * v + np.maximum(x, y)) * rows + t
         key, slot = np.unique(key, return_inverse=True)
         coeff = np.bincount(slot, w, minlength=len(key))
@@ -181,7 +178,7 @@ class _QuadraticModel:
         names, ricci_class = _pair_classes(base.spectral, pattern, a, b)
         zero = names.index(Fraction(0))
         DIV, JAC = len(names), len(names) + 1
-        target = base.einstein_target()[iu]
+        target = base.einstein_target()[upper_i, upper_j]
         r = np.flatnonzero(target)
         e, component, div = _divergence_terms(*unit.index[:, :v], base.eigenvalues())
         nz = coeff != 0.0
@@ -194,8 +191,8 @@ class _QuadraticModel:
         block, t, self.a, self.b, self.coeff = (np.concatenate(f) for f in zip(*chunks))
         # The layout: the constant class and every class with a coefficient.
         size = np.zeros(len(names) + 2, dtype=np.intp)
-        size[block] = size[zero] = iu[0].size
-        size[DIV], size[JAC] = n, math.comb(n, 3) * n
+        size[block] = size[zero] = len(upper_i)
+        size[DIV], size[JAC] = n, rows
         self.keys = [names[c] for c in np.flatnonzero(size[:DIV])]
         self.rows, self.row = np.unique((np.cumsum(size) - size)[block] + t, return_inverse=True)
         self.size = len(self.rows)

@@ -182,8 +182,10 @@ def cone_membership(p: "SpectralVector | Sequence[Fraction]") -> ConeCertificate
     return ConeCertificate(False, target, gens, witness=tuple(witness))
 
 
-def _enumerate_unfiltered(dim: int) -> set[tuple[int, ...]]:
-    """Breadth-first walk, level by level, over the subspaces W spanned by roots.
+def _walk(dim: int, cap: int) -> list[tuple[int, ...]]:
+    """Breadth-first walk, level by level, over the subspaces W spanned by
+    roots, for an integer ``dim`` from 2 up to the cap.  Returns the types as
+    integer tuples in canonical form.
 
     The candidate of W is the row sums of its projector Q / d onto the
     complement.  A level holds the subspaces of one rank below n - 1 as key
@@ -200,9 +202,13 @@ def _enumerate_unfiltered(dim: int) -> set[tuple[int, ...]]:
     one key or a few.  No orbit is lost: a subspace of rank r + 1 spanned
     by roots is tau (R + span(rho)) for a stored R of rank r, a permutation
     tau and a root rho, and that child of R is built.
-
-    Returns the types as integer tuples in canonical form.
     """
+    _require_dim(dim)
+    if dim > cap:
+        raise DimensionCapError(
+            f"dimension {dim} exceeds the enumeration cap {cap}; "
+            f"pass cap={dim} (--cap {dim} on the command line) explicitly to override"
+        )
     roots = _roots(dim)[1]
     chunk = max(1, _CHUNK_ENTRIES // (len(roots) * dim or 1))
     found: set[tuple[int, ...]] = set()
@@ -237,18 +243,7 @@ def _enumerate_unfiltered(dim: int) -> set[tuple[int, ...]]:
                 candidates.append(reject(sums, U).reshape(-1, dim))
             add_types(np.concatenate(candidates))
         level = distinct(np.concatenate([stored, *pending]))
-    return found
-
-
-def _walk(dim: int, cap: int) -> list[tuple[int, ...]]:
-    """The walk's integer types, for an integer ``dim`` from 2 up to the cap."""
-    _require_dim(dim)
-    if dim > cap:
-        raise DimensionCapError(
-            f"dimension {dim} exceeds the enumeration cap {cap}; "
-            f"pass cap={dim} (--cap {dim} on the command line) explicitly to override"
-        )
-    return list(_enumerate_unfiltered(dim))
+    return list(found)
 
 
 def _vectors(types: list[tuple[int, ...]]) -> list[SpectralVector]:

@@ -146,6 +146,14 @@ def _report(
     return ClassifierReport(type_name, not violated, checks, violated, details=details, **fields)
 
 
+def _transverse(A: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
+    """The action[i, j] = mu[n, i | j] of the distinguished direction, its
+    skew defect, and the first two checks of types 1110 and 1112."""
+    action = -A[:-1, :-1]  # read as -mu[i, n | j]: eigh's last bits depend on the signs of its zeros
+    checks = {"transverse_trace": abs(float(np.einsum("kk->", A))), "distinguished_geodesic": _maxabs(A[:-1, -1])}
+    return action, _maxabs(0.5 * (action - action.T)), checks
+
+
 def classify_type_0001(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> ClassifierReport:
     """Type (0,...,0,1): the distinguished direction splits off a line and
     the complementary block is Einstein with constant -1."""
@@ -163,14 +171,9 @@ def classify_type_1110(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     """Type (1,...,1,0): transverse symmetric action with zero trace and
     squared norm n-1 over a Ricci-flat block."""
     A, B, order = _relabelled(spec, 1, 0, "1110")
-    # action[i, j] = mu[n, i | j], read as -mu[i, n | j]: eigh's last bits
-    # depend on the signs of its zeros.
-    action = -A[:-1, :-1]
-    skew_defect = _maxabs(0.5 * (action - action.T))
+    action, skew_defect, checks = _transverse(A)
     q_values = np.linalg.eigh(0.5 * (action + action.T))[0]
-    checks = {
-        "transverse_trace": abs(float(np.einsum("kk->", A))),
-        "distinguished_geodesic": _maxabs(A[:-1, -1]),
+    checks |= {
         "block_closed": _maxabs(B[:-1, :-1]),
         "symmetric_action": skew_defect,
         "trace_zero": abs(float(q_values.sum())),
@@ -191,8 +194,7 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
     """
     A, B, order = _relabelled(spec, 1, 2, "1112")
     n = len(A)
-    action = -A[:-1, :-1]  # action[i, j] = mu[n, i | j]
-    skew_defect = _maxabs(action - action.T) / 2.0
+    action, skew_defect, checks = _transverse(A)
     # Each transverse row's squared norm over its nonzero entries in column
     # order, the float the whole row gives; Python floats, so a square past
     # float64 raises OverflowError.
@@ -202,9 +204,7 @@ def classify_type_1112(spec: ExtensionSpec, tol: float = DEFAULT_TOL) -> Classif
         norms[a] += x**2
     coupling = max((abs(norm - 4.0) for norm in norms), default=0.0)
     expected = np.diag([-2.0] * (n - 1) + [float(n - 1)])
-    checks = {
-        "transverse_trace": abs(float(np.einsum("kk->", A))),
-        "distinguished_geodesic": _maxabs(A[:-1, -1]),
+    checks |= {
         "distinguished_action": _maxabs(action),
         "contact_coupling": coupling,
         "ricci_at_identity": _maxabs(ricci_at_identity(spec.algebra)[order[:, None], order] - expected),

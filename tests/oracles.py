@@ -165,13 +165,15 @@ def ricci_pairs_bruteforce(index: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 def jacobi_form_dense(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Polarised Jacobi form of dense constants: sum_m S[i,j,m] T[m,k,l] +
-    cyclic in (i, j, k), one block of l-values per triple i < j < k in
-    lexicographic order, through the whole n^4 array of products."""
+    cyclic in (i, j, k) at slot ((i*n + j)*n + k)*n + l for each triple
+    i < j < k, and 0 on the other slots of the n^4, through the whole n^4
+    array of products."""
     E = np.einsum("...ijm,...mkl->...ijkl", S, T)
     r = np.arange(S.shape[-1])
     i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    J = E[..., i, j, k, :] + E[..., k, i, j, :] + E[..., j, k, i, :]
-    return J.reshape(J.shape[:-2] + (-1,))
+    J = np.zeros_like(E)
+    J[..., i, j, k, :] = E[..., i, j, k, :] + E[..., k, i, j, :] + E[..., j, k, i, :]
+    return J.reshape(J.shape[:-4] + (-1,))
 
 
 def scalar_classes(spec) -> dict:

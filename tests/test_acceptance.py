@@ -17,6 +17,7 @@ from einext.spectral import cone_membership, enumerate_types, enumeration_report
 from einext.verifier import classify_type_1112, verify_extension
 
 from oracles import admissibility_defects, koszul_ricci, ricci_deformation_at
+from test_spectral import canon_set
 from util import dense, random_lie_tensor, random_sparse_tensor, relation_exists
 
 KNOWN_DIM4_TYPES = {
@@ -47,10 +48,6 @@ def report(number, description):
         return wrapper
 
     return decorator
-
-
-def canon_set(types):
-    return {tuple(int(x) for x in p.entries) for p in types}
 
 
 @report(1, "dimension-3 eigenvalue types are exactly (1,1,1) and (1,1,2)")

@@ -9,6 +9,8 @@ handler picks an exit code; and one reader and one float-error scope, both
 entered by ``main`` alone.  ``cli`` and ``__init__`` import neither numpy
 nor the package's numeric modules when they load.  No module reads the
 environment, and the tolerance has one default, ``algebra.DEFAULT_TOL``.
+Each index set has one numbering: only ``ratlinalg`` numbers the upper
+triangle, and nothing ranks the triples i < j < k.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -255,3 +257,16 @@ def test_the_tolerance_has_one_default():
         imported |= {name for _, name in imports(path) if name.endswith("_TOL")}
     assert assigned == ["algebra.DEFAULT_TOL"]
     assert imported <= {"DEFAULT_TOL"}
+
+
+def test_each_index_set_has_one_numbering():
+    # The upper triangle's slots come from ratlinalg._triangle alone, and a
+    # Jacobi sum's slot is its sorted triple and l, so no module counts triples.
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name in ("triu_indices", "comb"):
+                    callers.setdefault(name, set()).add(path.stem)
+    assert callers == {"triu_indices": {"ratlinalg"}}

@@ -674,6 +674,29 @@ def test_cone_certificate_past_the_digit_limit_is_input_error(capsys, spectral):
     assert sys.get_int_max_str_digits() == limit
 
 
+TINY_INPUT = '{"dim":3,"mu":[{"i":1,"j":2,"k":3,"v":1.0}],"spectral":["1e-4999",1,2]}'
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["verify", "--input", TINY_INPUT], "--input"),
+        (["curvature", "--input", TINY_INPUT], "--input"),
+        # The limit stops the type-mismatch message of the classifier.
+        (["classify", "--type", "1112", "--input", TINY_INPUT], "--input"),
+        (["search", "--spectral=1e-4999,1,2", "--restarts", "1"], "--spectral '1e-4999,1,2'"),
+    ],
+)
+def test_a_number_past_the_digit_limit_names_the_input(capsys, argv, source):
+    # 10^4999 is the denominator of an exact eigenvalue; Python will not print
+    # it under its int-to-str digit limit, which stays as it is.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: a number past Python's {limit:,}-digit limit for integer string conversion\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,9 @@
 """Golden outputs of the command line: the exit code and stdout of `verify`,
 `curvature --u 0.5` and `classify` for the matching type, on every catalog
 entry and on hand-built algebras; of `cone` on the types below; and of
-`enumerate --report-both` in dimensions 3-5; compared exactly, key order
-included, as the JSON text of the parsed output and of the file.
+`enumerate --report-both` in dimensions 3-5; and of `search` at seed 0 on
+the types below; compared exactly, key order included, as the JSON text of
+the parsed output and of the file.
 
 The hand-built algebras are the two of ROADMAP item 1, on which the
 classifiers and `verify` disagree: real hyperbolic 3-space with e_4 rotating
@@ -20,6 +21,11 @@ The `cone` types are the paper's Remark 3.3 instance, the three types the
 cone condition rejects up to dimension 6, two with entries too large for
 int64 arithmetic (no orthogonal root, so the target is the witness), and
 the scalar type (zero target).
+
+The `search` types are (1,1,2) and (1,2,3,4) on their sparsity patterns and
+(1,1,1,1,2) on the full pattern: they pin the solver's model, its start
+points and the Levenberg-Marquardt trajectory, each restart's objective
+trace included.
 
 After a change meant to alter these outputs, regenerate the files with
 
@@ -96,6 +102,12 @@ CONE_TYPES = (
     "1,1,1",
 )
 
+SEARCH_ARGS = (
+    ["--spectral", "1,1,2"],
+    ["--spectral", "1,1,1,1,2", "--pattern", "full"],
+    ["--spectral", "1,2,3,4"],
+)
+
 
 def matching_type(spectral) -> str | None:
     """The classifier whose type is the eigenvalues up to order, if any."""
@@ -120,6 +132,7 @@ def cases() -> dict[str, list[list[str]]]:
             commands.append(["classify", "--type", code, *source])
         out[name.replace(":", "_")] = commands
     out["cone"] = [["cone", f"--spectral={p}"] for p in CONE_TYPES]
+    out["search"] = [["search", *args, "--seed", "0"] for args in SEARCH_ARGS]
     out["enumerate"] = [["enumerate", "--dim", str(d), "--report-both"] for d in (3, 4, 5)]
     return out
 

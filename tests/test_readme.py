@@ -1,6 +1,5 @@
 """The README's library sketch and command lines run as documented."""
 
-import json
 import re
 import shlex
 from pathlib import Path
@@ -8,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from einext.cli import main
+
+from test_cli import strict_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,13 +29,6 @@ COMMANDS = [
     for line in readme_block("Command line", "sh").splitlines()
     if line.startswith("einext ") and "--input algebra.json" not in line
 ]
-
-
-def strict_json(text):
-    def refuse(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])

@@ -165,10 +165,11 @@ def relation_exists(p: Sequence[Fraction]):
 
 
 def jacobi_components(mu: StructureTensor) -> np.ndarray:
-    """Independent Jacobi sums, one block of l-values per triple i < j < k."""
+    """The Jacobi sums of ``algebra._jacobi_pairs``: the sum of triple i < j < k
+    and l at slot ((i*n + j)*n + k)*n + l, and 0 on the other slots of the n^4."""
     n, support = mu.dim, mu.support()
     pairs = _jacobi_pairs(support, n)
-    return np.bincount(pairs.slot, pairs.products(support.value), minlength=n * math.comb(n, 3))
+    return np.bincount(pairs.slot, pairs.products(support.value), minlength=n**4)
 
 
 def _stack_residual(spec: ExtensionSpec, keys: Sequence[Fraction], jacobi_weight: float) -> np.ndarray:
