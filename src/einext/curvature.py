@@ -192,9 +192,10 @@ def extension_ricci(spec: ExtensionSpec) -> CurvatureReport:
     classes = ricci_deformation(spec)
     scal = {q: t for q, C in classes.items() if (t := float(C.trace())) != 0.0}
     div = divergence_residual(spec)
-    mixed: dict[Fraction, np.ndarray] = {}
+    by_eigenvalue: dict[Fraction, np.ndarray] = {}
     for i in div.nonzero()[0]:
-        mixed.setdefault(spec.spectral[i] / 2, np.zeros(n))[i] = div[i]
+        by_eigenvalue.setdefault(spec.spectral[i], np.zeros(n))[i] = div[i]
+    mixed = {p / 2: row for p, row in by_eigenvalue.items()}
     block = dict(classes)
     shift = spec.trace() * np.diag(spec.eigenvalues())
     if shift.any():

@@ -15,7 +15,11 @@ seed reproduce the trajectory bit for bit.  Its start points are the PCG64
 stream of ``SeedSequence(seed)``, the numbers of
 ``numpy.random.default_rng(seed).uniform(-3, 3)``, drawn by ``_PCG64``
 without loading numpy.random, so a seed's result does not depend on the
-installed numpy's ``Generator``.  A restart stops once its
+installed numpy's ``Generator``.  Each damped step solves
+(J^T J + damping) step = J^T r with the LAPACK ``dgesv`` gufunc that
+``np.linalg.solve`` wraps, under the same float-error settings, so it has
+the same bits and a singular system still raises ``LinAlgError``, which
+quadruples the damping.  A restart stops once its
 objective is at most ``(tolerance / 100) ** 2``, at an exactly zero gradient,
 when no damped step improves it, when a step improves it by at most a 1e-12
 share, or after ``MAX_ITERATIONS`` steps.  The reported residual is the best
@@ -55,6 +59,7 @@ from .scalars import parse_rational
 from .verifier import verify_extension
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 Triple = tuple[int, int, int]
 
@@ -268,6 +273,19 @@ class _PCG64:
         return np.array(out)
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a float64 matrix and vector, bit for bit:
+    the LAPACK ``dgesv`` gufunc it wraps, under the same float-error settings,
+    so a singular ``a`` raises ``LinAlgError`` under any caller's settings.
+    An errstate cannot be entered twice, so each call builds its own."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray, list[float]]:
     # The objective floor is the one absolute stop: below it, steps only
     # polish flat directions geometrically.  An exactly zero gradient (an
@@ -282,8 +300,8 @@ def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray,
         if objective <= floor:
             break
         jac = fun.jacobian(x)
-        descent = -(jac.T @ r)
-        if not descent.any():
+        gradient = jac.T @ r
+        if not np.count_nonzero(gradient):
             break
         # J^T J, whose diagonal each attempt sets to the undamped one plus the damping.
         damped = jac.T @ jac
@@ -293,11 +311,11 @@ def _levenberg_marquardt(fun, x0: np.ndarray, floor: float) -> tuple[np.ndarray,
         for _attempt in range(25):
             np.add(undamped, damping, out=diagonal)
             try:
-                step = np.linalg.solve(damped, descent)
-            except np.linalg.LinAlgError:
+                step = _solve(damped, gradient)
+            except LinAlgError:
                 damping *= 4.0
                 continue
-            candidate = np.minimum(np.maximum(x + step, lo), hi)
+            candidate = np.minimum(np.maximum(x - step, lo), hi)
             r_new = fun(candidate)
             objective_new = 0.5 * float(r_new @ r_new)
             if objective_new < objective:

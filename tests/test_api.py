@@ -10,7 +10,9 @@ entered by ``main`` alone.  ``cli`` and ``__init__`` import neither numpy
 nor the package's numeric modules when they load.  No module reads the
 environment, and the tolerance has one default, ``algebra.DEFAULT_TOL``.
 Each index set has one numbering: only ``ratlinalg`` numbers the upper
-triangle, and nothing ranks the triples i < j < k.
+triangle, and nothing ranks the triples i < j < k.  One module reaches
+LAPACK's dense solve: ``solver`` calls the gufunc behind ``np.linalg.solve``
+itself, and no module calls the wrapper.
 
 The caller scan matches bare names, not bindings: any name or attribute
 spelled the same counts as a caller.  A method that shares its name with
@@ -270,3 +272,22 @@ def test_each_index_set_has_one_numbering():
                 if name in ("triu_indices", "comb"):
                     callers.setdefault(name, set()).add(path.stem)
     assert callers == {"triu_indices": {"ratlinalg"}}
+
+
+def test_only_the_solver_reaches_the_lapack_solve():
+    # The damped step calls numpy's dgesv gufunc directly, with the float-error
+    # settings np.linalg.solve would use; nothing calls the wrapper.
+    naming, wrapper = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                spelled = (node.module or "").split(".")
+            elif isinstance(node, ast.alias):
+                spelled = node.name.split(".")
+            else:
+                spelled = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "_umath_linalg" in spelled:
+                naming.add(path.stem)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.solve"):
+                wrapper.add(path.stem)
+    assert (naming, wrapper) == ({"solver"}, set())

@@ -1,5 +1,6 @@
 import re
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -386,3 +387,68 @@ def test_search_results_are_those_of_numpy_s_generator(spectral, monkeypatch):
     ours = [search(problem).to_json() for problem in problems]
     monkeypatch.setattr(solver, "_PCG64", np.random.default_rng)
     assert ours == [search(problem).to_json() for problem in problems]
+
+
+@pytest.mark.parametrize("spectral", SEARCH_TYPES, ids=[",".join(map(str, t)) for t in SEARCH_TYPES])
+def test_search_results_are_those_of_numpy_s_solve(spectral, monkeypatch):
+    problems = [SearchProblem(spectral=F(*spectral), restarts=8, seed=seed) for seed in range(3)]
+    ours = [search(problem).to_json() for problem in problems]
+    monkeypatch.setattr(solver, "_solve", np.linalg.solve)
+    assert ours == [search(problem).to_json() for problem in problems]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 5), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+@example(1, 0, 1e-3, 0)
+@example(60, 0, 1e-3, 1)
+def test_solve_is_numpy_s_bit_for_bit(v, extra, damping, seed):
+    # A damped Gauss-Newton matrix J^T J + damping, symmetric positive-definite.
+    rng = np.random.default_rng(seed)
+    jac = rng.standard_normal((v + extra, v))
+    a = jac.T @ jac + damping * np.eye(v)
+    g = jac.T @ rng.standard_normal(v + extra)
+    step = solver._solve(a, g)
+    assert step.tobytes() == np.linalg.solve(a, g).tobytes()
+    assert np.array_equal(solver._solve(a, -g), -step)
+
+
+class _SingularModel:
+    """r(x) = 1e10 (x_1 + x_2) - 1: J^T J has 1e20 in every entry, so the
+    damped matrix is exactly singular until the damping passes half an ulp
+    of 1e20 (8192), after 12 quadruplings of 1e-3."""
+
+    def __call__(self, x):
+        return np.array([1e10 * (x[0] + x[1]) - 1.0])
+
+    def jacobian(self, x):
+        return np.array([[1e10, 1e10]])
+
+
+def test_a_singular_damped_system_raises_the_damping(monkeypatch):
+    singular, solve = [], solver._solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a[0, 0])
+            raise
+
+    monkeypatch.setattr(solver, "_solve", counted)
+
+    def run():
+        settings_before = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x, trace = solver._levenberg_marquardt(_SingularModel(), np.zeros(2), 0.0)
+        assert caught == []
+        assert (np.geterr(), np.geterrcall()) == settings_before
+        return x.tolist(), trace
+
+    # Under pytest's warnings-as-errors, then under the command line's float-error scope.
+    plain = run()
+    assert singular[:12] == [1e20] * 12
+    with np.errstate(over="raise", invalid="raise"):
+        assert run() == plain
+    x, trace = plain
+    assert len(trace) > 1 and trace[1] < trace[0] == 0.5
